@@ -13,13 +13,24 @@
 //      live, unexpired leases (the steady-state reclamation cadence),
 //  (d) fenced_rejects  — the zombie rejection path: a reclaimed ticket
 //      presented repeatedly (fence comparison + counter, no locks
-//      touched).
+//      touched),
+//  (e) checkout_checkin_file_<n> — the cycles of (a) with the long locks
+//      persisted to a backing file while other check-outs hold about n
+//      long locks (0, 100, 10000).  Each check-out and check-in appends
+//      one frame to the long-lock log and waits for one fdatasync, so
+//      durability's share must not grow with the table.
+//      checkout_checkin_mem_<n> runs the same cycles on an in-memory
+//      store: the difference between the two is what durability costs,
+//      and the rest of the stack's growth with n shows in both.
 //
 // `--json` emits machine-readable "throughput_tps" metrics compared by
 // tools/bench_regression_check.py against the committed BENCH_lease.json.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -55,6 +66,49 @@ query::Query CellQuery(const sim::CellsFixture& f, const std::string& key) {
   q.path = {nf2::PathStep::Field("c_objects")};
   q.kind = query::AccessKind::kUpdate;
   return q;
+}
+
+struct ParkedCycles {
+  std::string name;   ///< scenario name
+  size_t parked = 0;  ///< long locks held by the parked check-outs
+  Measurement cycle;
+};
+
+/// Check-out / check-in cycles on cell c1, after parking exclusive
+/// check-outs of cells c2, c3, ... until the store holds at least
+/// \p parked long locks.  The store persists to a file in \p dir, or stays
+/// in memory when \p dir is empty.
+ParkedCycles MeasureParkedCycles(const sim::CellsFixture& f, size_t parked,
+                                 uint64_t ops, const std::string& dir) {
+  ws::Server::Options opts;
+  opts.lease.duration_ms = 1u << 30;
+  opts.lease.grace_ms = 1000;
+  if (!dir.empty()) {
+    opts.storage_path = dir + "/parked-" + std::to_string(parked) + ".locks";
+    std::filesystem::remove(opts.storage_path);
+  }
+  ParkedCycles out;
+  out.name = std::string(dir.empty() ? "checkout_checkin_mem_"
+                                     : "checkout_checkin_file_") +
+             std::to_string(parked);
+  ws::Server server(f.catalog.get(), f.store.get(), std::move(opts));
+  for (int c = 2; server.stable_storage().size() < parked; ++c) {
+    if (!server
+             .CheckOut(static_cast<authz::UserId>(c),
+                       CellQuery(f, "c" + std::to_string(c)),
+                       ws::CheckOutMode::kExclusive)
+             .ok()) {
+      std::cerr << "parking check-out of c" << c << " failed\n";
+      std::abort();
+    }
+  }
+  out.parked = server.stable_storage().size();
+  out.cycle = Measure(ops, [&] {
+    Result<ws::CheckOutTicket> t = server.CheckOut(
+        1, CellQuery(f, "c1"), ws::CheckOutMode::kExclusive);
+    if (!t.ok() || !server.CheckIn(*t).ok()) std::abort();
+  });
+  return out;
 }
 
 }  // namespace
@@ -145,6 +199,25 @@ int main(int argc, char** argv) {
     if (zserver.CheckIn(*zombie).ok()) std::abort();
   });
 
+  // (e) cycles next to 0, 100 and 10000 parked long locks, file-backed
+  // and in memory, on a fixture with enough cells to park them.
+  sim::CellsParams big = params;
+  big.num_cells = 1200;
+  sim::CellsFixture bf = sim::BuildCellsEffectors(big);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("codlock_bench_lease_" + std::to_string(static_cast<long>(getpid()))))
+          .string();
+  std::filesystem::create_directories(dir);
+  std::vector<ParkedCycles> parked_cycles;
+  for (const std::string& store_dir : {dir, std::string()}) {
+    for (size_t parked : {size_t{0}, size_t{100}, size_t{10'000}}) {
+      parked_cycles.push_back(
+          MeasureParkedCycles(bf, parked, 1000 * scale, store_dir));
+    }
+  }
+  std::filesystem::remove_all(dir);
+
   if (json) {
     std::cout.setf(std::ios::fixed);
     std::cout.precision(1);
@@ -163,8 +236,14 @@ int main(int argc, char** argv) {
               << ", \"ns_per_op\": " << sweep.ns_per_op() << "},\n"
               << "    \"fenced_rejects\": {\"ops\": " << fenced.ops
               << ", \"throughput_tps\": " << fenced.tps()
-              << ", \"ns_per_op\": " << fenced.ns_per_op() << "}\n"
-              << "  }\n}\n";
+              << ", \"ns_per_op\": " << fenced.ns_per_op() << "}";
+    for (const ParkedCycles& pc : parked_cycles) {
+      std::cout << ",\n    \"" << pc.name << "\": {\"ops\": " << pc.cycle.ops
+                << ", \"parked_long_locks\": " << pc.parked
+                << ", \"throughput_tps\": " << pc.cycle.tps()
+                << ", \"ns_per_op\": " << pc.cycle.ns_per_op() << "}";
+    }
+    std::cout << "\n  }\n}\n";
   } else {
     auto row = [](const char* name, const Measurement& m) {
       std::cout << name << ": " << m.ops << " ops, "
@@ -175,6 +254,11 @@ int main(int argc, char** argv) {
     row("lease renewal    ", renew);
     row("idle sweep (32)  ", sweep);
     row("fenced rejection ", fenced);
+    for (const ParkedCycles& pc : parked_cycles) {
+      const std::string name =
+          pc.name + " (" + std::to_string(pc.parked) + " parked)";
+      row(name.c_str(), pc.cycle);
+    }
   }
   return 0;
 }

@@ -1,7 +1,12 @@
 #include "lock/long_lock_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -24,26 +29,14 @@ fault::FaultPoint g_fault_rename{"store/rename", fault::FaultKind::kCrash};
 fault::FaultPoint g_fault_after_rename{"store/after-rename",
                                        fault::FaultKind::kCrash};
 
-// Framed block layout (all integers little-endian).  The magic doubles as
-// the format version:
-//
-//   v1 ("CGN1"):  u32 magic | u64 generation | u32 record_count
-//                 record_count * (u64 txn | u32 node | u64 instance | u8 mode)
-//                 u32 crc32 over everything after the magic
-//
-//   v2 ("CGN2"):  u32 magic | u64 generation | u32 record_count
-//                 | u32 epoch_count
-//                 record_count * (u64 txn | u32 node | u64 instance | u8 mode)
-//                 epoch_count * (u32 node | u64 instance | u64 epoch)
-//                 u32 crc32 over everything after the magic
-//
-// v1 blocks (written before the lease subsystem existed) still parse —
-// they simply carry no fence epochs.  Saves always write v2.
-constexpr uint32_t kBlockMagicV1 = 0x314E4743;  // "CGN1"
-constexpr uint32_t kBlockMagicV2 = 0x324E4743;  // "CGN2"
-constexpr size_t kHeaderSizeV1 = 4 + 8 + 4;
-constexpr size_t kHeaderSizeV2 = 4 + 8 + 4 + 4;
-constexpr size_t kRecordSize = 8 + 4 + 8 + 1;
+// Block layouts: see the file comment in the header.  A snapshot record
+// carries its txn; a frame names its txn once, in the header.
+constexpr uint32_t kSnapshotMagic = 0x324E4743;  // "CGN2"
+constexpr uint32_t kFrameMagic = 0x464E4743;     // "CGNF"
+constexpr size_t kSnapshotHeaderSize = 4 + 8 + 4 + 4;
+constexpr size_t kFrameHeaderSize = 4 + 8 + 8 + 4 + 4;
+constexpr size_t kLockSize = 4 + 8 + 1;  // node | instance | mode
+constexpr size_t kTxnSize = 8;
 constexpr size_t kEpochSize = 4 + 8 + 8;
 constexpr size_t kCrcSize = 4;
 
@@ -71,96 +64,216 @@ uint64_t GetU64(const char* p) {
   return v;
 }
 
-struct ParsedBlock {
+/// One decoded block: a snapshot (the whole store) or a frame (one
+/// transaction's set).
+struct Block {
   uint64_t generation = 0;
+  TxnId txn = kInvalidTxn;  ///< frames only
   std::vector<LongLockRecord> records;
   std::vector<FenceEpochRecord> epochs;
-  size_t offset = 0;  ///< where the block starts in the file image
-  size_t length = 0;  ///< total block length in bytes
 };
 
-/// Tries to parse one framed block (either version) at \p off.  Returns
-/// true when the block is complete, CRC-clean and semantically valid.
-bool ParseBlockAt(const std::string& data, size_t off, ParsedBlock* out) {
-  if (off + kHeaderSizeV1 + kCrcSize > data.size()) return false;
-  const uint32_t magic = GetU32(data.data() + off);
-  const bool v2 = magic == kBlockMagicV2;
-  if (!v2 && magic != kBlockMagicV1) return false;
-  const size_t header = v2 ? kHeaderSizeV2 : kHeaderSizeV1;
-  if (off + header + kCrcSize > data.size()) return false;
-  const uint64_t gen = GetU64(data.data() + off + 4);
-  const uint32_t count = GetU32(data.data() + off + 12);
-  const uint32_t epoch_count = v2 ? GetU32(data.data() + off + 16) : 0;
-  // Reject absurd counts before computing the length (overflow guard).
-  if (count > (data.size() - off) / kRecordSize) return false;
-  if (epoch_count > (data.size() - off) / kEpochSize) return false;
-  const size_t length = header + count * kRecordSize +
-                        epoch_count * kEpochSize + kCrcSize;
-  if (off + length > data.size()) return false;
-  const std::string_view body(
-      data.data() + off + 4,
-      header - 4 + count * kRecordSize + epoch_count * kEpochSize);
-  const uint32_t stored_crc = GetU32(data.data() + off + length - kCrcSize);
-  if (Crc32(body) != stored_crc) return false;
+/// Encodes one block of kind \p magic.  \p epochs must be sorted, so a
+/// given state always has the same byte image.
+std::string EncodeBlock(uint32_t magic, uint64_t generation, TxnId txn,
+                        const std::vector<LongLockRecord>& records,
+                        const std::vector<FenceEpochRecord>& epochs) {
+  const bool frame = magic == kFrameMagic;
+  std::string b;
+  b.reserve((frame ? kFrameHeaderSize : kSnapshotHeaderSize) +
+            records.size() * (frame ? kLockSize : kTxnSize + kLockSize) +
+            epochs.size() * kEpochSize + kCrcSize);
+  PutU32(b, magic);
+  PutU64(b, generation);
+  if (frame) PutU64(b, txn);
+  PutU32(b, static_cast<uint32_t>(records.size()));
+  PutU32(b, static_cast<uint32_t>(epochs.size()));
+  for (const LongLockRecord& r : records) {
+    if (!frame) PutU64(b, r.txn);
+    PutU32(b, r.resource.node);
+    PutU64(b, r.resource.instance);
+    b.push_back(static_cast<char>(r.mode));
+  }
+  for (const FenceEpochRecord& e : epochs) {
+    PutU32(b, e.root.node);
+    PutU64(b, e.root.instance);
+    PutU64(b, e.epoch);
+  }
+  PutU32(b, Crc32(std::string_view(b.data() + 4, b.size() - 4)));
+  return b;
+}
 
-  std::vector<LongLockRecord> records;
-  records.reserve(count);
-  const char* p = data.data() + off + header;
-  for (uint32_t i = 0; i < count; ++i, p += kRecordSize) {
+/// Decodes the block of kind \p magic at \p off.  Returns its length, or 0
+/// when the bytes there are not a complete, CRC-clean, valid such block.
+size_t DecodeBlock(const std::string& data, size_t off, uint32_t magic,
+                   Block* out) {
+  const bool frame = magic == kFrameMagic;
+  const size_t header = frame ? kFrameHeaderSize : kSnapshotHeaderSize;
+  const size_t record = frame ? kLockSize : kTxnSize + kLockSize;
+  const size_t avail = data.size() - off;
+  if (avail < header + kCrcSize) return 0;
+  const char* p = data.data() + off;
+  if (GetU32(p) != magic) return 0;
+  const uint32_t count = GetU32(p + header - 8);
+  const uint32_t epoch_count = GetU32(p + header - 4);
+  // Reject absurd counts before computing the length (overflow guard).
+  if (count > avail / record || epoch_count > avail / kEpochSize) return 0;
+  const size_t length =
+      header + count * record + epoch_count * kEpochSize + kCrcSize;
+  if (length > avail) return 0;
+  if (Crc32(std::string_view(p + 4, length - 4 - kCrcSize)) !=
+      GetU32(p + length - kCrcSize)) {
+    return 0;
+  }
+
+  Block b;
+  b.generation = GetU64(p + 4);
+  b.txn = frame ? GetU64(p + 12) : kInvalidTxn;
+  b.records.reserve(count);
+  const char* q = p + header;
+  for (uint32_t i = 0; i < count; ++i) {
     LongLockRecord r;
-    r.txn = GetU64(p);
-    r.resource.node = GetU32(p + 8);
-    r.resource.instance = GetU64(p + 12);
-    const uint8_t mode = static_cast<uint8_t>(p[20]);
-    if (mode >= kNumModes) return false;  // CRC collision / version skew
+    r.txn = frame ? b.txn : GetU64(q);
+    if (!frame) q += kTxnSize;
+    r.resource.node = GetU32(q);
+    r.resource.instance = GetU64(q + 4);
+    const uint8_t mode = static_cast<uint8_t>(q[12]);
+    if (mode >= kNumModes) return 0;  // CRC collision / version skew
     r.mode = static_cast<LockMode>(mode);
-    records.push_back(r);
+    b.records.push_back(r);
+    q += kLockSize;
   }
-  std::vector<FenceEpochRecord> epochs;
-  epochs.reserve(epoch_count);
-  for (uint32_t i = 0; i < epoch_count; ++i, p += kEpochSize) {
-    FenceEpochRecord e;
-    e.root.node = GetU32(p);
-    e.root.instance = GetU64(p + 4);
-    e.epoch = GetU64(p + 12);
-    epochs.push_back(e);
+  b.epochs.reserve(epoch_count);
+  for (uint32_t i = 0; i < epoch_count; ++i, q += kEpochSize) {
+    b.epochs.push_back({{GetU32(q), GetU64(q + 4)}, GetU64(q + 12)});
   }
-  out->generation = gen;
-  out->records = std::move(records);
-  out->epochs = std::move(epochs);
-  out->offset = off;
-  out->length = length;
+  *out = std::move(b);
+  return length;
+}
+
+void SortEpochs(std::vector<FenceEpochRecord>* epochs) {
+  std::sort(epochs->begin(), epochs->end(),
+            [](const FenceEpochRecord& a, const FenceEpochRecord& b) {
+              return a.root.node != b.root.node
+                         ? a.root.node < b.root.node
+                         : a.root.instance < b.root.instance;
+            });
+}
+
+/// pwrite of all \p len bytes at \p offset.
+bool WriteAt(int fd, const char* data, size_t len, size_t offset) {
+  while (len > 0) {
+    const ssize_t n = ::pwrite(fd, data, len, static_cast<off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    data += n;
+    len -= static_cast<size_t>(n);
+    offset += static_cast<size_t>(n);
+  }
   return true;
+}
+
+/// Bytes of a \p size-byte write that a torn-write fault lets through.
+size_t TornLength(const fault::FireResult& f, size_t size) {
+  if (f.kind != fault::FaultKind::kTornWrite) return 0;
+  return f.arg != 0 ? std::min<size_t>(f.arg, size) : size / 2;
+}
+
+/// Makes a rename inside \p path's directory durable.
+bool SyncDirectory(const std::string& path) {
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 }  // namespace
 
+LongLockStore::~LongLockStore() {
+  MutexLock io(io_mu_);
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status LongLockStore::Append(TxnId txn, const LockManager& manager) {
+  MutexLock io(io_mu_);
+  std::vector<LongLockRecord> locks;
+  for (const HeldLock& held : manager.LocksOf(txn)) {
+    if (held.duration == LockDuration::kLong) {
+      locks.push_back({txn, held.resource, held.mode});
+    }
+  }
+  const bool to_file = !backing_path_.empty();
+  std::string block;
+  bool snapshot = false;
+  {
+    MutexLock lk(mu_);
+    ++generation_;
+    if (to_file) {
+      std::vector<FenceEpochRecord> epochs;
+      for (const ResourceId& root : bumped_) {
+        epochs.push_back({root, epochs_[root]});
+      }
+      SortEpochs(&epochs);
+      block = EncodeBlock(kFrameMagic, generation_, txn, locks, epochs);
+    }
+    bumped_.clear();
+    if (auto it = sets_.find(txn); it != sets_.end()) {
+      num_records_ -= it->second.size();
+      sets_.erase(it);
+    }
+    if (!locks.empty()) {
+      num_records_ += locks.size();
+      sets_.emplace(txn, std::move(locks));
+    }
+    snapshot = to_file && (snapshot_due_ ||
+                           log_bytes_ >= std::max(kCompactMinBytes,
+                                                  kCompactRatio *
+                                                      SnapshotBytesLocked()));
+    if (snapshot) block = EncodeSnapshotLocked();
+  }
+  if (!to_file) return Status::OK();
+  return snapshot ? WriteSnapshotLocked(block) : AppendFrameLocked(block);
+}
+
 Status LongLockStore::Save(const LockManager& manager) {
-  std::vector<LongLockRecord> snapshot = manager.SnapshotLongLocks();
-  MutexLock lk(mu_);
-  records_ = std::move(snapshot);
-  ++generation_;
+  std::vector<LongLockRecord> all = manager.SnapshotLongLocks();
+  MutexLock io(io_mu_);
+  std::string block;
+  {
+    MutexLock lk(mu_);
+    sets_.clear();
+    for (const LongLockRecord& r : all) sets_[r.txn].push_back(r);
+    num_records_ = all.size();
+    ++generation_;
+    bumped_.clear();
+    if (!backing_path_.empty()) block = EncodeSnapshotLocked();
+  }
   if (backing_path_.empty()) return Status::OK();
-  return WriteToFileLocked(backing_path_);
+  return WriteSnapshotLocked(block);
 }
 
 Status LongLockStore::Restore(LockManager* manager) const {
-  std::vector<LongLockRecord> snapshot;
-  {
-    MutexLock lk(mu_);
-    snapshot = records_;
-  }
-  return manager->RestoreLongLocks(snapshot);
+  return manager->RestoreLongLocks(records());
 }
 
 std::vector<LongLockRecord> LongLockStore::records() const {
   MutexLock lk(mu_);
-  return records_;
+  std::vector<LongLockRecord> out;
+  out.reserve(num_records_);
+  for (const auto& [txn, set] : sets_) {
+    out.insert(out.end(), set.begin(), set.end());
+  }
+  return out;
 }
 
 size_t LongLockStore::size() const {
   MutexLock lk(mu_);
-  return records_.size();
+  return num_records_;
 }
 
 uint64_t LongLockStore::generation() const {
@@ -176,6 +289,7 @@ uint64_t LongLockStore::FenceEpochOf(ResourceId root) const {
 
 uint64_t LongLockStore::BumpFenceEpoch(ResourceId root) {
   MutexLock lk(mu_);
+  bumped_.insert(root);
   return ++epochs_[root];
 }
 
@@ -190,12 +304,15 @@ std::vector<FenceEpochRecord> LongLockStore::FenceEpochs() const {
 }
 
 void LongLockStore::SetBackingFile(std::string path) {
-  MutexLock lk(mu_);
+  MutexLock io(io_mu_);
   backing_path_ = std::move(path);
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  snapshot_due_ = true;
 }
 
 std::string LongLockStore::backing_file() const {
-  MutexLock lk(mu_);
+  MutexLock io(io_mu_);
   return backing_path_;
 }
 
@@ -204,133 +321,110 @@ LongLockStore::LoadReport LongLockStore::last_load() const {
   return last_load_;
 }
 
-std::string LongLockStore::Serialize() const {
-  MutexLock lk(mu_);
-  std::ostringstream os;
-  for (const LongLockRecord& r : records_) {
-    os << r.txn << ' ' << r.resource.node << ' ' << r.resource.instance << ' '
-       << static_cast<int>(r.mode) << '\n';
-  }
-  return os.str();
-}
-
-Status LongLockStore::Deserialize(const std::string& data) {
-  std::vector<LongLockRecord> parsed;
-  std::istringstream is(data);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    LongLockRecord r;
-    int mode = 0;
-    if (!(ls >> r.txn >> r.resource.node >> r.resource.instance >> mode)) {
-      return Status::InvalidArgument("malformed long-lock record: " + line);
-    }
-    if (mode < 0 || mode >= kNumModes) {
-      return Status::InvalidArgument("invalid lock mode in record: " + line);
-    }
-    r.mode = static_cast<LockMode>(mode);
-    parsed.push_back(r);
-  }
-  MutexLock lk(mu_);
-  records_ = std::move(parsed);
-  ++generation_;
-  return Status::OK();
-}
-
-std::string LongLockStore::EncodeBlockLocked() const {
-  // Sorted epoch table: a deterministic byte image for a given state (the
-  // unordered_map iteration order must not leak into stable storage).
+std::string LongLockStore::EncodeSnapshotLocked() const {
   std::vector<FenceEpochRecord> epochs;
   epochs.reserve(epochs_.size());
   for (const auto& [root, epoch] : epochs_) {
     epochs.push_back({root, epoch});
   }
-  std::sort(epochs.begin(), epochs.end(),
-            [](const FenceEpochRecord& a, const FenceEpochRecord& b) {
-              return a.root.node != b.root.node
-                         ? a.root.node < b.root.node
-                         : a.root.instance < b.root.instance;
-            });
-
-  std::string block;
-  block.reserve(kHeaderSizeV2 + records_.size() * kRecordSize +
-                epochs.size() * kEpochSize + kCrcSize);
-  PutU32(block, kBlockMagicV2);
-  PutU64(block, generation_);
-  PutU32(block, static_cast<uint32_t>(records_.size()));
-  PutU32(block, static_cast<uint32_t>(epochs.size()));
-  for (const LongLockRecord& r : records_) {
-    PutU64(block, r.txn);
-    PutU32(block, r.resource.node);
-    PutU64(block, r.resource.instance);
-    block.push_back(static_cast<char>(r.mode));
+  SortEpochs(&epochs);
+  std::vector<LongLockRecord> all;
+  all.reserve(num_records_);
+  for (const auto& [txn, set] : sets_) {
+    all.insert(all.end(), set.begin(), set.end());
   }
-  for (const FenceEpochRecord& e : epochs) {
-    PutU32(block, e.root.node);
-    PutU64(block, e.root.instance);
-    PutU64(block, e.epoch);
-  }
-  PutU32(block, Crc32(std::string_view(block.data() + 4, block.size() - 4)));
-  return block;
+  return EncodeBlock(kSnapshotMagic, generation_, kInvalidTxn, all, epochs);
 }
 
-Status LongLockStore::WriteToFile(const std::string& path) {
-  MutexLock lk(mu_);
-  return WriteToFileLocked(path);
+size_t LongLockStore::SnapshotBytesLocked() const {
+  return kSnapshotHeaderSize + num_records_ * (kTxnSize + kLockSize) +
+         epochs_.size() * kEpochSize + kCrcSize;
 }
 
-Status LongLockStore::WriteToFileLocked(const std::string& path) {
-  const std::string block = EncodeBlockLocked();
-  // The live file always carries the previous good generation ahead of
-  // the new one, so a torn write of the tail still leaves one complete
-  // generation to salvage.
-  const std::string contents = prev_block_ + block;
-  const std::string tmp = path + ".tmp";
+Status LongLockStore::AppendFrameLocked(const std::string& frame) {
+  // Until this frame is durable the file's tail is unknown: any failure
+  // below leaves the next write to a snapshot.
+  snapshot_due_ = true;
+  if (fd_ < 0) {
+    fd_ = ::open(backing_path_.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd_ < 0) {
+      return Status::Internal("cannot open '" + backing_path_ + "'");
+    }
+  }
+  if (fault::FireResult f = g_fault_write_frame.Fire()) {
+    // Torn append: a prefix of the frame reaches the file, then the
+    // process dies.  Load stops at the torn frame.
+    WriteAt(fd_, frame.data(), TornLength(f, frame.size()), file_bytes_);
+    return fault::StatusFor(f, g_fault_write_frame.name());
+  }
+  if (!WriteAt(fd_, frame.data(), frame.size(), file_bytes_)) {
+    return Status::Internal("append to '" + backing_path_ + "' failed");
+  }
+  if (fault::FireResult f = g_fault_sync.Fire()) {
+    // Death before the fdatasync: the frame may or may not be durable.
+    return fault::StatusFor(f, g_fault_sync.name());
+  }
+  if (::fdatasync(fd_) != 0) {
+    return Status::Internal("fdatasync of '" + backing_path_ + "' failed");
+  }
+  file_bytes_ += frame.size();
+  log_bytes_ += frame.size();
+  snapshot_due_ = false;
+  return Status::OK();
+}
 
+Status LongLockStore::WriteSnapshotLocked(const std::string& snapshot) {
+  snapshot_due_ = true;
+  const std::string tmp = backing_path_ + ".tmp";
   if (fault::FireResult f = g_fault_open_temp.Fire()) {
     return fault::StatusFor(f, g_fault_open_temp.name());
   }
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::Internal("cannot open '" + tmp + "' for writing");
-
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
+                        0644);
+  if (fd < 0) return Status::Internal("cannot open '" + tmp + "' for writing");
+  auto fail = [fd](Status s) {
+    ::close(fd);
+    return s;
+  };
   if (fault::FireResult f = g_fault_write_frame.Fire()) {
-    // Torn write: a prefix of the image reaches the temp file, then the
-    // "process" dies — no rename, the live file is untouched.
-    size_t keep = 0;
-    if (f.kind == fault::FaultKind::kTornWrite) {
-      keep = f.arg != 0 ? std::min<size_t>(f.arg, contents.size())
-                        : contents.size() / 2;
-    }
-    out.write(contents.data(), static_cast<std::streamsize>(keep));
-    out.flush();
-    return fault::StatusFor(f, g_fault_write_frame.name());
+    // Torn write: a prefix of the snapshot reaches the temp file, then the
+    // process dies — no rename, the live file is untouched.
+    WriteAt(fd, snapshot.data(), TornLength(f, snapshot.size()), 0);
+    return fail(fault::StatusFor(f, g_fault_write_frame.name()));
   }
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  out.flush();  // best portable approximation of fsync for the simulation
+  if (!WriteAt(fd, snapshot.data(), snapshot.size(), 0)) {
+    return fail(Status::Internal("write to '" + tmp + "' failed"));
+  }
   if (fault::FireResult f = g_fault_sync.Fire()) {
-    // Flush/fsync failed or the process died before it: the temp image
-    // may or may not be complete, the live file still holds the old
-    // generations.
-    return fault::StatusFor(f, g_fault_sync.name());
+    // Death before the fdatasync: the live file still holds the old state.
+    return fail(fault::StatusFor(f, g_fault_sync.name()));
   }
-  if (!out.good()) return Status::Internal("write to '" + tmp + "' failed");
-  out.close();
-  if (out.fail()) return Status::Internal("close of '" + tmp + "' failed");
-
+  if (::fdatasync(fd) != 0) {
+    return fail(Status::Internal("fdatasync of '" + tmp + "' failed"));
+  }
   if (fault::FireResult f = g_fault_rename.Fire()) {
     // Crash before the rename: durable state is still the old file.
-    return fault::StatusFor(f, g_fault_rename.name());
+    return fail(fault::StatusFor(f, g_fault_rename.name()));
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal("rename '" + tmp + "' -> '" + path + "' failed");
+  if (std::rename(tmp.c_str(), backing_path_.c_str()) != 0) {
+    return fail(Status::Internal("rename '" + tmp + "' -> '" + backing_path_ +
+                                 "' failed"));
   }
-  // The new image is durable from here on, even if the caller sees the
-  // injected crash below (restart recovers the *new* generation).
-  prev_block_ = block;
+  // The temp file is the live file now; its descriptor takes the appends.
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = fd;
+  file_bytes_ = snapshot.size();
+  log_bytes_ = 0;
+  if (!SyncDirectory(backing_path_)) {
+    return Status::Internal("fsync of the directory of '" + backing_path_ +
+                            "' failed");
+  }
+  // The new snapshot is durable from here on, even if the caller sees the
+  // injected crash below (restart recovers the *new* state).
   if (fault::FireResult f = g_fault_after_rename.Fire()) {
     return fault::StatusFor(f, g_fault_after_rename.name());
   }
+  snapshot_due_ = false;
   return Status::OK();
 }
 
@@ -341,51 +435,52 @@ Status LongLockStore::LoadFromFile(const std::string& path) {
   buf << in.rdbuf();
   const std::string data = buf.str();
 
-  // Scan for framed blocks; corruption skips forward to the next intact
-  // magic instead of failing the load.  The newest (highest-generation)
-  // intact block wins.
-  ParsedBlock best;
-  bool have_best = false;
-  size_t valid_bytes = 0;
-  size_t off = 0;
-  while (off + kHeaderSizeV1 + kCrcSize <= data.size()) {
-    ParsedBlock block;
-    if (ParseBlockAt(data, off, &block)) {
-      valid_bytes += block.length;
-      if (!have_best || block.generation >= best.generation) {
-        best = std::move(block);
-        have_best = true;
+  // The snapshot, then every frame that continues the generation sequence;
+  // the first torn, corrupt or out-of-sequence block ends the log.
+  Block snapshot;
+  const size_t snapshot_bytes = DecodeBlock(data, 0, kSnapshotMagic, &snapshot);
+  std::map<TxnId, std::vector<LongLockRecord>> sets;
+  std::unordered_map<ResourceId, uint64_t, ResourceIdHash> epochs;
+  size_t end = snapshot_bytes;
+  if (snapshot_bytes != 0) {
+    for (const LongLockRecord& r : snapshot.records) sets[r.txn].push_back(r);
+    for (const FenceEpochRecord& e : snapshot.epochs) epochs[e.root] = e.epoch;
+    for (Block frame;;) {
+      const size_t len = DecodeBlock(data, end, kFrameMagic, &frame);
+      if (len == 0 || frame.generation != snapshot.generation + 1) break;
+      snapshot.generation = frame.generation;
+      if (frame.records.empty()) {
+        sets.erase(frame.txn);
+      } else {
+        sets[frame.txn] = std::move(frame.records);
       }
-      off = best.offset + best.length > off ? off + best.length
-                                            : off + 1;  // defensive
-      continue;
+      for (const FenceEpochRecord& e : frame.epochs) epochs[e.root] = e.epoch;
+      end += len;
     }
-    ++off;
   }
 
+  MutexLock io(io_mu_);
   MutexLock lk(mu_);
+  sets_ = std::move(sets);
+  num_records_ = 0;
+  for (const auto& [txn, set] : sets_) num_records_ += set.size();
+  epochs_ = std::move(epochs);
+  bumped_.clear();
+  // No intact snapshot recovers the empty generation 0: the state before
+  // the first completed write.
+  generation_ = snapshot.generation;
   last_load_ = LoadReport{};
-  last_load_.discarded_bytes = data.size() - valid_bytes;
-  last_load_.salvaged = last_load_.discarded_bytes != 0;
-  if (have_best) {
-    records_ = std::move(best.records);
-    generation_ = best.generation;
-    prev_block_ = data.substr(best.offset, best.length);
-    epochs_.clear();
-    for (const FenceEpochRecord& e : best.epochs) {
-      epochs_[e.root] = e.epoch;
-    }
-  } else {
-    // No complete generation survived: the file predates its first
-    // completed save (or lost everything to corruption) — recover the
-    // empty generation-0 state rather than failing recovery outright.
-    records_.clear();
-    generation_ = 0;
-    prev_block_.clear();
-    epochs_.clear();
-  }
   last_load_.generation = generation_;
-  last_load_.records = records_.size();
+  last_load_.records = num_records_;
+  last_load_.discarded_bytes = data.size() - end;
+  last_load_.salvaged = last_load_.discarded_bytes != 0;
+  // Appending goes on only after an intact image of the backing file.
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  file_bytes_ = end;
+  log_bytes_ = end - snapshot_bytes;
+  snapshot_due_ =
+      path != backing_path_ || snapshot_bytes == 0 || last_load_.salvaged;
   return Status::OK();
 }
 

@@ -20,7 +20,7 @@ TxnManager::~TxnManager() {
 
 Transaction* TxnManager::Begin(authz::UserId user, TxnKind kind) {
   TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  auto txn = std::make_unique<Transaction>(id, user, kind);
+  auto txn = std::make_shared<Transaction>(id, user, kind);
   Transaction* raw = txn.get();
   lock_manager_->AttachCache(id, &raw->lock_cache());
   MutexLock lk(mu_);
@@ -29,7 +29,7 @@ Transaction* TxnManager::Begin(authz::UserId user, TxnKind kind) {
 }
 
 Transaction* TxnManager::Adopt(TxnId id, authz::UserId user, TxnKind kind) {
-  auto txn = std::make_unique<Transaction>(id, user, kind);
+  auto txn = std::make_shared<Transaction>(id, user, kind);
   Transaction* raw = txn.get();
   lock_manager_->AttachCache(id, &raw->lock_cache());
   MutexLock lk(mu_);
@@ -99,14 +99,14 @@ Status TxnManager::Abort(Transaction* txn, const Status& cause) {
   return Finish(txn, TxnState::kAborted);
 }
 
-Result<Transaction*> TxnManager::Get(TxnId id) const {
+Result<std::shared_ptr<Transaction>> TxnManager::Get(TxnId id) const {
   MutexLock lk(mu_);
   auto it = txns_.find(id);
   if (it == txns_.end()) {
     return Status::NotFound("transaction " + std::to_string(id) +
                             " not found");
   }
-  return it->second.get();
+  return it->second;
 }
 
 void TxnManager::Forget(TxnId id) {

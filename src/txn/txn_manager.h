@@ -41,8 +41,9 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 
 /// \brief A transaction handle.
 ///
-/// Owned by the `TxnManager`; pointers stay valid until `Forget` (or
-/// manager destruction).  All lock acquisitions of the transaction go
+/// Owned by the `TxnManager`; the pointer `Begin` returns stays valid until
+/// `Forget` (or manager destruction), a handle from `Get` for as long as
+/// the caller keeps it.  All lock acquisitions of the transaction go
 /// through a `LockProtocol` which records them in the lock manager under
 /// this transaction's id.
 class Transaction {
@@ -128,10 +129,14 @@ class TxnManager {
   /// lost, not just that it was.
   Status Abort(Transaction* txn, const Status& cause);
 
-  /// Looks up a live transaction by id.
-  Result<Transaction*> Get(TxnId id) const;
+  /// Looks up a registered transaction by id.  The handle shares ownership,
+  /// so a concurrent `Forget` (another caller finishing the same
+  /// transaction) cannot free it under the caller.
+  Result<std::shared_ptr<Transaction>> Get(TxnId id) const;
 
-  /// Drops the bookkeeping for a finished transaction.
+  /// Drops the bookkeeping for a finished transaction; `Get` returns
+  /// NotFound afterwards.  Callers forget every transaction they finish,
+  /// or the manager grows with every transaction ever begun.
   void Forget(TxnId id);
 
   /// Number of transactions in state Active.
@@ -147,7 +152,7 @@ class TxnManager {
   nf2::InstanceStore* store_ = nullptr;
   std::atomic<TxnId> next_id_{1};
   mutable Mutex mu_;
-  std::unordered_map<TxnId, std::unique_ptr<Transaction>> txns_
+  std::unordered_map<TxnId, std::shared_ptr<Transaction>> txns_
       CODLOCK_GUARDED_BY(mu_);
 };
 

@@ -9,7 +9,7 @@
 namespace codlock::ws {
 
 namespace {
-// Server dies between the transaction outcome and the Save reaching
+// Server dies between the transaction outcome and its frame reaching
 // stable storage (the classic window a crash-consistency story must
 // close).
 fault::FaultPoint g_fault_persist{"ws/persist", fault::FaultKind::kCrash};
@@ -90,33 +90,34 @@ Result<CheckOutTicket> Server::CheckOut(authz::UserId user,
   if (!plan.ok()) return plan.status();
 
   txn::Transaction* txn = txns_->Begin(user, txn::TxnKind::kLong);
+  const lock::TxnId id = txn->id();
   Result<query::QueryResult> data =
       executor_->Execute(*txn, checkout_query, *plan);
   if (!data.ok()) {
-    txns_->Abort(txn);
+    if (txns_->Abort(txn).ok()) txns_->Forget(id);
     return data.status();
   }
   {
     MutexLock lk(tickets_mu_);
-    long_txn_users_[txn->id()] = user;
+    long_txn_users_[id] = user;
   }
   // Long locks must reach stable storage before the ticket exists: a
   // check-out whose locks were never persisted would not survive the very
   // crash it is supposed to survive, so a persist failure aborts it.
-  if (Status persisted = PersistLongLocks(); !persisted.ok()) {
+  if (Status persisted = PersistLongLocks(id); !persisted.ok()) {
     {
       MutexLock lk(tickets_mu_);
-      long_txn_users_.erase(txn->id());
+      long_txn_users_.erase(id);
     }
-    txns_->Abort(txn);
+    if (txns_->Abort(txn).ok()) txns_->Forget(id);
     // Best effort: bring stable storage back in line with the abort (if
     // the fault cleared); a second failure changes nothing durable.
-    PersistLongLocks();
+    PersistLongLocks(id);
     return persisted;
   }
 
   CheckOutTicket ticket;
-  ticket.txn = txn->id();
+  ticket.txn = id;
   ticket.user = user;
   ticket.mode = mode;
   ticket.query = query;
@@ -176,7 +177,7 @@ Result<CheckOutTicket> Server::ResumeSession(const CheckOutTicket& ticket) {
   // past its grace window, orphaned, or already reclaimed.
   CODLOCK_RETURN_IF_ERROR(leases_.Renew(ticket.txn));
   lm_->stats().leases_renewed.Add();
-  Result<txn::Transaction*> txn = txns_->Get(ticket.txn);
+  Result<std::shared_ptr<txn::Transaction>> txn = txns_->Get(ticket.txn);
   if (!txn.ok()) return txn.status();
   // Hand the workstation a fresh copy of its data (its private database
   // may not have survived whatever killed the session).  The long locks
@@ -221,7 +222,7 @@ size_t Server::SweepExpiredLeases() {
     }
 
     // Reclaim: fence first (in memory), then revoke.  The epoch bump and
-    // the lock release reach stable storage in one Save below; a crash
+    // the lock release reach stable storage in one frame below; a crash
     // in between is covered by the restart's orphan reaper, which
     // re-bumps epochs for every root it reaps.
     size_t released = 0;
@@ -232,8 +233,9 @@ size_t Server::SweepExpiredLeases() {
     lm_->stats().reclaimed_long_locks.Add(released);
     // Plain abort, no cause classification: a reclaim is not a deadlock
     // casualty — `leases_expired` is its counter.
-    if (Result<txn::Transaction*> txn = txns_->Get(rec.txn); txn.ok()) {
-      txns_->Abort(*txn);
+    if (Result<std::shared_ptr<txn::Transaction>> txn = txns_->Get(rec.txn);
+        txn.ok()) {
+      if (txns_->Abort(txn->get()).ok()) txns_->Forget(rec.txn);
     } else {
       lm_->ReleaseAll(rec.txn);
     }
@@ -250,7 +252,7 @@ size_t Server::SweepExpiredLeases() {
       (void)fault::StatusFor(fr, "ws.lease.reclaim");
       return reaped + 1;
     }
-    PersistLongLocks();
+    PersistLongLocks(rec.txn);
     ++reaped;
   }
   return reaped;
@@ -265,7 +267,7 @@ Result<nf2::ObjectId> Server::CheckInDerived(const CheckOutTicket& ticket,
   }
   // Fence before anything else: a reclaimed ticket must not insert.
   CODLOCK_RETURN_IF_ERROR(CheckFence(ticket));
-  Result<txn::Transaction*> txn = txns_->Get(ticket.txn);
+  Result<std::shared_ptr<txn::Transaction>> txn = txns_->Get(ticket.txn);
   if (!txn.ok()) return txn.status();
   if (!(*txn)->active()) {
     return Status::FailedPrecondition("check-out transaction not active");
@@ -302,15 +304,16 @@ Result<nf2::ObjectId> Server::CheckInDerived(const CheckOutTicket& ticket,
       store_->Insert(ticket.query.relation, std::move(derived));
   if (!inserted.ok()) return inserted.status();
 
-  CODLOCK_RETURN_IF_ERROR(txns_->Commit(*txn));
+  CODLOCK_RETURN_IF_ERROR(txns_->Commit(txn->get()));
   {
     MutexLock lk(tickets_mu_);
     long_txn_users_.erase(ticket.txn);
   }
   leases_.Drop(ticket.txn);
+  txns_->Forget(ticket.txn);
   // The commit stands; a persist failure means stable storage still names
   // the released locks.  Surface it — recovery reaps such orphans.
-  CODLOCK_RETURN_IF_ERROR(PersistLongLocks());
+  CODLOCK_RETURN_IF_ERROR(PersistLongLocks(ticket.txn));
   return inserted;
 }
 
@@ -319,7 +322,7 @@ Status Server::CheckIn(const CheckOutTicket& ticket) {
   // (and whose object may since have been re-granted and changed) must
   // fail here, deterministically, with kFenced.
   CODLOCK_RETURN_IF_ERROR(CheckFence(ticket));
-  Result<txn::Transaction*> txn = txns_->Get(ticket.txn);
+  Result<std::shared_ptr<txn::Transaction>> txn = txns_->Get(ticket.txn);
   if (!txn.ok()) return txn.status();
   if (!(*txn)->active()) {
     return Status::FailedPrecondition("check-out transaction not active");
@@ -335,33 +338,35 @@ Status Server::CheckIn(const CheckOutTicket& ticket) {
         executor_->Execute(**txn, ticket.query, *plan);
     if (!applied.ok()) return applied.status();
   }
-  CODLOCK_RETURN_IF_ERROR(txns_->Commit(*txn));
+  CODLOCK_RETURN_IF_ERROR(txns_->Commit(txn->get()));
   {
     MutexLock lk(tickets_mu_);
     long_txn_users_.erase(ticket.txn);
   }
   leases_.Drop(ticket.txn);
-  return PersistLongLocks();
+  txns_->Forget(ticket.txn);
+  return PersistLongLocks(ticket.txn);
 }
 
 Status Server::CancelCheckOut(const CheckOutTicket& ticket) {
   CODLOCK_RETURN_IF_ERROR(CheckFence(ticket));
-  Result<txn::Transaction*> txn = txns_->Get(ticket.txn);
+  Result<std::shared_ptr<txn::Transaction>> txn = txns_->Get(ticket.txn);
   if (!txn.ok()) return txn.status();
-  CODLOCK_RETURN_IF_ERROR(txns_->Abort(*txn));
+  CODLOCK_RETURN_IF_ERROR(txns_->Abort(txn->get()));
   {
     MutexLock lk(tickets_mu_);
     long_txn_users_.erase(ticket.txn);
   }
   leases_.Drop(ticket.txn);
-  return PersistLongLocks();
+  txns_->Forget(ticket.txn);
+  return PersistLongLocks(ticket.txn);
 }
 
-Status Server::PersistLongLocks() {
+Status Server::PersistLongLocks(lock::TxnId txn) {
   if (fault::FireResult f = g_fault_persist.Fire()) {
     return fault::StatusFor(f, "ws/persist");
   }
-  return long_store_.Save(*lm_);
+  return long_store_.Append(txn, *lm_);
 }
 
 Status Server::CrashAndRestart() {
@@ -438,10 +443,12 @@ Result<query::QueryResult> Server::RunShortTxn(authz::UserId user,
     Result<query::QueryResult> result = executor_->Execute(*txn, query, *plan);
     if (result.ok()) {
       CODLOCK_RETURN_IF_ERROR(txns_->Commit(txn));
+      txns_->Forget(id);
       return result;
     }
     const Status failure = result.status();
-    txns_->Abort(txn, failure);  // classifies the cause into stats
+    // Abort classifies the cause into stats.
+    if (txns_->Abort(txn, failure).ok()) txns_->Forget(id);
     if (!options_.retry.ShouldRetry(failure, attempt)) return failure;
     lm_->stats().retries.Add();
     // Jitter is seeded from the aborted attempt's id: deterministic for a

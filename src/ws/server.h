@@ -11,10 +11,13 @@
 ///
 /// The `Server` wires the whole stack (lock manager, transaction manager,
 /// lock graph, the paper's protocol, planner, executor) over a shared
-/// catalog + instance store, persists long locks to a `LongLockStore` on
-/// every check-out/check-in, and can simulate a crash: the volatile lock
-/// manager is rebuilt, short transactions lose everything, long
-/// (conversational) transactions are recovered with their locks intact.
+/// catalog + instance store, appends each check-out's, check-in's, cancel's
+/// and reclaim's long-lock change to a `LongLockStore`, and can simulate a
+/// crash: the volatile lock manager is rebuilt, short transactions lose
+/// everything, long (conversational) transactions are recovered with their
+/// locks intact.  Every finished transaction is forgotten by the
+/// transaction manager, so a long-running server does not grow with the
+/// number of sessions it has served.
 
 #ifndef CODLOCK_WS_SERVER_H_
 #define CODLOCK_WS_SERVER_H_
@@ -87,7 +90,7 @@ class Server {
     /// When non-empty, long locks are persisted to this file on every
     /// check-out/check-in (crash-consistent, see `LongLockStore`) and
     /// `CrashAndRestart` recovers from the *file* rather than from the
-    /// in-memory snapshot.  An existing file is loaded at construction so
+    /// in-memory store.  An existing file is loaded at construction so
     /// generations continue across server instances.
     std::string storage_path;
     /// Retry/backoff for `RunShortTxn`: deadlock victims, timeouts,
@@ -204,8 +207,10 @@ class Server {
  private:
   void RebuildEngine();
 
-  /// Saves the long locks to stable storage (fault point `ws/persist`).
-  Status PersistLongLocks();
+  /// Makes \p txn's current long locks (none once it has finished) durable
+  /// as one `LongLockStore::Append` frame built from `LocksOf(txn)` (fault
+  /// point `ws/persist`).
+  Status PersistLongLocks(lock::TxnId txn);
 
   /// Verifies the ticket's fencing epochs against stable storage.  Runs
   /// *first* in every ticket-presenting operation: a fenced ticket must

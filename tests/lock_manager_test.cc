@@ -223,39 +223,17 @@ TEST(LockManagerTest, LongLocksSurviveCrashViaStore) {
   EXPECT_TRUE(recovered.Acquire(9, kR1, LockMode::kS, nw).IsConflict());
 }
 
-TEST(LongLockStoreTest, SerializeRoundTrip) {
-  LongLockStore a;
-  {
-    LockManager lm;
-    AcquireOptions long_opts;
-    long_opts.duration = LockDuration::kLong;
-    ASSERT_TRUE(lm.Acquire(3, kR1, LockMode::kIX, long_opts).ok());
-    a.Save(lm);
-  }
-  LongLockStore b;
-  ASSERT_TRUE(b.Deserialize(a.Serialize()).ok());
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(b.records()[0].txn, 3u);
-  EXPECT_EQ(b.records()[0].mode, LockMode::kIX);
-}
-
-TEST(LongLockStoreTest, DeserializeRejectsGarbage) {
-  LongLockStore s;
-  EXPECT_TRUE(s.Deserialize("not a record\n").IsInvalidArgument());
-  EXPECT_TRUE(s.Deserialize("1 2 3 99\n").IsInvalidArgument());
-}
-
 TEST(LongLockStoreTest, FileRoundTrip) {
+  std::string path = ::testing::TempDir() + "/codlock_longlocks.txt";
   LongLockStore a;
+  a.SetBackingFile(path);
   {
     LockManager lm;
     AcquireOptions long_opts;
     long_opts.duration = LockDuration::kLong;
     ASSERT_TRUE(lm.Acquire(4, kR2, LockMode::kS, long_opts).ok());
-    a.Save(lm);
+    ASSERT_TRUE(a.Save(lm).ok());
   }
-  std::string path = ::testing::TempDir() + "/codlock_longlocks.txt";
-  ASSERT_TRUE(a.WriteToFile(path).ok());
   LongLockStore b;
   ASSERT_TRUE(b.LoadFromFile(path).ok());
   EXPECT_EQ(b.size(), 1u);

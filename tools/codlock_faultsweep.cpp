@@ -16,10 +16,16 @@
 //   * the server is usable: the surviving ticket checks in cleanly and a
 //     fresh check-out of the same data succeeds.
 //
-// The separate `truncate` mode is the torn-write sweep: it persists two
-// generations, then truncates the store file at *every* byte offset and
-// asserts that loading never fails and always recovers a complete
-// generation (the newest intact one, or the empty generation 0).
+// Each `store/*` point runs twice: once where the victim traffic hits it on
+// the long-lock log's append path, and once after a torn tail has been
+// salvaged at a restart, so that the victim's first persist is a snapshot
+// and hits it on the compaction path.
+//
+// The separate `truncate` mode is the torn-write sweep: it writes a
+// snapshot and three log frames, then truncates the store file at *every*
+// byte offset and asserts that loading never fails and recovers exactly
+// the longest intact prefix of those writes (the empty generation 0 before
+// the snapshot is whole).
 //
 // The `leases` mode crash-injects the lease subsystem's own fault points
 // (`ws.lease.expire`, `ws.lease.reclaim`, `ws.checkin.fenced`): an
@@ -104,10 +110,14 @@ std::string Sanitize(const std::string& name) {
   return out;
 }
 
-/// Runs the victim workload with \p point armed and checks recovery.
-PointResult SweepOne(fault::FaultPoint* point, const std::string& dir) {
+/// Runs the victim workload with \p point armed and checks recovery.  With
+/// \p compaction the store file first gets a torn tail that a restart
+/// salvages, so the victim's first persist writes a snapshot instead of
+/// appending a frame.
+PointResult SweepOne(fault::FaultPoint* point, const std::string& dir,
+                     bool compaction) {
   PointResult res;
-  res.point = point->name();
+  res.point = point->name() + (compaction ? " [compaction]" : "");
   res.kind = std::string(fault::FaultKindName(point->sweep_kind()));
   auto fail = [&res](const std::string& why) {
     res.passed = false;
@@ -119,7 +129,7 @@ PointResult SweepOne(fault::FaultPoint* point, const std::string& dir) {
   ws::Server::Options opts;
   opts.protocol.timeout_ms = 100;  // conflicting check-outs fail fast
   opts.lock_manager.default_timeout_ms = 200;
-  opts.storage_path = dir + "/" + Sanitize(point->name()) + ".locks";
+  opts.storage_path = dir + "/" + Sanitize(res.point) + ".locks";
   std::filesystem::remove(opts.storage_path);
   std::filesystem::remove(opts.storage_path + ".tmp");
   ws::Server server(f.catalog.get(), f.store.get(), opts);
@@ -129,6 +139,21 @@ PointResult SweepOne(fault::FaultPoint* point, const std::string& dir) {
       server.CheckOut(1, query::MakeQ2(f.cells));
   if (!baseline.ok()) {
     return fail("baseline check-out failed: " + baseline.status().ToString());
+  }
+  if (compaction) {
+    // A torn tail left by an earlier crash: the restart salvages it, and
+    // the store never appends after garbage.
+    {
+      std::ofstream tail(opts.storage_path, std::ios::binary | std::ios::app);
+      tail << "torn";
+    }
+    Status restarted = server.CrashAndRestart();
+    if (!restarted.ok()) {
+      return fail("torn-tail restart failed: " + restarted.ToString());
+    }
+    if (!server.stable_storage().last_load().salvaged) {
+      return fail("torn tail was not salvaged");
+    }
   }
 
   // Arm the worst plausible failure of this point, exactly once.
@@ -719,16 +744,32 @@ FleetRunResult FleetRun(int clients, int ticks) {
 
 struct TruncateResult {
   size_t offsets = 0;       ///< truncation points exercised
-  size_t failed_loads = 0;  ///< loads that returned an error (must be 0)
-  size_t recovered_g2 = 0;  ///< newest generation recovered
-  size_t recovered_g1 = 0;  ///< previous generation recovered
-  size_t recovered_g0 = 0;  ///< empty state recovered
+  size_t failed_loads = 0;  ///< loads that failed or recovered anything but
+                            ///< the longest intact prefix (must be 0)
+  std::vector<size_t> recovered;  ///< cuts that recovered generation g
   bool passed = false;
   std::string detail;
 };
 
-/// Truncates the two-generation store file at every byte offset and
-/// asserts the load always recovers a complete generation.
+/// A store's content as sorted text, comparable across stores.
+std::vector<std::string> StoreState(const lock::LongLockStore& store) {
+  std::vector<std::string> out;
+  for (const lock::LongLockRecord& r : store.records()) {
+    out.push_back("lock " + std::to_string(r.txn) + " " +
+                  r.resource.ToString() + " " +
+                  std::to_string(static_cast<int>(r.mode)));
+  }
+  for (const lock::FenceEpochRecord& e : store.FenceEpochs()) {
+    out.push_back("epoch " + e.root.ToString() + " " +
+                  std::to_string(e.epoch));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Writes a [snapshot][frame][frame][frame] store file, truncates it at
+/// every byte offset and asserts the load recovers exactly the longest
+/// intact prefix of those writes.
 TruncateResult TruncateSweep(const std::string& dir) {
   TruncateResult res;
   const std::string path = dir + "/truncate.locks";
@@ -740,14 +781,28 @@ TruncateResult TruncateSweep(const std::string& dir) {
   long_opts.duration = lock::LockDuration::kLong;
   lock::LongLockStore store;
   store.SetBackingFile(path);
+  // State and file length after each write; index = generation.
+  std::vector<std::vector<std::string>> states = {{}};
+  std::vector<uintmax_t> ends = {0};
+  Status written;
+  auto wrote = [&](Status s) {
+    if (written.ok()) written = s;
+    states.push_back(StoreState(store));
+    std::error_code ec;
+    ends.push_back(std::filesystem::file_size(path, ec));
+  };
   lm.Acquire(1, {1, 1}, lock::LockMode::kX, long_opts);
   lm.Acquire(1, {2, 7}, lock::LockMode::kS, long_opts);
-  Status s1 = store.Save(lm);  // generation 1
+  wrote(store.Save(lm));  // 1: the snapshot
   lm.Acquire(2, {3, 9}, lock::LockMode::kX, long_opts);
-  Status s2 = store.Save(lm);  // generation 2
-  if (!s1.ok() || !s2.ok()) {
-    res.detail = "seeding saves failed: " + s1.ToString() + " / " +
-                 s2.ToString();
+  wrote(store.Append(2, lm));  // 2: a check-out's frame
+  store.BumpFenceEpoch({1, 1});
+  lm.ReleaseAll(1);
+  wrote(store.Append(1, lm));  // 3: a reclaim's frame (drop + epoch)
+  lm.Acquire(3, {1, 1}, lock::LockMode::kX, long_opts);
+  wrote(store.Append(3, lm));  // 4: a re-grant's frame
+  if (!written.ok()) {
+    res.detail = "seeding writes failed: " + written.ToString();
     return res;
   }
 
@@ -755,11 +810,12 @@ TruncateResult TruncateSweep(const std::string& dir) {
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string image = buf.str();
-  if (image.empty()) {
-    res.detail = "store image empty";
+  if (image.size() != ends.back()) {
+    res.detail = "store image has unexpected size";
     return res;
   }
 
+  res.recovered.assign(states.size(), 0);
   for (size_t len = 0; len <= image.size(); ++len) {
     {
       std::ofstream out(cut, std::ios::binary | std::ios::trunc);
@@ -768,46 +824,32 @@ TruncateResult TruncateSweep(const std::string& dir) {
     lock::LongLockStore probe;
     Status loaded = probe.LoadFromFile(cut);
     ++res.offsets;
+    // The longest intact prefix: every write that ends within the cut.
+    const size_t want = static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), len) - ends.begin() - 1);
+    std::string why;
     if (!loaded.ok()) {
+      why = "load failed: " + loaded.ToString();
+    } else if (probe.generation() != want) {
+      why = "recovered generation " + std::to_string(probe.generation()) +
+            ", want " + std::to_string(want);
+    } else if (StoreState(probe) != states[want]) {
+      why = "recovered state differs from generation " + std::to_string(want);
+    }
+    if (!why.empty()) {
       ++res.failed_loads;
       if (res.detail.empty()) {
-        res.detail = "load failed at offset " + std::to_string(len) + ": " +
-                     loaded.ToString();
+        res.detail = why + " at offset " + std::to_string(len);
       }
       continue;
     }
-    switch (probe.generation()) {
-      case 2:
-        ++res.recovered_g2;
-        break;
-      case 1:
-        ++res.recovered_g1;
-        break;
-      case 0:
-        ++res.recovered_g0;
-        break;
-      default:
-        ++res.failed_loads;
-        if (res.detail.empty()) {
-          res.detail = "impossible generation " +
-                       std::to_string(probe.generation()) + " at offset " +
-                       std::to_string(len);
-        }
-    }
-    // The untruncated image must recover the newest generation with all
-    // its records.
-    if (len == image.size() &&
-        (probe.generation() != 2 || probe.size() != 3)) {
-      ++res.failed_loads;
-      if (res.detail.empty()) {
-        res.detail = "full image did not recover generation 2";
-      }
-    }
+    ++res.recovered[want];
   }
-  res.passed = res.failed_loads == 0 && res.recovered_g2 > 0 &&
-               res.recovered_g1 > 0;
+  res.passed = res.failed_loads == 0 &&
+               std::find(res.recovered.begin(), res.recovered.end(), 0u) ==
+                   res.recovered.end();
   if (!res.passed && res.detail.empty()) {
-    res.detail = "expected both generations to be recoverable";
+    res.detail = "expected every generation to be recoverable";
   }
   return res;
 }
@@ -860,10 +902,13 @@ int main(int argc, char** argv) {
 
   if (mode == "sweep" || mode == "all") {
     for (fault::FaultPoint* p : fault::AllPoints()) {
-      PointResult r = SweepOne(p, dir);
-      fault::DisarmAll();  // belt and braces between scenarios
-      ok = ok && r.passed;
-      points.push_back(std::move(r));
+      for (bool compaction : {false, true}) {
+        if (compaction && !p->name().starts_with("store/")) continue;
+        PointResult r = SweepOne(p, dir, compaction);
+        fault::DisarmAll();  // belt and braces between scenarios
+        ok = ok && r.passed;
+        points.push_back(std::move(r));
+      }
     }
   }
   if (mode == "leases" || mode == "all") {
@@ -998,10 +1043,11 @@ int main(int argc, char** argv) {
     if (mode == "truncate" || mode == "all") {
       os << ",\n  \"truncate\": {\"offsets\": " << trunc.offsets
          << ", \"failed_loads\": " << trunc.failed_loads
-         << ", \"recovered_g2\": " << trunc.recovered_g2
-         << ", \"recovered_g1\": " << trunc.recovered_g1
-         << ", \"recovered_g0\": " << trunc.recovered_g0
-         << ", \"passed\": " << (trunc.passed ? "true" : "false")
+         << ", \"recovered_per_generation\": [";
+      for (size_t g = 0; g < trunc.recovered.size(); ++g) {
+        os << (g ? ", " : "") << trunc.recovered[g];
+      }
+      os << "], \"passed\": " << (trunc.passed ? "true" : "false")
          << ", \"detail\": \"" << toolcli::JsonEscape(trunc.detail) << "\"}";
     }
     os << ",\n  \"passed\": " << (ok ? "true" : "false") << "\n}\n";
@@ -1054,10 +1100,12 @@ int main(int argc, char** argv) {
     if (mode == "truncate" || mode == "all") {
       std::cout << (trunc.passed ? "PASS " : "FAIL ")
                 << "truncate sweep: " << trunc.offsets << " offsets, "
-                << trunc.failed_loads << " failed loads, g2/g1/g0 = "
-                << trunc.recovered_g2 << "/" << trunc.recovered_g1 << "/"
-                << trunc.recovered_g0
-                << (trunc.detail.empty() ? "" : ": " + trunc.detail) << "\n";
+                << trunc.failed_loads
+                << " failed loads, cuts recovering generation 0.."
+                << (trunc.recovered.empty() ? 0 : trunc.recovered.size() - 1)
+                << " =";
+      for (size_t n : trunc.recovered) std::cout << " " << n;
+      std::cout << (trunc.detail.empty() ? "" : ": " + trunc.detail) << "\n";
     }
     std::cout << (ok ? "crashpoint sweep passed" : "crashpoint sweep FAILED")
               << "\n";
