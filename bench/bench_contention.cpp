@@ -2,7 +2,7 @@
 // EXPERIMENTS.md "Contention methodology").
 //
 // Measures how the lock manager scales as real threads pile onto it,
-// along the axes the optimistic fast path and flat-combined propagation
+// along the axes the optimistic fast path and batched path acquisition
 // were built for:
 //
 //  (a) contended_s          — N threads hammer a small shared keyset
@@ -19,14 +19,14 @@
 //      exclusive X cycles.  No logical contention; isolates raw shard
 //      and cache-line scaling from compatibility effects.
 //  (d) deep_path / shallow_path — root-to-leaf `AcquirePath` chains
-//      (depth 12 vs 2) with a shared ancestor spine, X leaves and
-//      `AcquireOptions::combine = true`: concurrent propagators pile
-//      onto the same shards and drain through the flat-combining slots.
+//      (depth 12 vs 2) with a shared ancestor spine and X leaves:
+//      concurrent propagators meet in the same shard mutexes, each
+//      visiting every shard of its chain once.
 //
 // Each (series, thread-count) point reports aggregate throughput and
 // approximate p50/p99 per-op latency (util::LatencyHistogram), plus the
-// fast-path and combining counters so a regression in *how* the work
-// was served is visible even when throughput is flat.
+// fast-path counters so a regression in *how* the work was served is
+// visible even when throughput is flat.
 //
 // `--json` emits the machine-readable baseline (BENCH_contention.json)
 // with the context block tools/bench_regression_check.py keys on.
@@ -60,8 +60,6 @@ struct Point {
   uint64_t p99_ns = 0;
   uint64_t fastpath_grants = 0;
   uint64_t fastpath_failures = 0;
-  uint64_t combine_published = 0;
-  uint64_t combine_drained = 0;
   double ops_per_s() const { return seconds > 0 ? ops / seconds : 0; }
 };
 
@@ -114,8 +112,6 @@ Point RunThreads(LockManager& lm, int nthreads, uint64_t ops_per_thread,
   p.p99_ns = hist.Quantile(0.99);
   p.fastpath_grants = lm.stats().fastpath_grants.value();
   p.fastpath_failures = lm.stats().fastpath_failures.value();
-  p.combine_published = lm.stats().combine_published.value();
-  p.combine_drained = lm.stats().combine_drained.value();
   return p;
 }
 
@@ -172,8 +168,8 @@ Point RunPartitioned(int nthreads, uint64_t ops) {
 
 /// (d): AcquirePath over a shared ancestor spine of \p depth levels plus
 /// a per-thread leaf, X at the leaf (IX spine — not fast-path eligible,
-/// so concurrent chains meet in the shard mutexes), combining opted in
-/// as the protocol layer does for downward propagation.
+/// so concurrent chains meet in the shard mutexes), as in the protocol
+/// layer's downward propagation.
 Point RunPath(int depth, int nthreads, uint64_t ops) {
   LockManager lm;
   return RunThreads(
@@ -188,9 +184,7 @@ Point RunPath(int depth, int nthreads, uint64_t ops) {
         path.push_back(ResourceId{
             static_cast<uint32_t>(depth + 1),
             static_cast<uint64_t>(t) * 4096 + (i % 64)});
-        AcquireOptions opts;
-        opts.combine = true;
-        (void)m.AcquirePath(txn, path, LockMode::kX, opts, &c);
+        (void)m.AcquirePath(txn, path, LockMode::kX, {}, &c);
         m.ReleaseAll(txn);
       });
 }
@@ -205,9 +199,7 @@ void PrintPointJson(std::ostream& os, const Point& p) {
      << ", \"throughput_ops_s\": " << p.ops_per_s()
      << ", \"p50_ns\": " << p.p50_ns << ", \"p99_ns\": " << p.p99_ns
      << ", \"fastpath_grants\": " << p.fastpath_grants
-     << ", \"fastpath_failures\": " << p.fastpath_failures
-     << ", \"combine_published\": " << p.combine_published
-     << ", \"combine_drained\": " << p.combine_drained << "}";
+     << ", \"fastpath_failures\": " << p.fastpath_failures << "}";
 }
 
 const Point* PointAt(const Series& s, int threads) {
@@ -303,9 +295,7 @@ int main(int argc, char** argv) {
                   << static_cast<uint64_t>(p.ops_per_s()) << " ops/s  p50="
                   << p.p50_ns << "ns p99=" << p.p99_ns
                   << "ns  fp=" << p.fastpath_grants << "/"
-                  << p.fastpath_failures
-                  << " combine=" << p.combine_published << "/"
-                  << p.combine_drained << "\n";
+                  << p.fastpath_failures << "\n";
       }
     }
     std::cout << "fastpath speedup @" << floor_threads << " threads: "

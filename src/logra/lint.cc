@@ -1,8 +1,9 @@
 #include "logra/lint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace codlock::logra {
 
@@ -344,33 +345,6 @@ class Linter {
   const nf2::Catalog& catalog_;
   LintReport report_;
 };
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 

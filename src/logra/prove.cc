@@ -1,13 +1,13 @@
 #include "logra/prove.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "authz/authz.h"
+#include "util/json.h"
 
 namespace codlock::logra {
 
@@ -24,33 +24,6 @@ constexpr LockMode kX = LockMode::kX;
 
 constexpr std::array<LockMode, lock::kNumModes> kAllModes = {
     kNL, kIS, kIX, kS, kSIX, kX};
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string ModePair(LockMode a, LockMode b) {
   std::string out;

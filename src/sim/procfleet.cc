@@ -11,6 +11,7 @@
 
 #include "proto/validator.h"
 #include "sim/fixtures.h"
+#include "util/json.h"
 #include "ws/handle.h"
 #include "ws/host.h"
 #include "ws/shm_ring.h"
@@ -223,12 +224,7 @@ std::string ProcFleetReport::Json() const {
                     ",\"violations\":[";
   for (size_t i = 0; i < violations.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"";
-    for (char ch : violations[i]) {
-      if (ch == '"' || ch == '\\') out += '\\';
-      out += ch;
-    }
-    out += "\"";
+    out += "\"" + JsonEscape(violations[i]) + "\"";
   }
   out += "]}";
   return out;

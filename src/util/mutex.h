@@ -37,7 +37,6 @@ class CODLOCK_CAPABILITY("mutex") Mutex {
 
   void Lock() CODLOCK_ACQUIRE() { mu_.lock(); }
   void Unlock() CODLOCK_RELEASE() { mu_.unlock(); }
-  bool TryLock() CODLOCK_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -29,9 +29,9 @@ TEST(DeadlockPolicyTest, Names) {
             "timeout-only");
 }
 
-TEST(DeadlockPolicyTest, LegacySwitchMapsToTimeoutOnly) {
+TEST(DeadlockPolicyTest, TimeoutOnlyEndsCrossBlockingByTimeout) {
   LockManager::Options o;
-  o.detect_deadlocks = false;
+  o.deadlock_policy = DeadlockPolicy::kTimeoutOnly;
   o.default_timeout_ms = 60;
   LockManager lm(o);
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX).ok());

@@ -216,7 +216,10 @@ TEST(LockStressTest, PathsWithCacheTimeoutBackstop) {
 
 /// Conversion storm: every thread takes S on the same resource and then
 /// upgrades to X.  Concurrent upgrades deadlock pairwise; detection must
-/// pick victims and the survivors must all complete.
+/// pick victims and the survivors must all complete.  An upgrade that ends
+/// any other way (a missed deadlock shows up as kTimeout) is recorded once;
+/// its worker still releases its locks and every worker stops after its
+/// current round, so a miss costs one timeout, not one per worker.
 TEST(LockStressTest, ConversionStorm) {
   LockManager::Options options;
   options.deadlock_policy = DeadlockPolicy::kDetect;
@@ -228,21 +231,24 @@ TEST(LockStressTest, ConversionStorm) {
   std::atomic<TxnId> next_txn{1};
   std::atomic<uint64_t> upgrades{0};
   std::atomic<uint64_t> victims{0};
+  std::atomic<bool> missed{false};
+  Status first_unexpected;  // written only by the worker that sets `missed`
 
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   const ResourceId hot{42, 7};
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) {
+      for (int r = 0; r < kRounds && !missed.load(); ++r) {
         TxnId txn = next_txn.fetch_add(1, std::memory_order_relaxed);
         if (lm.Acquire(txn, hot, LockMode::kS).ok()) {
           Status up = lm.Acquire(txn, hot, LockMode::kX);
           if (up.ok()) {
             upgrades.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            ASSERT_EQ(up.code(), StatusCode::kDeadlock) << up;
+          } else if (up.code() == StatusCode::kDeadlock) {
             victims.fetch_add(1, std::memory_order_relaxed);
+          } else if (!missed.exchange(true)) {
+            first_unexpected = up;
           }
         }
         lm.ReleaseAll(txn);
@@ -251,6 +257,9 @@ TEST(LockStressTest, ConversionStorm) {
   }
   for (auto& t : workers) t.join();
 
+  EXPECT_FALSE(missed.load())
+      << "an upgrade ended neither granted nor as a deadlock victim: "
+      << first_unexpected;
   EXPECT_EQ(lm.NumEntries(), 0u);
   EXPECT_EQ(lm.stats().held_locks.load(std::memory_order_relaxed), 0);
   EXPECT_GT(upgrades.load(), 0u);

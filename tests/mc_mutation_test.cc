@@ -21,8 +21,6 @@
 ///    granted-but-unnotified waiter wedges the schedule)
 ///  * fastpath.skip-validation  → side-entry      → (a) compatibility (an
 ///    unvalidated optimistic grant lands over an exclusive holder)
-///  * combine.drop-request      → side-entry      → (d) cache coherence
-///    (a dropped combining batch is reported granted but never applied)
 
 #include <gtest/gtest.h>
 
@@ -115,14 +113,6 @@ TEST(McMutationTest, KillsFastpathSkipValidation) {
   // fast-path slots, so the compatibility oracle sees the impossible pair.
   ExpectKilled(mutation::Mutant::kFastpathSkipValidation, SideEntryWorkload(),
                "compatibility:");
-}
-
-TEST(McMutationTest, KillsCombineDropRequest) {
-  // A combiner that marks a published batch granted without applying it
-  // leaves the publisher caching modes the lock table never granted; the
-  // cache-coherence oracle compares cache claims against HeldMode.
-  ExpectKilled(mutation::Mutant::kCombineDropRequest, SideEntryWorkload(),
-               "cache:");
 }
 
 }  // namespace

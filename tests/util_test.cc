@@ -1,10 +1,11 @@
-/// Tests for util: Status, Result, Rng, metrics.
+/// Tests for util: Status, Result, Rng, metrics, JSON escaping.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -164,6 +165,15 @@ TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch sw;
   SUCCEED();  // elapsed is monotone, just sanity-check non-negativity
   EXPECT_GE(sw.ElapsedNanos(), 0u);
+}
+
+TEST(JsonEscapeTest, EscapesQuoteBackslashNewlineAndControls) {
+  EXPECT_EQ(JsonEscape("plain text"), "plain text");
+  EXPECT_EQ(JsonEscape("say \"hi\""), "say \\\"hi\\\"");
+  EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
+  EXPECT_EQ(JsonEscape("one\ntwo"), "one\\ntwo");
+  EXPECT_EQ(JsonEscape("tab\there\x01"), "tab\\u0009here\\u0001");
+  EXPECT_EQ(JsonEscape(""), "");
 }
 
 }  // namespace

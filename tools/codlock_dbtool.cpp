@@ -24,6 +24,7 @@
 #include "sim/fixtures.h"
 #include "sim/harness.h"
 #include "tool_common.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "ws/server.h"
 
@@ -344,7 +345,7 @@ int Leases(nf2::LoadedDatabase& db, bool json) {
                 << ",\"renewals\":" << row.renewals << ",\"fence\":[";
       for (size_t j = 0; j < row.fence.size(); ++j) {
         std::cout << (j ? "," : "") << "{\"root\":\""
-                  << toolcli::JsonEscape(row.fence[j].root.ToString())
+                  << JsonEscape(row.fence[j].root.ToString())
                   << "\",\"epoch\":" << row.fence[j].epoch << "}";
       }
       std::cout << "],\"held_long_locks\":" << row.held.size() << "}";
@@ -354,7 +355,7 @@ int Leases(nf2::LoadedDatabase& db, bool json) {
         server.stable_storage().FenceEpochs();
     for (size_t i = 0; i < epochs.size(); ++i) {
       std::cout << (i ? "," : "") << "{\"root\":\""
-                << toolcli::JsonEscape(epochs[i].root.ToString())
+                << JsonEscape(epochs[i].root.ToString())
                 << "\",\"epoch\":" << epochs[i].epoch << "}";
     }
     std::cout << "]}\n";

@@ -87,6 +87,7 @@
 #include "sim/fixtures.h"
 #include "sim/fleet.h"
 #include "tool_common.h"
+#include "util/json.h"
 #include "ws/host.h"
 #include "ws/server.h"
 
@@ -979,41 +980,41 @@ int main(int argc, char** argv) {
     os << "{\n  \"points\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
       const PointResult& r = points[i];
-      os << "    {\"point\": \"" << toolcli::JsonEscape(r.point)
+      os << "    {\"point\": \"" << JsonEscape(r.point)
          << "\", \"kind\": \""
          << r.kind << "\", \"fired\": " << (r.fired ? "true" : "false")
          << ", \"passed\": " << (r.passed ? "true" : "false")
-         << ", \"detail\": \"" << toolcli::JsonEscape(r.detail) << "\"}"
+         << ", \"detail\": \"" << JsonEscape(r.detail) << "\"}"
          << (i + 1 < points.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"leases\": [\n";
     for (size_t i = 0; i < leases.size(); ++i) {
       const PointResult& r = leases[i];
-      os << "    {\"point\": \"" << toolcli::JsonEscape(r.point)
+      os << "    {\"point\": \"" << JsonEscape(r.point)
          << "\", \"kind\": \""
          << r.kind << "\", \"fired\": " << (r.fired ? "true" : "false")
          << ", \"passed\": " << (r.passed ? "true" : "false")
-         << ", \"detail\": \"" << toolcli::JsonEscape(r.detail) << "\"}"
+         << ", \"detail\": \"" << JsonEscape(r.detail) << "\"}"
          << (i + 1 < leases.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"ring\": [\n";
     for (size_t i = 0; i < ring.size(); ++i) {
       const PointResult& r = ring[i];
-      os << "    {\"point\": \"" << toolcli::JsonEscape(r.point)
+      os << "    {\"point\": \"" << JsonEscape(r.point)
          << "\", \"kind\": \""
          << r.kind << "\", \"fired\": " << (r.fired ? "true" : "false")
          << ", \"passed\": " << (r.passed ? "true" : "false")
-         << ", \"detail\": \"" << toolcli::JsonEscape(r.detail) << "\"}"
+         << ", \"detail\": \"" << JsonEscape(r.detail) << "\"}"
          << (i + 1 < ring.size() ? "," : "") << "\n";
     }
     os << "  ],\n  \"shm\": [\n";
     for (size_t i = 0; i < shm.size(); ++i) {
       const PointResult& r = shm[i];
-      os << "    {\"point\": \"" << toolcli::JsonEscape(r.point)
+      os << "    {\"point\": \"" << JsonEscape(r.point)
          << "\", \"kind\": \""
          << r.kind << "\", \"fired\": " << (r.fired ? "true" : "false")
          << ", \"passed\": " << (r.passed ? "true" : "false")
-         << ", \"detail\": \"" << toolcli::JsonEscape(r.detail) << "\"}"
+         << ", \"detail\": \"" << JsonEscape(r.detail) << "\"}"
          << (i + 1 < shm.size() ? "," : "") << "\n";
     }
     os << "  ]";
@@ -1028,17 +1029,17 @@ int main(int argc, char** argv) {
          << ", \"fenced_on_salvage\": "
          << (corrupt.fenced_on_salvage ? "true" : "false")
          << ", \"passed\": " << (corrupt.passed ? "true" : "false")
-         << ", \"detail\": \"" << toolcli::JsonEscape(corrupt.detail) << "\"}";
+         << ", \"detail\": \"" << JsonEscape(corrupt.detail) << "\"}";
     }
     if (ring_mode) {
       os << ",\n  \"fleet\": {\"handles\": " << fleet.clients
          << ", \"ticks\": " << fleet.ticks << ", \"violations\": [";
       for (size_t i = 0; i < fleet.violations.size(); ++i) {
         os << (i ? ", " : "") << "\""
-           << toolcli::JsonEscape(fleet.violations[i]) << "\"";
+           << JsonEscape(fleet.violations[i]) << "\"";
       }
       os << "], \"passed\": " << (fleet.passed ? "true" : "false")
-         << ", \"summary\": \"" << toolcli::JsonEscape(fleet.summary) << "\"}";
+         << ", \"summary\": \"" << JsonEscape(fleet.summary) << "\"}";
     }
     if (mode == "truncate" || mode == "all") {
       os << ",\n  \"truncate\": {\"offsets\": " << trunc.offsets
@@ -1048,7 +1049,7 @@ int main(int argc, char** argv) {
         os << (g ? ", " : "") << trunc.recovered[g];
       }
       os << "], \"passed\": " << (trunc.passed ? "true" : "false")
-         << ", \"detail\": \"" << toolcli::JsonEscape(trunc.detail) << "\"}";
+         << ", \"detail\": \"" << JsonEscape(trunc.detail) << "\"}";
     }
     os << ",\n  \"passed\": " << (ok ? "true" : "false") << "\n}\n";
     std::cout << os.str();

@@ -21,6 +21,7 @@
 #include "logra/lock_graph.h"
 #include "nf2/serialize.h"
 #include "tool_common.h"
+#include "util/json.h"
 
 using namespace codlock;
 
@@ -45,7 +46,7 @@ bool LintOne(const std::string& name, const nf2::Catalog& catalog,
   logra::LockGraph graph = logra::LockGraph::Build(catalog);
   logra::LintReport report = logra::LintLockGraph(graph, catalog);
   if (opts.json) {
-    std::cout << "{\"schema\":\"" << toolcli::JsonEscape(name)
+    std::cout << "{\"schema\":\"" << JsonEscape(name)
               << "\",\"report\":" << report.ToJson() << "}\n";
   } else if (!opts.quiet || !report.ok()) {
     std::cout << name << ": " << report.ToString();

@@ -31,6 +31,7 @@
 #include "nf2/serialize.h"
 #include "sim/schema_fuzz.h"
 #include "tool_common.h"
+#include "util/json.h"
 
 using namespace codlock;
 
@@ -65,7 +66,7 @@ bool ProveOne(const std::string& name, const nf2::Catalog& catalog,
   logra::LockGraph graph = logra::LockGraph::Build(catalog);
   logra::ProverReport report = logra::ProveProtocol(graph, catalog);
   if (opts.json) {
-    std::cout << "{\"schema\":\"" << toolcli::JsonEscape(name)
+    std::cout << "{\"schema\":\"" << JsonEscape(name)
               << "\",\"report\":" << report.ToJson() << "}\n";
   } else if (!opts.quiet || !report.ok()) {
     std::cout << name << ": " << report.ToString();
@@ -102,7 +103,7 @@ int RunKillSuite(const CliOptions& opts) {
       std::cout << "{\"mutant\":\"" << logra::ProverMutantName(r.mutant)
                 << "\",\"killed\":" << (r.killed ? "true" : "false")
                 << ",\"findings\":" << r.findings << ",\"caught_by\":\""
-                << toolcli::JsonEscape(r.caught_by) << "\",\"witness\":"
+                << JsonEscape(r.caught_by) << "\",\"witness\":"
                 << (r.witness_json.empty() ? "null" : r.witness_json) << "}";
     } else if (!opts.quiet || !r.killed) {
       std::cout << (r.killed ? "KILLED  " : "SURVIVED ")

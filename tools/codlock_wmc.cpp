@@ -3,11 +3,10 @@
 // Enumerates the consistent C++-memory-model executions (schedule choices
 // x reads-from choices) of the litmus harnesses distilled from the
 // src/lock fast path (src/wm/litmus.cc): seqlock summary
-// publish/validate, FpSlot claim CAS, EBR pin/stamp/scan, and the
-// flat-combining mailbox handoff.  Each harness carries the same memory
-// orders — and the same `mutation::WeakenedOrder` toggles — as its
-// production counterpart, so the wm.* order-weakening mutants flip the
-// real knob in both places.
+// publish/validate, FpSlot claim CAS and EBR pin/stamp/scan.  Each
+// harness carries the same memory orders — and the same
+// `mutation::WeakenedOrder` toggles — as its production counterpart, so
+// the wm.* order-weakening mutants flip the real knob in both places.
 //
 // Usage:
 //   codlock_wmc [--harness=<name>|all] [--budget=N]
@@ -21,7 +20,7 @@
 // the litmus suite catches it, 1 when it survives.  --kill-suite runs the
 // clean baseline plus every wm.* mutant against its killing harness; the
 // protocol-decision mutants have their own suite in `codlock_mc
-// --kill-suite`, and CI requires both (11 runtime mutants total).
+// --kill-suite`, and CI requires both (10 runtime mutants total).
 
 #include <cstdint>
 #include <iostream>
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "tool_common.h"
+#include "util/json.h"
 #include "util/mutation_points.h"
 #include "wm/checker.h"
 #include "wm/litmus.h"
@@ -100,7 +100,7 @@ void PrintJson(const std::vector<wm::litmus::Harness>& harnesses,
   for (size_t i = 0; i < harnesses.size(); ++i) {
     if (i) std::cout << ",";
     const wm::Result& r = results[i];
-    std::cout << "{\"name\":\"" << toolcli::JsonEscape(harnesses[i].name)
+    std::cout << "{\"name\":\"" << JsonEscape(harnesses[i].name)
               << "\",\"executions\":" << r.executions
               << ",\"complete\":" << (r.complete ? "true" : "false")
               << ",\"expect_violation\":"
@@ -112,7 +112,7 @@ void PrintJson(const std::vector<wm::litmus::Harness>& harnesses,
       std::cout << "{\"kind\":\""
                 << wm::ViolationKindName(r.violations[j].kind)
                 << "\",\"message\":\""
-                << toolcli::JsonEscape(r.violations[j].message) << "\"}";
+                << JsonEscape(r.violations[j].message) << "\"}";
     }
     std::cout << "]}";
   }

@@ -1,7 +1,5 @@
 #include "tool_common.h"
 
-#include <cstdio>
-
 #include "sim/fixtures.h"
 
 namespace codlock::toolcli {
@@ -34,33 +32,6 @@ std::vector<SchemaFixture> ResolveSchemaFixtures(const std::string& which,
     sim::SyntheticFixture f = sim::BuildSynthetic(params);
     out.push_back(
         {"synthetic-disjoint", std::move(f.catalog), std::move(f.store)});
-  }
-  return out;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
   }
   return out;
 }

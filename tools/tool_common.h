@@ -1,8 +1,8 @@
 /// \file tool_common.h
 /// \brief Shared CLI plumbing for the static-analysis / checking tools
 /// (codlock_lint, codlock_prove, codlock_mc, codlock_faultsweep,
-/// codlock_dbtool): built-in fixture resolution, JSON string escaping and
-/// the common exit-code convention.
+/// codlock_dbtool): built-in fixture resolution and the common exit-code
+/// convention.
 
 #ifndef CODLOCK_TOOLS_TOOL_COMMON_H_
 #define CODLOCK_TOOLS_TOOL_COMMON_H_
@@ -38,9 +38,6 @@ struct SchemaFixture {
 /// returns empty.
 std::vector<SchemaFixture> ResolveSchemaFixtures(const std::string& which,
                                                  bool* matched);
-
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-std::string JsonEscape(const std::string& s);
 
 }  // namespace codlock::toolcli
 
