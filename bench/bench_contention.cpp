@@ -44,7 +44,7 @@
 #include "bench_context.h"
 #include "lock/lock_manager.h"
 #include "lock/mode.h"
-#include "lock/txn_lock_cache.h"
+#include "lock/txn_locks.h"
 #include "util/metrics.h"
 
 using namespace codlock;
@@ -63,8 +63,8 @@ struct Point {
   double ops_per_s() const { return seconds > 0 ? ops / seconds : 0; }
 };
 
-/// Runs \p per_op(thread_index, iteration, lm, cache) from \p nthreads
-/// threads, each with its own txn id (t+1) and attached TxnLockCache.
+/// Runs \p per_op(thread_index, iteration, lm, locks) from \p nthreads
+/// threads, each with its own txn id (t+1) and its TxnLocks.
 /// Wall-clock spans the release of the start gate to the last join, so
 /// throughput is the aggregate rate, not a per-thread mean.
 template <typename PerOp>
@@ -78,22 +78,20 @@ Point RunThreads(LockManager& lm, int nthreads, uint64_t ops_per_thread,
   for (int t = 0; t < nthreads; ++t) {
     threads.emplace_back([&, t] {
       const TxnId txn = static_cast<TxnId>(t + 1);
-      TxnLockCache cache;
-      lm.AttachCache(txn, &cache);
+      std::shared_ptr<TxnLocks> locks = lm.Begin(txn);
       ready.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       for (uint64_t i = 0; i < ops_per_thread; ++i) {
         const auto t0 = std::chrono::steady_clock::now();
-        per_op(t, i, lm, cache);
+        per_op(t, i, lm, *locks);
         const auto t1 = std::chrono::steady_clock::now();
         hist.Record(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
                 .count()));
       }
       lm.ReleaseAll(txn);
-      lm.DetachCache(txn);
     });
   }
   while (ready.load(std::memory_order_acquire) < nthreads) {
@@ -142,7 +140,7 @@ Point RunContended(bool fastpath, int nthreads, uint64_t ops) {
     }
   }
   return RunThreads(lm, nthreads, ops,
-                    [](int t, uint64_t i, LockManager& m, TxnLockCache& c) {
+                    [](int t, uint64_t i, LockManager& m, TxnLocks& c) {
                       const TxnId txn = static_cast<TxnId>(t + 1);
                       const ResourceId res{7, static_cast<uint64_t>(
                                                   (i + t) % kHotKeys)};
@@ -157,7 +155,7 @@ Point RunContended(bool fastpath, int nthreads, uint64_t ops) {
 Point RunPartitioned(int nthreads, uint64_t ops) {
   LockManager lm;
   return RunThreads(lm, nthreads, ops,
-                    [](int t, uint64_t i, LockManager& m, TxnLockCache& c) {
+                    [](int t, uint64_t i, LockManager& m, TxnLocks& c) {
                       const TxnId txn = static_cast<TxnId>(t + 1);
                       const ResourceId res{
                           static_cast<uint32_t>(100 + t), i % 64};
@@ -174,7 +172,7 @@ Point RunPath(int depth, int nthreads, uint64_t ops) {
   LockManager lm;
   return RunThreads(
       lm, nthreads, ops,
-      [depth](int t, uint64_t i, LockManager& m, TxnLockCache& c) {
+      [depth](int t, uint64_t i, LockManager& m, TxnLocks& c) {
         const TxnId txn = static_cast<TxnId>(t + 1);
         std::vector<ResourceId> path;
         path.reserve(depth + 1);

@@ -11,7 +11,7 @@
 
 #include "lock/lock_manager.h"
 #include "lock/mode.h"
-#include "lock/txn_lock_cache.h"
+#include "lock/txn_locks.h"
 #include "util/rng.h"
 
 namespace codlock::lock {
@@ -28,19 +28,19 @@ void BM_AcquireRelease(benchmark::State& state) {
 BENCHMARK(BM_AcquireRelease);
 
 void BM_ReentrantAcquire(benchmark::State& state) {
-  // Re-entrant acquisition as the transaction layer drives it: a held-lock
-  // cache is attached (TxnManager::Begin does the same), so equal-or-weaker
-  // re-requests and their releases stay off the shard mutex entirely.
+  // Re-entrant acquisition as the transaction layer drives it: through the
+  // transaction's TxnLocks (TxnManager::Begin does the same), so
+  // equal-or-weaker re-requests and their releases stay off the shard mutex
+  // entirely.
   LockManager lm;
-  TxnLockCache cache;
-  lm.AttachCache(1, &cache);
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
   ResourceId res{1, 42};
-  (void)lm.Acquire(1, res, LockMode::kS, {}, &cache);
+  (void)lm.Acquire(1, res, LockMode::kS, {}, locks.get());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lm.Acquire(1, res, LockMode::kS, {}, &cache));
-    benchmark::DoNotOptimize(lm.Release(1, res, &cache));
+    benchmark::DoNotOptimize(
+        lm.Acquire(1, res, LockMode::kS, {}, locks.get()));
+    benchmark::DoNotOptimize(lm.Release(1, res, locks.get()));
   }
-  lm.DetachCache(1);
 }
 BENCHMARK(BM_ReentrantAcquire);
 
@@ -50,17 +50,15 @@ void BM_HierarchicalPathAcquire(benchmark::State& state) {
   // chain, visiting each lock shard once per request.
   const int depth = static_cast<int>(state.range(0));
   LockManager lm;
-  TxnLockCache cache;
-  lm.AttachCache(1, &cache);
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
   std::vector<ResourceId> path;
   for (int i = 0; i <= depth; ++i) {
     path.push_back(ResourceId{static_cast<uint32_t>(i), 7});
   }
   for (auto _ : state) {
-    (void)lm.AcquirePath(1, path, LockMode::kX, {}, &cache);
+    (void)lm.AcquirePath(1, path, LockMode::kX, {}, locks.get());
     lm.ReleaseAll(1);
   }
-  lm.DetachCache(1);
   state.SetItemsProcessed(state.iterations() * (depth + 1));
 }
 BENCHMARK(BM_HierarchicalPathAcquire)->Arg(3)->Arg(6)->Arg(12);
@@ -71,18 +69,17 @@ void BM_HierarchicalPathReacquire(benchmark::State& state) {
   // whole request is answered without touching a shard.
   const int depth = static_cast<int>(state.range(0));
   LockManager lm;
-  TxnLockCache cache;
-  lm.AttachCache(1, &cache);
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
   std::vector<ResourceId> path;
   for (int i = 0; i <= depth; ++i) {
     path.push_back(ResourceId{static_cast<uint32_t>(i), 7});
   }
-  (void)lm.AcquirePath(1, path, LockMode::kX, {}, &cache);
+  (void)lm.AcquirePath(1, path, LockMode::kX, {}, locks.get());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lm.AcquirePath(1, path, LockMode::kX, {}, &cache));
+    benchmark::DoNotOptimize(
+        lm.AcquirePath(1, path, LockMode::kX, {}, locks.get()));
   }
   lm.ReleaseAll(1);
-  lm.DetachCache(1);
   state.SetItemsProcessed(state.iterations() * (depth + 1));
 }
 BENCHMARK(BM_HierarchicalPathReacquire)->Arg(12);

@@ -20,7 +20,6 @@
 #define CODLOCK_CODLOCK_H_
 
 #include "authz/authz.h"
-#include "idx/key_index.h"
 #include "lock/lock_manager.h"
 #include "lock/long_lock_store.h"
 #include "lock/mode.h"

@@ -94,55 +94,62 @@ LockManager::~LockManager() {
   }
 }
 
+// ---- Per-transaction lock state -----------------------------------------
+
+std::shared_ptr<TxnLocks> LockManager::Begin(TxnId txn) {
+  MutexLock lk(txns_mu_);
+  std::shared_ptr<TxnLocks>& t = txns_[txn];
+  if (t == nullptr) t.reset(new TxnLocks(txn));
+  return t;
+}
+
+std::shared_ptr<TxnLocks> LockManager::Registered(TxnId txn) const {
+  MutexLock lk(txns_mu_);
+  auto it = txns_.find(txn);
+  return it == txns_.end() ? nullptr : it->second;
+}
+
+Status LockManager::Resolve(TxnId txn, TxnLocks*& t,
+                            std::shared_ptr<TxnLocks>& by_id) {
+  if (t == nullptr) {
+    by_id = Begin(txn);
+    t = by_id.get();
+  } else if (t->ended() && !Rebegin(*t, {})) {
+    return Status::Aborted("transaction " + std::to_string(txn) +
+                           " ended and its id was begun again elsewhere");
+  }
+  if (options_.deadlock_policy == DeadlockPolicy::kWoundWait &&
+      t->wounded()) {
+    return Status::Aborted("transaction " + std::to_string(txn) +
+                           " was wounded by an older transaction");
+  }
+  return Status::OK();
+}
+
+void LockManager::AddHeld(TxnLocks& t, std::span<const ResourceId> resources) {
+  if (resources.empty() || t.Record(resources)) return;
+  // A foreign ReleaseAll ended the transaction after this call resolved
+  // it; the grant landed anyway and must stay visible to a ReleaseAll.
+  Rebegin(t, resources);
+}
+
+bool LockManager::Rebegin(TxnLocks& t, std::span<const ResourceId> resources) {
+  MutexLock lk(txns_mu_);
+  std::shared_ptr<TxnLocks>& live = txns_[t.id()];
+  if (live == nullptr) live = t.shared_from_this();
+  live->Record(resources, /*revive=*/true);
+  return live.get() == &t;
+}
+
 void LockManager::Wound(TxnId txn) {
   {
-    MutexLock lk(wounded_mu_);
-    if (!wounded_.insert(txn).second) return;
-    wounded_count_.fetch_add(1, wm::relaxed);
+    // Under the map mutex, so the flag cannot land on a transaction that
+    // ReleaseAll is ending (the flag dies with its TxnLocks).
+    MutexLock lk(txns_mu_);
+    auto it = txns_.find(txn);
+    if (it != txns_.end()) it->second->SetWounded();
   }
-  // The wounded transaction must observe the wound on its *next* acquire:
-  // drop its fast path before killing any pending wait.
-  InvalidateAttachedCache(txn);
   wfg_.Kill(txn, KillReason::kWounded);
-}
-
-bool LockManager::IsWounded(TxnId txn) const {
-  if (wounded_count_.load(wm::acquire) == 0) return false;
-  MutexLock lk(wounded_mu_);
-  return wounded_.contains(txn);
-}
-
-void LockManager::ClearWound(TxnId txn) {
-  if (wounded_count_.load(wm::acquire) == 0) return;
-  MutexLock lk(wounded_mu_);
-  if (wounded_.erase(txn) > 0) {
-    wounded_count_.fetch_sub(1, wm::relaxed);
-  }
-}
-
-void LockManager::AttachCache(TxnId txn, TxnLockCache* cache) {
-  MutexLock lk(caches_mu_);
-  caches_[txn] = cache;
-  cache_count_.store(caches_.size(), wm::release);
-}
-
-void LockManager::DetachCache(TxnId txn) {
-  MutexLock lk(caches_mu_);
-  caches_.erase(txn);
-  cache_count_.store(caches_.size(), wm::release);
-}
-
-void LockManager::InvalidateAttachedCache(TxnId txn) {
-  // Mutation point (kill-suite only): drop the epoch bump.  Stale cached
-  // modes then outlive the shard-side hold (e.g. after ReleaseAll at EOT)
-  // and the cache-coherence oracle must see the divergence.
-  if (mutation::Enabled(mutation::Mutant::kDropCacheInvalidation)) return;
-  // With no cache attached anywhere there is nothing to invalidate; skip
-  // the registry mutex (standalone LockManager users never pay for it).
-  if (cache_count_.load(wm::acquire) == 0) return;
-  MutexLock lk(caches_mu_);
-  auto it = caches_.find(txn);
-  if (it != caches_.end()) it->second->Invalidate();
 }
 
 // ---- Entry index (lock-free bucket chains + epoch-pooled nodes) ----------
@@ -328,14 +335,7 @@ void LockManager::GrantWaiters(Shard& shard, Entry& entry) {
       // Strict FIFO: nobody behind a blocked waiter is granted.
       break;
     }
-    Holder* mine = nullptr;
-    for (Holder& h : entry.holders) {
-      if (h.txn == w->txn) {
-        mine = &h;
-        break;
-      }
-    }
-    if (mine != nullptr) {
+    if (Holder* mine = FindHolder(entry, w->txn)) {
       mine->mode = Supremum(mine->mode, w->wanted);
       mine->count++;
       if (w->duration == LockDuration::kLong) {
@@ -372,43 +372,13 @@ void LockManager::EraseWaiter(Shard& shard, Entry& entry,
   }
 }
 
-void LockManager::RecordHeld(TxnId txn, ResourceId resource) {
-  MutexLock lk(registry_mu_);
-  auto& v = txn_locks_[txn];
-  if (std::find(v.begin(), v.end(), resource) == v.end()) {
-    v.push_back(resource);
-  }
-}
-
-void LockManager::RecordHeldBatch(TxnId txn,
-                                  std::span<const ResourceId> resources) {
-  if (resources.empty()) return;
-  MutexLock lk(registry_mu_);
-  auto& v = txn_locks_[txn];
-  for (const ResourceId& resource : resources) {
-    if (std::find(v.begin(), v.end(), resource) == v.end()) {
-      v.push_back(resource);
-    }
-  }
-}
-
-void LockManager::ForgetHeld(TxnId txn, ResourceId resource) {
-  MutexLock lk(registry_mu_);
-  auto it = txn_locks_.find(txn);
-  if (it == txn_locks_.end()) return;
-  auto& v = it->second;
-  v.erase(std::remove(v.begin(), v.end(), resource), v.end());
-  if (v.empty()) txn_locks_.erase(it);
-}
-
 // ---- Optimistic compatible-mode fast path --------------------------------
 
-bool LockManager::TryFastpathAcquire(TxnId txn, ResourceId resource,
-                                     LockMode mode,
-                                     const AcquireOptions& options,
-                                     TxnLockCache* cache) {
-  (void)options;  // duration gated by the caller (fast-path holds are short)
+bool LockManager::TryFastpathAcquire(TxnLocks& t, ResourceId resource,
+                                     LockMode mode) {
+  // The caller gates the duration: fast-path holds are always short.
   if (draining_.load(wm::acquire)) return false;
+  const TxnId txn = t.id();
   ebr::Reclaimer::Guard guard(ebr::Global());
   if (!guard.ok()) return false;  // registration table full: slow path only
   Shard& shard = ShardFor(resource);
@@ -458,9 +428,7 @@ bool LockManager::TryFastpathAcquire(TxnId txn, ResourceId resource,
         if (slot.word.compare_exchange_weak(w, w + kFpCountOne,
                                             wm::seq_cst)) {
           stats_.fastpath_grants.Add();
-          if (cache != nullptr && cache->NoteFastpath(resource, FpMode(w))) {
-            RecordHeld(txn, resource);
-          }
+          t.NoteFastpath(resource, FpMode(w));
           return true;
         }
       }
@@ -493,12 +461,10 @@ bool LockManager::TryFastpathAcquire(TxnId txn, ResourceId resource,
       return false;
     }
   }
-  fastpath_used_.store(true, wm::release);
   stats_.fastpath_grants.Add();
   NoteHolderAdded(stats_);
-  if (cache == nullptr || cache->NoteFastpath(resource, mode)) {
-    RecordHeld(txn, resource);
-  }
+  t.NoteFastpath(resource, mode);
+  AddHeld(t, {&resource, 1});
   return true;
 }
 
@@ -574,8 +540,7 @@ LockManager::FpRelease LockManager::FastpathRelease(TxnId txn,
 // ---- Acquire -------------------------------------------------------------
 
 Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
-                            const AcquireOptions& options,
-                            TxnLockCache* cache) {
+                            const AcquireOptions& options, TxnLocks* locks) {
   if (txn == kInvalidTxn) {
     return Status::InvalidArgument("invalid transaction id");
   }
@@ -589,49 +554,45 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   // A hit pays exactly one atomic RMW: cache_hits.  Total requests =
   // requests + cache_hits and total grants = grants + cache_hits (see
   // metrics.h).
-  if (cache != nullptr &&
-      cache->TryHit(resource, mode, options.duration == LockDuration::kLong)) {
+  if (locks != nullptr &&
+      locks->TryHit(resource, mode, options.duration == LockDuration::kLong)) {
     stats_.cache_hits.Add();
     return Status::OK();
   }
   stats_.requests.Add();
 
-  if (options_.deadlock_policy == DeadlockPolicy::kWoundWait &&
-      IsWounded(txn)) {
-    return Status::Aborted("transaction " + std::to_string(txn) +
-                           " was wounded by an older transaction");
-  }
+  std::shared_ptr<TxnLocks> by_id;
+  TxnLocks* t = locks;
+  CODLOCK_RETURN_IF_ERROR(Resolve(txn, t, by_id));
   // Optimistic fast path: a short S/IS request against a settled entry is
   // granted by claiming a fast-path slot, seqlock-validated — no shard
-  // mutex.  Gated on an attached cache so releases know to probe the slot.
-  if (options_.enable_fastpath && cache != nullptr &&
+  // mutex.  Gated on a handle, whose cache slot tells a release to probe
+  // the fast-path slot.
+  if (options_.enable_fastpath && locks != nullptr &&
       options.duration == LockDuration::kShort && FastpathEligible(mode) &&
-      TryFastpathAcquire(txn, resource, mode, options, cache)) {
+      TryFastpathAcquire(*t, resource, mode)) {
     stats_.grants.Add();
     stats_.immediate_grants.Add();
     return Status::OK();
   }
-  return AcquireSlow(txn, resource, mode, options, cache);
+  return AcquireSlow(*t, locks != nullptr, resource, mode, options);
 }
 
-Status LockManager::AcquireSlow(TxnId txn, ResourceId resource, LockMode mode,
-                                const AcquireOptions& options,
-                                TxnLockCache* cache) {
+Status LockManager::AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
+                                LockMode mode, const AcquireOptions& options) {
   Shard& shard = ShardFor(resource);
   bool record_held = false;
   LockMode granted = LockMode::kNL;
   Status status;
   {
     MutexLock lk(shard.mu);
-    status =
-        AcquireLocked(shard, txn, resource, mode, options, record_held,
-                      granted);
+    status = AcquireLocked(shard, t, resource, mode, options, record_held,
+                           granted);
   }
-  // Lock order: the registry mutex is only ever taken with no shard held.
   if (status.ok()) {
-    if (record_held) RecordHeld(txn, resource);
-    if (cache != nullptr) {
-      cache->Note(resource, granted, options.duration == LockDuration::kLong);
+    if (record_held) AddHeld(t, {&resource, 1});
+    if (cached) {
+      t.Note(resource, granted, options.duration == LockDuration::kLong);
     }
   }
   return status;
@@ -640,7 +601,7 @@ Status LockManager::AcquireSlow(TxnId txn, ResourceId resource, LockMode mode,
 Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
                                 LockMode leaf_mode,
                                 const AcquireOptions& options,
-                                TxnLockCache* cache) {
+                                TxnLocks* locks) {
   if (txn == kInvalidTxn) {
     return Status::InvalidArgument("invalid transaction id");
   }
@@ -650,11 +611,9 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   if (leaf_mode == LockMode::kNL) {
     return Status::InvalidArgument("cannot acquire mode NL");
   }
-  if (options_.deadlock_policy == DeadlockPolicy::kWoundWait &&
-      IsWounded(txn)) {
-    return Status::Aborted("transaction " + std::to_string(txn) +
-                           " was wounded by an older transaction");
-  }
+  std::shared_ptr<TxnLocks> by_id;
+  TxnLocks* t = locks;
+  CODLOCK_RETURN_IF_ERROR(Resolve(txn, t, by_id));
   const LockMode prefix_mode = IntentionFor(leaf_mode);
   const bool want_long = options.duration == LockDuration::kLong;
   const size_t n = path.size();
@@ -667,7 +626,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   if (n > kMaxBatch) {
     for (size_t i = 0; i < n; ++i) {
       CODLOCK_RETURN_IF_ERROR(Acquire(txn, path[i], mode_of(i), options,
-                                      cache));
+                                      locks));
     }
     return Status::OK();
   }
@@ -677,7 +636,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   uint64_t todo_mask = 0;
   uint64_t hit_mask = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (cache != nullptr && cache->TryHit(path[i], mode_of(i), want_long)) {
+    if (locks != nullptr && locks->TryHit(path[i], mode_of(i), want_long)) {
       hit_mask |= uint64_t{1} << i;
       continue;
     }
@@ -696,11 +655,11 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   // fully accounted inside TryFastpathAcquire except for the batched
   // grants counters below.
   uint64_t fp_mask = 0;
-  if (options_.enable_fastpath && cache != nullptr && !want_long) {
+  if (options_.enable_fastpath && locks != nullptr && !want_long) {
     for (uint64_t scan = todo_mask; scan != 0; scan &= scan - 1) {
       const size_t i = static_cast<size_t>(std::countr_zero(scan));
       if (!FastpathEligible(mode_of(i))) continue;
-      if (TryFastpathAcquire(txn, path[i], mode_of(i), options, cache)) {
+      if (TryFastpathAcquire(*t, path[i], mode_of(i))) {
         fp_mask |= uint64_t{1} << i;
         todo_mask &= ~(uint64_t{1} << i);
       }
@@ -753,12 +712,12 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     NoteHoldersAdded(stats_, static_cast<int64_t>(num_newly_held));
   }
 
-  // One registry lock for the whole batch (instead of one per resource).
-  RecordHeldBatch(txn, std::span<const ResourceId>(newly_held, num_newly_held));
-  if (cache != nullptr) {
+  // One held-list append for the whole batch.
+  AddHeld(*t, std::span<const ResourceId>(newly_held, num_newly_held));
+  if (locks != nullptr) {
     for (uint64_t scan = granted_mask; scan != 0; scan &= scan - 1) {
       const size_t i = static_cast<size_t>(std::countr_zero(scan));
-      cache->Note(path[i], granted_of[i], want_long);
+      locks->Note(path[i], granted_of[i], want_long);
     }
   }
 
@@ -777,7 +736,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       status = fault::StatusFor(f, g_fault_acquire_path.name());
       break;
     }
-    status = AcquireSlow(txn, path[i], mode_of(i), options, cache);
+    status = AcquireSlow(*t, locks != nullptr, path[i], mode_of(i), options);
     if (!status.ok()) break;
     blocking_done |= uint64_t{1} << i;
   }
@@ -789,7 +748,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     // Count-paired: a re-entrant acquisition merely drops back to its
     // previous count; a fresh grant disappears.  Mode upgrades from
     // conversions persist (safe — strictly stronger).
-    Release(txn, path[i], cache);
+    Release(txn, path[i], locks);
   }
   return status;
 }
@@ -799,13 +758,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
 bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
                                  LockMode mode, const AcquireOptions& options,
                                  LockMode& granted, bool& record_held) {
-  Holder* mine = nullptr;
-  for (Holder& h : entry.holders) {
-    if (h.txn == txn) {
-      mine = &h;
-      break;
-    }
-  }
+  Holder* mine = FindHolder(entry, txn);
 
   // Re-entrant acquisition of a covered mode: bump the count.  The caller
   // accounts grants/immediate_grants (batched in AcquirePath).
@@ -849,9 +802,11 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
   return false;
 }
 
-Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
-                                  LockMode mode, const AcquireOptions& options,
+Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
+                                  ResourceId resource, LockMode mode,
+                                  const AcquireOptions& options,
                                   bool& record_held, LockMode& granted) {
+  const TxnId txn = t.id();
   Entry& entry = EntryFor(shard, resource);
   std::shared_ptr<WaiterState> waiter;
   LockMode target = mode;
@@ -870,13 +825,7 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
       return Status::OK();
     }
 
-    Holder* mine = nullptr;
-    for (Holder& h : entry.holders) {
-      if (h.txn == txn) {
-        mine = &h;
-        break;
-      }
-    }
+    const Holder* mine = FindHolder(entry, txn);
     target = mine != nullptr ? Supremum(mine->mode, mode) : mode;
     is_conversion = mine != nullptr;
 
@@ -990,6 +939,11 @@ Status LockManager::AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
           if (blocker > txn) Wound(blocker);
         }
         wfg_.Register(txn, waiter);
+        // A wound that landed before this registration found no wait to
+        // kill; Wound sets the flag before killing, so it shows here.
+        if (t.wounded()) {
+          waiter->killed.store(KillReason::kWounded, wm::relaxed);
+        }
         break;
       }
       case DeadlockPolicy::kTimeoutOnly:
@@ -1064,27 +1018,28 @@ void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
 // ---- Release -------------------------------------------------------------
 
 Status LockManager::Release(TxnId txn, ResourceId resource,
-                            TxnLockCache* cache) {
+                            TxnLocks* locks) {
   // Fast path: the matching acquisition never reached the shard either.
-  if (cache != nullptr && cache->ConsumeRelease(resource)) {
+  if (locks != nullptr && locks->ConsumeRelease(resource)) {
     stats_.releases.Add();
     return Status::OK();
   }
   // Optimistic fast path: release a fast-path slot count without the
-  // mutex.  The cache remembers whether a slot may back this resource;
-  // without a cache (or after invalidation) the probe runs conservatively.
-  if (fastpath_used_.load(wm::acquire) &&
-      (cache == nullptr || cache->MaybeFastpathHeld(resource))) {
+  // mutex.  The cache slot says whether a fast-path slot may back this
+  // resource (after an invalidation the probe runs conservatively).
+  // Fast-path grants are made only through a handle; an id-keyed release
+  // takes the mutex path, which releases fast-path slots too.
+  if (options_.enable_fastpath && locks != nullptr &&
+      locks->MaybeFastpathHeld(resource)) {
     switch (FastpathRelease(txn, resource)) {
       case FpRelease::kReleased:
         return Status::OK();
       case FpRelease::kReleasedLast:
-        // The slot is gone; a cached mode may have been backed by it
-        // alone, so drop it (under-claiming is always safe — the
-        // transaction may still hold a vector-side mode here, which the
-        // slow path re-notes on its next use).  The registry row stays
-        // until EOT; every reader tolerates rows without live holders.
-        if (cache != nullptr) cache->Erase(resource);
+        // The slot is gone, and with it its held-list row.  A cached mode
+        // may have been backed by it alone, so drop that too (safe: a
+        // vector-side mode still held is re-noted on its next use).
+        locks->Forget(resource);
+        locks->Erase(resource);
         return Status::OK();
       case FpRelease::kNoSlot:
         break;
@@ -1114,9 +1069,9 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
       return Status::OK();
     }
     // Fast-path slot fallback: reached when the lock-free probe was
-    // skipped or failed (EBR registration exhausted, foreign-thread
-    // release).  Safe under the mutex: the owner's lock-free ops are
-    // CAS-based, so this decrement linearizes against them.
+    // skipped or failed (id-keyed release, EBR registration exhausted).
+    // Safe under the mutex: the owner's lock-free ops are CAS-based, so
+    // this decrement linearizes against them.
     for (FpSlot& slot : entry.fp) {
       if (slot.txn.load(wm::seq_cst) != txn) continue;
       uint64_t w = slot.word.load(wm::seq_cst);
@@ -1132,7 +1087,7 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
           stats_.held_locks.fetch_sub(1, wm::relaxed);
           GrantWaiters(shard, entry);
           MaybeRetireEntry(shard, entry);
-          forget = true;  // no vector holder (scanned above): row is gone
+          forget = true;
         }
         return Status::OK();
       }
@@ -1141,31 +1096,29 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
                             " holds no lock on " + resource.ToString());
   }();
   if (forget) {
-    ForgetHeld(txn, resource);
-    // The hold is gone; no cached mode may survive it.
-    if (cache != nullptr) {
-      cache->Erase(resource);
-    } else {
-      InvalidateAttachedCache(txn);
+    // One representation of the hold is gone: drop its held-list row, and
+    // no cached mode may survive it.
+    if (locks != nullptr) {
+      locks->Forget(resource);
+      locks->Erase(resource);
+    } else if (std::shared_ptr<TxnLocks> t = Registered(txn)) {
+      t->Forget(resource);
+      t->Invalidate();
     }
   }
   return status;
 }
 
 size_t LockManager::ReleaseAll(TxnId txn) {
-  // EOT: the cache must not answer for locks about to disappear.
-  InvalidateAttachedCache(txn);
+  // EOT: End() invalidates the cache before the locks disappear and hands
+  // over the held list; a later acquire through the handle re-begins it.
   std::vector<ResourceId> held;
   {
-    MutexLock lk(registry_mu_);
-    auto it = txn_locks_.find(txn);
-    if (it != txn_locks_.end()) {
-      // A transaction acquires from one thread at a time, so nothing is
-      // added concurrently: take the list and drop the registry entry in
-      // the same critical section.
-      held = std::move(it->second);
-      txn_locks_.erase(it);
-    }
+    MutexLock lk(txns_mu_);
+    auto it = txns_.find(txn);
+    if (it == txns_.end()) return 0;
+    held = it->second->End();
+    txns_.erase(it);
   }
   // Visit each shard once: group the held set by shard index, hashing each
   // resource a single time.
@@ -1217,7 +1170,6 @@ size_t LockManager::ReleaseAll(TxnId txn) {
                                 wm::relaxed);
     stats_.releases.Add(released);
   }
-  ClearWound(txn);
   return released;
 }
 
@@ -1255,7 +1207,7 @@ size_t LockManager::DrainForShutdown() {
 }
 
 Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
-                              TxnLockCache* cache) {
+                              TxnLocks* locks) {
   Shard& shard = ShardFor(resource);
   Status status = [&]() -> Status {
     MutexLock lk(shard.mu);
@@ -1299,10 +1251,10 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
   }();
   if (status.ok()) {
     // The held mode shrank: a cached (stronger) mode must not survive.
-    if (cache != nullptr) {
-      cache->Erase(resource);
-    } else {
-      InvalidateAttachedCache(txn);
+    if (locks != nullptr) {
+      locks->Erase(resource);
+    } else if (std::shared_ptr<TxnLocks> t = Registered(txn)) {
+      t->Invalidate();
     }
   }
   return status;
@@ -1310,24 +1262,32 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
 
 // ---- Inspection & snapshots ----------------------------------------------
 
+LockManager::Holder* LockManager::FindHolder(Entry& entry, TxnId txn) {
+  for (Holder& h : entry.holders) {
+    if (h.txn == txn) return &h;
+  }
+  return nullptr;
+}
+
+HeldLock LockManager::HoldOf(Entry& entry, TxnId txn) {
+  HeldLock held{entry.res, LockMode::kNL, LockDuration::kShort};
+  if (const Holder* h = FindHolder(entry, txn)) {
+    held.mode = h->mode;
+    held.duration = h->duration;
+  }
+  for (const FpSlot& slot : entry.fp) {
+    if (slot.txn.load(wm::seq_cst) != txn) continue;
+    const uint64_t w = slot.word.load(wm::seq_cst);
+    if (w != 0) held.mode = Supremum(held.mode, FpMode(w));
+  }
+  return held;
+}
+
 LockMode LockManager::HeldMode(TxnId txn, ResourceId resource) const {
   Shard& shard = ShardFor(resource);
   MutexLock lk(shard.mu);
   Entry* e = FindEntry(shard, resource);
-  if (e == nullptr) return LockMode::kNL;
-  LockMode m = LockMode::kNL;
-  for (const Holder& h : e->holders) {
-    if (h.txn == txn) {
-      m = h.mode;
-      break;
-    }
-  }
-  for (const FpSlot& slot : e->fp) {
-    if (slot.txn.load(wm::seq_cst) != txn) continue;
-    const uint64_t w = slot.word.load(wm::seq_cst);
-    if (w != 0) m = Supremum(m, FpMode(w));
-  }
-  return m;
+  return e == nullptr ? LockMode::kNL : HoldOf(*e, txn).mode;
 }
 
 LockMode LockManager::GroupMode(ResourceId resource) const {
@@ -1346,41 +1306,28 @@ LockMode LockManager::GroupMode(ResourceId resource) const {
 }
 
 std::vector<HeldLock> LockManager::LocksOf(TxnId txn) const {
-  std::vector<ResourceId> held;
-  {
-    MutexLock lk(registry_mu_);
-    auto it = txn_locks_.find(txn);
-    if (it != txn_locks_.end()) held = it->second;
-  }
+  const std::shared_ptr<TxnLocks> t = Registered(txn);
+  if (t == nullptr) return {};
+  std::vector<ResourceId> held = t->Held();
   std::vector<HeldLock> out;
   out.reserve(held.size());
+  std::unordered_set<ResourceId, ResourceIdHash> seen;
   for (const ResourceId& resource : held) {
+    // A vector holder and a fast-path slot are two rows of one resource.
+    if (!seen.insert(resource).second) continue;
     Shard& shard = ShardFor(resource);
     MutexLock lk(shard.mu);
     Entry* e = FindEntry(shard, resource);
     if (e == nullptr) continue;
-    LockMode m = LockMode::kNL;
-    LockDuration d = LockDuration::kShort;
-    bool found = false;
-    for (const Holder& h : e->holders) {
-      if (h.txn == txn) {
-        m = h.mode;
-        d = h.duration;
-        found = true;
-        break;
-      }
-    }
-    for (const FpSlot& slot : e->fp) {
-      if (slot.txn.load(wm::seq_cst) != txn) continue;
-      const uint64_t w = slot.word.load(wm::seq_cst);
-      if (w != 0) {
-        m = Supremum(m, FpMode(w));
-        found = true;
-      }
-    }
-    if (found) out.push_back(HeldLock{resource, m, d});
+    const HeldLock h = HoldOf(*e, txn);
+    if (h.mode != LockMode::kNL) out.push_back(h);
   }
   return out;
+}
+
+size_t LockManager::NumTxns() const {
+  MutexLock lk(txns_mu_);
+  return txns_.size();
 }
 
 size_t LockManager::NumEntries() const {
@@ -1486,14 +1433,7 @@ Status LockManager::RestoreLongLocks(
       MutexLock lk(shard.mu);
       Entry& entry = EntryFor(shard, rec.resource);
       EntryMutation em(entry);
-      Holder* mine = nullptr;
-      for (Holder& h : entry.holders) {
-        if (h.txn == rec.txn) {
-          mine = &h;
-          break;
-        }
-      }
-      if (mine != nullptr) {
+      if (Holder* mine = FindHolder(entry, rec.txn)) {
         mine->mode = Supremum(mine->mode, rec.mode);
         mine->duration = LockDuration::kLong;
       } else {
@@ -1503,7 +1443,7 @@ Status LockManager::RestoreLongLocks(
         record_held = true;
       }
     }
-    if (record_held) RecordHeld(rec.txn, rec.resource);
+    if (record_held) AddHeld(*Begin(rec.txn), {&rec.resource, 1});
   }
   return Status::OK();
 }

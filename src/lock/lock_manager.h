@@ -21,10 +21,11 @@
 ///
 /// Hot-path machinery (the intention-lock tax of fine-granularity
 /// protocols — cf. Malta & Martinez — dominates §4.4.2 workloads):
-///  * an optional per-transaction `TxnLockCache` absorbs re-entrant
-///    acquisitions of covered modes without touching any shard mutex,
+///  * an optional per-transaction `TxnLocks` (lock/txn_locks.h) whose mode
+///    cache absorbs re-entrant acquisitions of covered modes without
+///    touching any mutex,
 ///  * `AcquirePath` locks a root-to-leaf chain in one call, visiting each
-///    shard mutex once and updating the held-lock registry in one batch,
+///    shard mutex once and appending to the held list in one batch,
 ///  * waiters carry their own condition variable, so a grant wakes exactly
 ///    the transactions it unblocked instead of broadcasting to the shard.
 ///
@@ -34,7 +35,7 @@
 ///    seqlock-style *grant summary*: a packed word holding a sequence
 ///    number (odd while a shard-mutex holder mutates the entry), a
 ///    has-waiters flag, a retired flag and the mode mask of the vector
-///    holders.  `Acquire` of S/IS with a fresh attached cache validates
+///    holders.  `Acquire` of S/IS through a `TxnLocks` handle validates
 ///    the summary, claims one of the entry's atomic *fast-path slots*
 ///    (txn + packed mode/count) and revalidates — granting without ever
 ///    taking the shard mutex.  Any summary change between the two reads
@@ -61,7 +62,7 @@
 #include "lock/ebr.h"
 #include "lock/mode.h"
 #include "lock/resource.h"
-#include "lock/txn_lock_cache.h"
+#include "lock/txn_locks.h"
 #include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -180,15 +181,14 @@ class LockManager {
   ///  * kDeadlock  — this request was chosen as deadlock victim,
   ///  * kTimeout   — deadline expired while waiting.
   ///
-  /// \p cache, when given, must be the cache attached for \p txn (see
-  /// `AttachCache`) and the call must come from the transaction's own
-  /// thread.  Covered re-acquisitions are then answered from the cache
-  /// without touching the shard, and short S/IS requests may be granted
-  /// by the optimistic fast path without taking the shard mutex.
+  /// \p locks, when given, must be \p txn's lock state (`Begin`), used
+  /// from the transaction's own thread.  Covered re-acquisitions are then
+  /// answered from its cache, short S/IS requests may take the optimistic
+  /// fast path, and no grant takes a manager-global mutex.  Without it the
+  /// call resolves \p txn through `Begin` and uses no cache.
   Status Acquire(TxnId txn, ResourceId resource, LockMode mode,
                  const AcquireOptions& options = AcquireOptions(),
-                 TxnLockCache* cache = nullptr)
-      CODLOCK_EXCLUDES(registry_mu_, caches_mu_, wounded_mu_);
+                 TxnLocks* locks = nullptr) CODLOCK_EXCLUDES(txns_mu_);
 
   /// Acquires a root-to-leaf chain in one call (§4.4.2 rule 5): every
   /// element of \p path except the last is locked in `IntentionFor(
@@ -204,41 +204,32 @@ class LockManager {
   Status AcquirePath(TxnId txn, std::span<const ResourceId> path,
                      LockMode leaf_mode,
                      const AcquireOptions& options = AcquireOptions(),
-                     TxnLockCache* cache = nullptr)
-      CODLOCK_EXCLUDES(registry_mu_, caches_mu_, wounded_mu_);
+                     TxnLocks* locks = nullptr) CODLOCK_EXCLUDES(txns_mu_);
 
   /// Releases one acquisition of \p resource (locks are counted; the entry
   /// disappears when the count reaches zero).  The held *mode* is not
   /// recomputed on partial release; use `Downgrade` for de-escalation.
-  /// With \p cache, a release pairing a cache-granted acquisition is
+  /// With \p locks, a release pairing a cache-granted acquisition is
   /// absorbed locally; one pairing a fast-path grant is absorbed by the
   /// entry's fast-path slot without the shard mutex.
-  Status Release(TxnId txn, ResourceId resource, TxnLockCache* cache = nullptr)
-      CODLOCK_EXCLUDES(registry_mu_, caches_mu_);
+  Status Release(TxnId txn, ResourceId resource, TxnLocks* locks = nullptr)
+      CODLOCK_EXCLUDES(txns_mu_);
 
-  /// Releases every lock of \p txn (EOT).  Returns the number released.
-  /// Shards are visited once each; the transaction's attached cache (if
-  /// any) is invalidated first.
-  size_t ReleaseAll(TxnId txn)
-      CODLOCK_EXCLUDES(registry_mu_, caches_mu_, wounded_mu_);
+  /// Releases every lock of \p txn and ends its lock state (EOT; see
+  /// txn_locks.h).  Returns the number released.  Shards are visited once
+  /// each; the transaction's cache is invalidated first.
+  size_t ReleaseAll(TxnId txn) CODLOCK_EXCLUDES(txns_mu_);
 
   /// Reduces the held mode of \p txn on \p resource to \p mode
   /// (de-escalation; mode must be weaker than or equal to the held mode).
   /// Waiters that the narrower mode no longer blocks are granted
   /// immediately.
   Status Downgrade(TxnId txn, ResourceId resource, LockMode mode,
-                   TxnLockCache* cache = nullptr)
-      CODLOCK_EXCLUDES(registry_mu_, caches_mu_);
+                   TxnLocks* locks = nullptr) CODLOCK_EXCLUDES(txns_mu_);
 
-  /// Registers \p cache as the held-lock cache of \p txn so that
-  /// cross-thread events (wound, foreign release/downgrade, ReleaseAll)
-  /// invalidate it.  One cache per transaction; re-attaching replaces.
-  void AttachCache(TxnId txn, TxnLockCache* cache)
-      CODLOCK_EXCLUDES(caches_mu_);
-
-  /// Removes the registration; must be called before the cache is
-  /// destroyed.
-  void DetachCache(TxnId txn) CODLOCK_EXCLUDES(caches_mu_);
+  /// The lock state of \p txn, created on the first use of the id and
+  /// shared by every later call until `ReleaseAll` ends it.
+  std::shared_ptr<TxnLocks> Begin(TxnId txn) CODLOCK_EXCLUDES(txns_mu_);
 
   /// Mode currently held by \p txn on \p resource (kNL if none); merges
   /// the holder vector with the entry's fast-path slots.
@@ -249,11 +240,14 @@ class LockManager {
   LockMode GroupMode(ResourceId resource) const;
 
   /// All locks currently held by \p txn.
-  std::vector<HeldLock> LocksOf(TxnId txn) const;
+  std::vector<HeldLock> LocksOf(TxnId txn) const CODLOCK_EXCLUDES(txns_mu_);
 
   /// Number of resources with at least one holder (vector or fast-path)
   /// or waiter.
   size_t NumEntries() const;
+
+  /// Number of transactions begun and not yet ended (inspection).
+  size_t NumTxns() const CODLOCK_EXCLUDES(txns_mu_);
 
   /// Number of shards after clamping/rounding (inspection).
   size_t NumShards() const { return shards_.size(); }
@@ -485,39 +479,44 @@ class LockManager {
   /// claims count as occupied — conservative).
   static bool FpSlotsEmpty(const Entry& entry);
 
+  /// The vector holder of \p txn on \p entry, or null (shard mutex held).
+  static Holder* FindHolder(Entry& entry, TxnId txn);
+
+  /// \p txn's hold on \p entry, its vector row merged with its fast-path
+  /// slot; mode kNL when it holds nothing (shard mutex held).
+  static HeldLock HoldOf(Entry& entry, TxnId txn);
+
   /// Attempts an immediate grant of \p mode (no waiting): re-entrant
   /// covered acquisition, in-place conversion or fresh grant when the
   /// queue is clear and all holders are compatible.  On success sets
   /// \p granted to the mode now held and \p record_held when the caller
-  /// must register the new (txn, resource) pair.  Must run inside an
-  /// EntryMutation window.
+  /// must append a held-list row (a new vector holder).  Must run inside
+  /// an EntryMutation window.
   bool TryGrantLocked(Shard& shard, Entry& entry, TxnId txn, LockMode mode,
                       const AcquireOptions& options, LockMode& granted,
                       bool& record_held) CODLOCK_REQUIRES(shard.mu);
 
   /// Body of `Acquire` once the shard is locked.  Sets \p record_held when
-  /// the caller must register a new (txn, resource) pair in the registry
-  /// after dropping the shard mutex (lock order: shard before registry),
-  /// and \p granted to the mode held on success (for the caller's cache).
-  Status AcquireLocked(Shard& shard, TxnId txn, ResourceId resource,
+  /// the caller must append a held-list row after dropping the shard
+  /// mutex, and \p granted to the mode held on success (for the cache).
+  Status AcquireLocked(Shard& shard, const TxnLocks& t, ResourceId resource,
                        LockMode mode, const AcquireOptions& options,
                        bool& record_held, LockMode& granted)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// Slow path of `Acquire` (shard + registry + cache bookkeeping) after
-  /// the fast path missed.
-  Status AcquireSlow(TxnId txn, ResourceId resource, LockMode mode,
-                     const AcquireOptions& options, TxnLockCache* cache)
-      CODLOCK_EXCLUDES(registry_mu_);
+  /// Slow path of `Acquire` (shard, held list and — when \p cached — cache
+  /// bookkeeping) after the fast path missed.
+  Status AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
+                     LockMode mode, const AcquireOptions& options)
+      CODLOCK_EXCLUDES(txns_mu_);
 
   /// Optimistic compatible-mode grant: validates the entry's grant
   /// summary, claims a fast-path slot and revalidates — no shard mutex.
   /// On success the grant is fully accounted (stats, cache note, held
-  /// registry).  Returns false on any miss or validation failure (the
-  /// caller proceeds to the slow path).
-  bool TryFastpathAcquire(TxnId txn, ResourceId resource, LockMode mode,
-                          const AcquireOptions& options, TxnLockCache* cache)
-      CODLOCK_EXCLUDES(registry_mu_);
+  /// list).  Returns false on any miss or validation failure (the caller
+  /// proceeds to the slow path).
+  bool TryFastpathAcquire(TxnLocks& t, ResourceId resource, LockMode mode)
+      CODLOCK_EXCLUDES(txns_mu_);
 
   /// Undoes a fast-path claim that failed revalidation, then repairs any
   /// waiter that may have parked against the transient hold (takes the
@@ -528,7 +527,8 @@ class LockManager {
   enum class FpRelease { kNoSlot, kReleased, kReleasedLast };
 
   /// Lock-free release of one fast-path acquisition.  kReleasedLast means
-  /// the slot was freed entirely (the caller should drop its cached mode).
+  /// the slot was freed entirely (the caller drops its held-list row and
+  /// cached mode).
   FpRelease FastpathRelease(TxnId txn, ResourceId resource);
 
   /// Unwinds a failed wait: dequeues the waiter, deregisters it from the
@@ -559,21 +559,31 @@ class LockManager {
   void EraseWaiter(Shard& shard, Entry& entry, const WaiterState* w)
       CODLOCK_REQUIRES(shard.mu);
 
-  void RecordHeld(TxnId txn, ResourceId resource)
-      CODLOCK_EXCLUDES(registry_mu_);
-  /// Registers several new (txn, resource) pairs under one registry lock.
-  void RecordHeldBatch(TxnId txn, std::span<const ResourceId> resources)
-      CODLOCK_EXCLUDES(registry_mu_);
-  void ForgetHeld(TxnId txn, ResourceId resource)
-      CODLOCK_EXCLUDES(registry_mu_);
+  // ---- Per-transaction lock state (see txn_locks.h) ----------------------
 
-  /// Bumps the invalidation epoch of the cache attached for \p txn, if any.
-  void InvalidateAttachedCache(TxnId txn) CODLOCK_EXCLUDES(caches_mu_);
+  /// The state a call records into: the handle \p t (put back under its id
+  /// if a `ReleaseAll` ended it), or for a null \p t the map's entry for
+  /// \p txn, pinned in \p by_id.  kAborted when \p txn was wounded.
+  Status Resolve(TxnId txn, TxnLocks*& t, std::shared_ptr<TxnLocks>& by_id)
+      CODLOCK_EXCLUDES(txns_mu_);
+
+  /// Appends held-list rows for new holds; if a foreign `ReleaseAll` ended
+  /// \p t after the call resolved it, the id is begun again first.
+  void AddHeld(TxnLocks& t, std::span<const ResourceId> resources)
+      CODLOCK_EXCLUDES(txns_mu_);
+
+  /// Puts the ended \p t back under its id unless another object holds it
+  /// by now (then returns false) and appends \p resources to the object
+  /// the map holds.
+  bool Rebegin(TxnLocks& t, std::span<const ResourceId> resources)
+      CODLOCK_EXCLUDES(txns_mu_);
+
+  /// The live lock state of \p txn, or null.
+  std::shared_ptr<TxnLocks> Registered(TxnId txn) const
+      CODLOCK_EXCLUDES(txns_mu_);
 
   /// Marks \p txn wounded; its next acquire (and current waits) fail.
-  void Wound(TxnId txn) CODLOCK_EXCLUDES(wounded_mu_);
-  bool IsWounded(TxnId txn) const CODLOCK_EXCLUDES(wounded_mu_);
-  void ClearWound(TxnId txn) CODLOCK_EXCLUDES(wounded_mu_);
+  void Wound(TxnId txn) CODLOCK_EXCLUDES(txns_mu_);
 
   Options options_;
   mutable std::vector<Shard> shards_;
@@ -582,32 +592,17 @@ class LockManager {
   WaitsForGraph wfg_;
   LockStats stats_;
 
-  /// Set once the first fast-path grant lands; lets Release skip the
-  /// lock-free probe entirely for managers that never see the fast path
-  /// (raw users without caches).
-  wm::Atomic<bool> fastpath_used_{false};
-
   /// Requests currently blocked in AcquireLocked (shedding + drain).
   wm::Atomic<size_t> blocked_waiters_{0};
   /// Set by DrainForShutdown: requests that would wait fail instead.
   wm::Atomic<bool> draining_{false};
 
-  mutable Mutex wounded_mu_;
-  std::unordered_set<TxnId> wounded_ CODLOCK_GUARDED_BY(wounded_mu_);
-  /// Mirror of wounded_.size(): lets the hot path skip wounded_mu_ when no
-  /// wound is outstanding (the overwhelmingly common case).
-  wm::Atomic<size_t> wounded_count_{0};
-
-  mutable Mutex registry_mu_;
-  std::unordered_map<TxnId, std::vector<ResourceId>> txn_locks_
-      CODLOCK_GUARDED_BY(registry_mu_);
-
-  mutable Mutex caches_mu_;
-  std::unordered_map<TxnId, TxnLockCache*> caches_
-      CODLOCK_GUARDED_BY(caches_mu_);
-  /// Mirror of caches_.size(): lets release paths skip caches_mu_ entirely
-  /// when no cache is attached anywhere.
-  wm::Atomic<size_t> cache_count_{0};
+  /// Live transactions' lock state.  Never held while taking a shard
+  /// mutex; taken only to begin and end a transaction and for
+  /// cross-transaction events (see txn_locks.h).
+  mutable Mutex txns_mu_;
+  std::unordered_map<TxnId, std::shared_ptr<TxnLocks>> txns_
+      CODLOCK_GUARDED_BY(txns_mu_);
 };
 
 }  // namespace codlock::lock

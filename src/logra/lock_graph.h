@@ -117,10 +117,9 @@ class LockGraph {
   NodeId NodeForAttr(nf2::AttrId attr) const { return attr_nodes_.at(attr); }
 
   /// The key-index node of \p rel (Fig. 2's "Indexes", a sibling of the
-  /// relation under its segment).  Index *entries* are locked as instances
-  /// of this node by `idx::OrderedKeyIndex` (next-key locking); index
-  /// *structure* is protected by short action-oriented latches [BaSc77],
-  /// not by these transaction locks.
+  /// relation under its segment).  It reproduces the figure's lock graph;
+  /// no component locks instances of it (the paper leaves "the
+  /// integration of indexes" to future work, §5).
   NodeId IndexNode(nf2::RelationId rel) const { return idx_nodes_.at(rel); }
 
   /// True if \p id is the root of (potential) inner units: the

@@ -90,8 +90,7 @@ void OracleSuite::CheckVisibility() {
 void OracleSuite::CheckCacheCoherence() {
   for (int i = 0; i < run_->num_txns(); ++i) {
     txn::Transaction* t = run_->txn(i);
-    for (const lock::TxnLockCache::Slot& s :
-         t->lock_cache().AuditSnapshot()) {
+    for (const lock::TxnLocks::Slot& s : t->locks().AuditSnapshot()) {
       if (s.mode == LockMode::kNL) continue;
       LockMode held = run_->lock_manager().HeldMode(t->id(), s.res);
       if (!lock::Covers(held, s.mode)) {

@@ -26,7 +26,7 @@ Status ComplexObjectProtocol::Lock(txn::Transaction& txn,
     path.push_back(lock::ResourceId{node, iid});
   }
   CODLOCK_RETURN_IF_ERROR(
-      lm_->AcquirePath(txn.id(), path, mode, opts, CacheOf(txn)));
+      lm_->AcquirePath(txn.id(), path, mode, opts, LocksFor(txn)));
 
   // Rules 3/4/4′: implicit downward propagation for S and X.  Skipped when
   // the query's semantics guarantee the referenced common data is not
@@ -182,24 +182,27 @@ Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
   // prefix gets IntentionFor(ep_mode), the entry point ep_mode, and each
   // lock shard is visited at most once.
   logra::NodeId ep_node = graph_->ComplexObjectNode(ref.relation);
-  const std::vector<logra::NodeId>& chain = ChainRootFirst(ep_node);
   Result<nf2::Iid> root_iid = store_->RootIid(ref.relation, ref.object);
   if (!root_iid.ok()) return root_iid.status();
 
+  // The superunit chain (relation, segment, database), root first.
   std::vector<lock::ResourceId> path;
-  path.reserve(chain.size() + 1);
+  for (logra::NodeId node = graph_->node(ep_node).solid_parent;
+       node != logra::kInvalidNode; node = graph_->node(node).solid_parent) {
+    path.push_back(lock::ResourceId{node, 0});
+  }
+  std::reverse(path.begin(), path.end());
+  const size_t chain_len = path.size();
   // Mutation point (kill-suite only): rules 1/2 dropped — the entry point
   // is locked without its superunit chain, so a relation/segment-level
   // request no longer conflicts with the inner unit's use.
-  if (!mutation::Enabled(mutation::Mutant::kSkipUpwardPropagation)) {
-    for (logra::NodeId node : chain) {
-      path.push_back(lock::ResourceId{node, 0});
-    }
+  if (mutation::Enabled(mutation::Mutant::kSkipUpwardPropagation)) {
+    path.clear();
   }
   path.push_back(lock::ResourceId{ep_node, *root_iid});
   CODLOCK_RETURN_IF_ERROR(
-      lm_->AcquirePath(txn.id(), path, ep_mode, opts, CacheOf(txn)));
-  lm_->stats().upward_propagations.Add(chain.size());
+      lm_->AcquirePath(txn.id(), path, ep_mode, opts, LocksFor(txn)));
+  lm_->stats().upward_propagations.Add(chain_len);
   lm_->stats().downward_propagations.Add();
 
   // Common data may again contain common data: recurse.  The scan over the
@@ -216,20 +219,6 @@ Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
     }
   }
   return Status::OK();
-}
-
-const std::vector<logra::NodeId>& ComplexObjectProtocol::ChainRootFirst(
-    logra::NodeId node) {
-  MutexLock lk(memo_mu_);
-  auto it = chain_memo_.find(node);
-  if (it == chain_memo_.end()) {
-    std::vector<logra::NodeId> chain = graph_->SuperunitChain(node);
-    std::reverse(chain.begin(), chain.end());
-    it = chain_memo_.emplace(node, std::move(chain)).first;
-  }
-  // References into the node-based map stay valid across later inserts,
-  // and entries are never erased or overwritten.
-  return it->second;
 }
 
 Result<std::vector<nf2::RefValue>> ComplexObjectProtocol::ObjectRefs(
@@ -303,11 +292,11 @@ Status ComplexObjectProtocol::Deescalate(txn::Transaction& txn,
     }
     CODLOCK_RETURN_IF_ERROR(
         lm_->Acquire(txn.id(), lock::ResourceId{elem_node, elems[idx].iid()},
-                     held, opts, CacheOf(txn)));
+                     held, opts, LocksFor(txn)));
   }
   CODLOCK_RETURN_IF_ERROR(lm_->Downgrade(txn.id(), res,
                                          lock::IntentionFor(held),
-                                         CacheOf(txn)));
+                                         LocksFor(txn)));
   lm_->stats().deescalations.Add();
   return Status::OK();
 }

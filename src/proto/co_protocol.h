@@ -55,10 +55,10 @@ class ComplexObjectProtocol : public LockProtocol {
     /// Acquire options forwarded to the lock manager.
     bool wait = true;
     uint64_t timeout_ms = 0;
-    /// Pass the transaction's held-lock cache to the lock manager (the
-    /// acquisition fast path).  The model checker explores every workload
-    /// with the cache both on and off: the observable schedules and
-    /// verdicts must not differ.
+    /// Pass the transaction's `TxnLocks` to the lock manager (its cache is
+    /// the acquisition fast path); off, every call is id-keyed.  The model
+    /// checker explores every workload with the cache both on and off: the
+    /// observable schedules and verdicts must not differ.
     bool use_txn_cache = true;
   };
 
@@ -128,8 +128,8 @@ class ComplexObjectProtocol : public LockProtocol {
     return x;
   }
 
-  lock::TxnLockCache* CacheOf(txn::Transaction& txn) const {
-    return options_.use_txn_cache ? &txn.lock_cache() : nullptr;
+  lock::TxnLocks* LocksFor(txn::Transaction& txn) const {
+    return options_.use_txn_cache ? &txn.locks() : nullptr;
   }
 
   lock::AcquireOptions AcquireOpts(const txn::Transaction& txn) const {
@@ -168,18 +168,14 @@ class ComplexObjectProtocol : public LockProtocol {
   Result<std::vector<nf2::RefValue>> ObjectRefs(nf2::RelationId rel,
                                                 nf2::ObjectId obj);
 
-  /// Superunit chain of \p node in root-first acquisition order, memoized
-  /// (the lock graph is immutable, so entries never invalidate).
-  const std::vector<logra::NodeId>& ChainRootFirst(logra::NodeId node);
-
   const logra::LockGraph* graph_;
   const nf2::InstanceStore* store_;
   lock::LockManager* lm_;
   const authz::AuthorizationManager* authz_;
   Options options_;
 
-  /// Guards the propagation memo below.  Leaf mutex: taken only from
-  /// protocol code with no lock-manager mutex held.
+  /// Guards the refs memo below.  Leaf mutex: taken only from protocol
+  /// code with no lock-manager mutex held.
   mutable Mutex memo_mu_;
   /// store_->mutation_epoch() value the refs memo was filled under; a
   /// mismatch at lookup means stored values may have changed and the whole
@@ -187,9 +183,6 @@ class ComplexObjectProtocol : public LockProtocol {
   uint64_t memo_epoch_ CODLOCK_GUARDED_BY(memo_mu_) = 0;
   /// VisitKey(rel, obj) → distinct refs in the object's value tree.
   std::unordered_map<uint64_t, std::vector<nf2::RefValue>> refs_memo_
-      CODLOCK_GUARDED_BY(memo_mu_);
-  /// Lock-graph node → superunit chain, root first (schema-static).
-  std::unordered_map<logra::NodeId, std::vector<logra::NodeId>> chain_memo_
       CODLOCK_GUARDED_BY(memo_mu_);
 };
 

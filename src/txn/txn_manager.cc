@@ -13,25 +13,21 @@ fault::FaultPoint g_fault_finish_crash{"txn/finish-crash",
                                        fault::FaultKind::kCrash};
 }  // namespace
 
-TxnManager::~TxnManager() {
-  MutexLock lk(mu_);
-  for (const auto& [id, txn] : txns_) lock_manager_->DetachCache(id);
-}
-
 Transaction* TxnManager::Begin(authz::UserId user, TxnKind kind) {
   TxnId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  auto txn = std::make_shared<Transaction>(id, user, kind);
+  auto txn = std::make_shared<Transaction>(id, user, kind,
+                                           lock_manager_->Begin(id));
   Transaction* raw = txn.get();
-  lock_manager_->AttachCache(id, &raw->lock_cache());
   MutexLock lk(mu_);
   txns_.emplace(id, std::move(txn));
   return raw;
 }
 
 Transaction* TxnManager::Adopt(TxnId id, authz::UserId user, TxnKind kind) {
-  auto txn = std::make_shared<Transaction>(id, user, kind);
+  // Begin finds the lock state RestoreLongLocks re-created for this id.
+  auto txn = std::make_shared<Transaction>(id, user, kind,
+                                           lock_manager_->Begin(id));
   Transaction* raw = txn.get();
-  lock_manager_->AttachCache(id, &raw->lock_cache());
   MutexLock lk(mu_);
   // Keep future ids younger than every adopted id.
   TxnId next = next_id_.load(std::memory_order_relaxed);
@@ -58,7 +54,7 @@ Status TxnManager::Finish(Transaction* txn, TxnState final_state) {
         "transaction " + std::to_string(txn->id()) + " is not active");
   }
   if (fault::FireResult f = g_fault_finish_crash.Fire()) {
-    // Simulated process death mid-EOT: no undo, no release, no detach.
+    // Simulated process death mid-EOT: no undo, no release.
     return fault::StatusFor(f, "txn/finish-crash");
   }
   Status undo_status;
@@ -71,10 +67,8 @@ Status TxnManager::Finish(Transaction* txn, TxnState final_state) {
       undo_log_->Discard(txn->id());
     }
   }
+  // EOT: ends the transaction's lock state in the lock manager.
   lock_manager_->ReleaseAll(txn->id());
-  // EOT: no further acquisitions may use this transaction's cache, so the
-  // registration can go (ReleaseAll already invalidated the cache).
-  lock_manager_->DetachCache(txn->id());
   return undo_status;
 }
 
@@ -110,7 +104,6 @@ Result<std::shared_ptr<Transaction>> TxnManager::Get(TxnId id) const {
 }
 
 void TxnManager::Forget(TxnId id) {
-  lock_manager_->DetachCache(id);
   MutexLock lk(mu_);
   txns_.erase(id);
 }

@@ -21,7 +21,7 @@
 
 #include "authz/authz.h"
 #include "lock/lock_manager.h"
-#include "lock/txn_lock_cache.h"
+#include "lock/txn_locks.h"
 #include "nf2/store.h"
 #include "txn/undo_log.h"
 #include "util/mutex.h"
@@ -48,8 +48,9 @@ enum class TxnState : uint8_t { kActive, kCommitted, kAborted };
 /// this transaction's id.
 class Transaction {
  public:
-  Transaction(TxnId id, authz::UserId user, TxnKind kind)
-      : id_(id), user_(user), kind_(kind) {}
+  Transaction(TxnId id, authz::UserId user, TxnKind kind,
+              std::shared_ptr<lock::TxnLocks> locks)
+      : id_(id), user_(user), kind_(kind), locks_(std::move(locks)) {}
 
   TxnId id() const { return id_; }
   authz::UserId user() const { return user_; }
@@ -63,12 +64,12 @@ class Transaction {
                                    : lock::LockDuration::kShort;
   }
 
-  /// The transaction's held-lock cache (acquisition fast path).  The
-  /// `TxnManager` attaches it to the lock manager at Begin/Adopt so that
-  /// wounds and foreign releases invalidate it; protocols pass it to
-  /// `LockManager::Acquire`/`AcquirePath`.  Owner-thread only (the thread
-  /// driving this transaction's calls).
-  lock::TxnLockCache& lock_cache() { return lock_cache_; }
+  /// The transaction's lock state in the lock manager (held list, mode
+  /// cache, wound flag), begun by the `TxnManager` at Begin/Adopt.
+  /// Protocols pass it to `LockManager::Acquire`/`AcquirePath` so that no
+  /// grant takes a manager-global mutex.  Its cache is owner-thread only
+  /// (the thread driving this transaction's calls).
+  lock::TxnLocks& locks() { return *locks_; }
 
  private:
   friend class TxnManager;
@@ -77,7 +78,7 @@ class Transaction {
   authz::UserId user_;
   TxnKind kind_;
   std::atomic<TxnState> state_{TxnState::kActive};
-  lock::TxnLockCache lock_cache_;
+  std::shared_ptr<lock::TxnLocks> locks_;
 };
 
 /// \brief Creates, commits and aborts transactions; enforces strict 2PL by
@@ -95,10 +96,6 @@ class TxnManager {
 
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
-
-  /// Detaches every live transaction's lock cache from the lock manager
-  /// (the caches die with the transactions owned here).
-  ~TxnManager();
 
   /// Starts a transaction for \p user.  Ids are monotonically increasing —
   /// a larger id is a younger transaction (deadlock victim order).

@@ -22,7 +22,7 @@
 ///    points (§4.4.2 rules 3/4).  A from-the-side writer of shared data
 ///    races an outer-unit holder: caught by the visibility oracle.
 ///  * `kDropCacheInvalidation` — cross-thread cache invalidation (the
-///    epoch bump of `TxnLockCache`) is dropped.  Stale fast-path answers
+///    epoch bump of a `TxnLocks` mode cache) is dropped.  Stale fast-path answers
 ///    survive EOT: caught by the cache-coherence oracle.
 ///  * `kSkipWaiterWakeup`    — a grant promotes the waiter but never
 ///    notifies it (lost wakeup).  The schedule wedges: caught by the

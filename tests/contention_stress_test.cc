@@ -16,7 +16,7 @@
 
 #include "lock/lock_manager.h"
 #include "lock/mode.h"
-#include "lock/txn_lock_cache.h"
+#include "lock/txn_locks.h"
 
 #include <gtest/gtest.h>
 
@@ -56,8 +56,7 @@ TEST(ContentionStressTest, FastpathMixedModeChurn) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       const TxnId txn = static_cast<TxnId>(w + 1);
-      TxnLockCache cache;
-      lm.AttachCache(txn, &cache);
+      std::shared_ptr<TxnLocks> locks = lm.Begin(txn);
       std::mt19937_64 rng(0xC0DE + static_cast<uint64_t>(w));
       for (int i = 0; i < 2000; ++i) {
         const ResourceId res{7, rng() % kHotKeys};
@@ -66,19 +65,18 @@ TEST(ContentionStressTest, FastpathMixedModeChurn) {
                               : dice == 1 ? LockMode::kIX
                               : (dice & 1) ? LockMode::kIS
                                            : LockMode::kS;
-        Status st = lm.Acquire(txn, res, mode, {}, &cache);
+        Status st = lm.Acquire(txn, res, mode, {}, locks.get());
         ASSERT_TRUE(st.ok() || st.code() == StatusCode::kDeadlock ||
                     st.code() == StatusCode::kTimeout ||
                     st.code() == StatusCode::kAborted)
             << st;
         if (st.ok() && (rng() % 2 == 0)) {
-          (void)lm.Release(txn, res, &cache);
+          (void)lm.Release(txn, res, locks.get());
         } else {
           lm.ReleaseAll(txn);
         }
       }
       lm.ReleaseAll(txn);
-      lm.DetachCache(txn);
     });
   }
   // An inspector races the snapshot paths against fast-path mutation.
@@ -118,8 +116,7 @@ TEST(ContentionStressTest, SharedSpinePathChurn) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       const TxnId txn = static_cast<TxnId>(w + 1);
-      TxnLockCache cache;
-      lm.AttachCache(txn, &cache);
+      std::shared_ptr<TxnLocks> locks = lm.Begin(txn);
       std::mt19937_64 rng(0xFACE + static_cast<uint64_t>(w));
       for (int i = 0; i < 1000; ++i) {
         std::vector<ResourceId> path;
@@ -134,14 +131,13 @@ TEST(ContentionStressTest, SharedSpinePathChurn) {
             (rng() % 4 == 0) ? LockMode::kS : LockMode::kX;
         AcquireOptions opts;
         opts.timeout_ms = 5000;
-        Status st = lm.AcquirePath(txn, path, leaf, opts, &cache);
+        Status st = lm.AcquirePath(txn, path, leaf, opts, locks.get());
         ASSERT_TRUE(st.ok() || st.code() == StatusCode::kDeadlock ||
                     st.code() == StatusCode::kTimeout ||
                     st.code() == StatusCode::kAborted)
             << st;
         lm.ReleaseAll(txn);
       }
-      lm.DetachCache(txn);
     });
   }
   for (auto& t : workers) t.join();
@@ -165,31 +161,29 @@ TEST(ContentionStressTest, FastpathVersusRetireChurn) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       const TxnId txn = static_cast<TxnId>(w + 1);
-      TxnLockCache cache;
-      lm.AttachCache(txn, &cache);
+      std::shared_ptr<TxnLocks> locks = lm.Begin(txn);
       std::mt19937_64 rng(0xBEEF + static_cast<uint64_t>(w));
       const bool retirer = (w % 2 == 0);
       for (int i = 0; i < 2000; ++i) {
         const ResourceId res{9, rng() % kKeys};
         if (retirer) {
           // X then release: the entry empties and retires every cycle.
-          Status st = lm.Acquire(txn, res, LockMode::kX, {}, &cache);
+          Status st = lm.Acquire(txn, res, LockMode::kX, {}, locks.get());
           ASSERT_TRUE(st.ok() || st.code() == StatusCode::kDeadlock ||
                       st.code() == StatusCode::kTimeout ||
                       st.code() == StatusCode::kAborted)
               << st;
           lm.ReleaseAll(txn);
         } else {
-          Status st = lm.Acquire(txn, res, LockMode::kS, {}, &cache);
+          Status st = lm.Acquire(txn, res, LockMode::kS, {}, locks.get());
           ASSERT_TRUE(st.ok() || st.code() == StatusCode::kDeadlock ||
                       st.code() == StatusCode::kTimeout ||
                       st.code() == StatusCode::kAborted)
               << st;
-          if (st.ok()) (void)lm.Release(txn, res, &cache);
+          if (st.ok()) (void)lm.Release(txn, res, locks.get());
         }
       }
       lm.ReleaseAll(txn);
-      lm.DetachCache(txn);
     });
   }
   for (auto& t : workers) t.join();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "lock/lock_manager.h"
@@ -138,22 +139,25 @@ TEST_P(PreventionPolicyTest, CrossOrderLockingAlwaysResolves) {
   // relying on the (long) timeout: detection kills a victim, prevention
   // never lets the cycle form.
   LockManager lm(WithPolicy(GetParam()));
+  // A loser retries, yielding in between: wait-die promises progress only
+  // once the older transaction runs, and it may be descheduled for a
+  // while.  The retry deadline is well below the 2 s lock timeout, so a
+  // policy that resolves only by timeout still fails here.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(1'000);
   std::atomic<int> resolved{0};
+  std::atomic<int> timeouts{0};
   auto worker = [&](TxnId me, ResourceId first, ResourceId second) {
-    for (int attempt = 0; attempt < 50; ++attempt) {
-      Status a = lm.Acquire(me, first, LockMode::kX);
-      if (!a.ok()) {
-        lm.ReleaseAll(me);
-        continue;
-      }
-      Status b = lm.Acquire(me, second, LockMode::kX);
-      if (!b.ok()) {
-        lm.ReleaseAll(me);
-        continue;
-      }
+    while (std::chrono::steady_clock::now() < deadline) {
+      Status st = lm.Acquire(me, first, LockMode::kX);
+      if (st.ok()) st = lm.Acquire(me, second, LockMode::kX);
       lm.ReleaseAll(me);
-      ++resolved;
-      return;
+      if (st.ok()) {
+        ++resolved;
+        return;
+      }
+      if (st.IsTimeout()) ++timeouts;
+      std::this_thread::yield();
     }
   };
   std::thread t1(worker, 1, kR1, kR2);
@@ -161,6 +165,7 @@ TEST_P(PreventionPolicyTest, CrossOrderLockingAlwaysResolves) {
   t1.join();
   t2.join();
   EXPECT_EQ(resolved.load(), 2);
+  EXPECT_EQ(timeouts.load(), 0);
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 

@@ -11,7 +11,7 @@
 /// zero, and no request may be lost (grants + denials == attempts).
 
 #include "lock/lock_manager.h"
-#include "lock/txn_lock_cache.h"
+#include "lock/txn_locks.h"
 
 #include <gtest/gtest.h>
 
@@ -152,8 +152,7 @@ void StressPathsWithCache(DeadlockPolicy policy, uint64_t timeout_ms) {
       std::mt19937_64 rng(0xCAFE + static_cast<uint64_t>(w));
       for (int t = 0; t < kTxnsPerThread; ++t) {
         const TxnId txn = next_txn.fetch_add(1, std::memory_order_relaxed);
-        TxnLockCache cache;
-        lm.AttachCache(txn, &cache);
+        std::shared_ptr<TxnLocks> locks = lm.Begin(txn);
         const std::vector<ResourceId> path = {
             ResourceId{0, 0},                  // database
             ResourceId{1, 0},                  // relation
@@ -162,14 +161,14 @@ void StressPathsWithCache(DeadlockPolicy policy, uint64_t timeout_ms) {
         AcquireOptions opts;
         opts.timeout_ms = timeout_ms;
         bool aborted = false;
-        Status st = lm.AcquirePath(txn, path, leaf, opts, &cache);
+        Status st = lm.AcquirePath(txn, path, leaf, opts, locks.get());
         if (st.ok()) {
           // Covered re-acquisition: answered by the cache unless a
           // concurrent wound invalidated it (then the slow path decides).
-          st = lm.AcquirePath(txn, path, leaf, opts, &cache);
+          st = lm.AcquirePath(txn, path, leaf, opts, locks.get());
         }
         if (st.ok() && leaf == LockMode::kS && rng() % 2 == 0) {
-          st = lm.Acquire(txn, path.back(), LockMode::kX, opts, &cache);
+          st = lm.Acquire(txn, path.back(), LockMode::kX, opts, locks.get());
         }
         if (!st.ok()) {
           ASSERT_TRUE(st.code() == StatusCode::kDeadlock ||
@@ -184,7 +183,6 @@ void StressPathsWithCache(DeadlockPolicy policy, uint64_t timeout_ms) {
           tally.committed.fetch_add(1, std::memory_order_relaxed);
         }
         lm.ReleaseAll(txn);
-        lm.DetachCache(txn);
       }
     });
   }
