@@ -240,6 +240,127 @@ TEST(TxnLocksTest, VectorAndFastpathHoldsOfOneResourceAreTwoRows) {
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 
+TEST(TxnLocksTest, FastpathReleaseThroughHandleDropsItsRow) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(2, kR1, LockMode::kIS).ok());  // creates the entry
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_EQ(lm.stats().fastpath_grants.value(), 1u);
+  ASSERT_EQ(lm.LocksOf(1).size(), 1u);
+
+  // The last release of the fast-path slot removes its row and cached
+  // mode; the transaction stays begun with nothing left to release.
+  ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
+  EXPECT_TRUE(lm.LocksOf(1).empty());
+  EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kNL);
+  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(lm.NumTxns(), 2u);
+  EXPECT_EQ(lm.ReleaseAll(1), 0u);
+  EXPECT_EQ(lm.ReleaseAll(2), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, ForeignDowngradeInvalidatesCache) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX, {}, locks.get()).ok());
+  ASSERT_EQ(locks->CachedMode(kR1), LockMode::kX);
+  // A downgrade by id shrinks the hold without the handle; the cached X
+  // must not survive it.
+  ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kS).ok());
+  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+
+  // The slow path computes sup(S, IX) = SIX; a stale X would have
+  // answered from the cache.
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kIX, {}, locks.get()).ok());
+  EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kSIX);
+  lm.ReleaseAll(1);
+}
+
+TEST(TxnLocksTest, AuditSnapshotTrustsNothingAfterAForeignEvent) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX, {}, locks.get()).ok());
+  ASSERT_TRUE(lm.Acquire(1, kR2, LockMode::kIX, {}, locks.get()).ok());
+  ASSERT_EQ(locks->AuditSnapshot().size(), 2u);
+
+  // An id-keyed release bumps the epoch: the oracle's view is empty even
+  // for kR1, which is still held, until the owner next uses the cache.
+  ASSERT_TRUE(lm.Release(1, kR2).ok());
+  EXPECT_TRUE(locks->AuditSnapshot().empty());
+
+  // The owner's next grant starts a fresh array holding only that grant.
+  ASSERT_TRUE(lm.Acquire(1, kR2, LockMode::kIX, {}, locks.get()).ok());
+  std::vector<TxnLocks::Slot> slots = locks->AuditSnapshot();
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_EQ(slots[0].res, kR2);
+  EXPECT_EQ(slots[0].mode, LockMode::kIX);
+  EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kX);
+  EXPECT_EQ(lm.ReleaseAll(1), 2u);
+}
+
+TEST(TxnLocksTest, GrantsPastMaxCachedStayUncached) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  const uint64_t n = TxnLocks::kMaxCached + 1;
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(
+        lm.Acquire(1, ResourceId{3, i}, LockMode::kIX, {}, locks.get()).ok());
+  }
+  EXPECT_EQ(locks->AuditSnapshot().size(), TxnLocks::kMaxCached);
+  EXPECT_EQ(locks->CachedMode(ResourceId{3, 0}), LockMode::kIX);
+  const ResourceId last{3, n - 1};
+  EXPECT_EQ(locks->CachedMode(last), LockMode::kNL);
+
+  // A miss is always safe: the uncached resource goes to the shard, which
+  // re-grants the mode already held.
+  const uint64_t slow_before = lm.stats().requests.value();
+  ASSERT_TRUE(lm.Acquire(1, last, LockMode::kIX, {}, locks.get()).ok());
+  EXPECT_EQ(lm.stats().requests.value(), slow_before + 1);
+  EXPECT_EQ(lm.HeldMode(1, last), LockMode::kIX);
+  EXPECT_EQ(lm.ReleaseAll(1), n);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, WoundFailsIdKeyedAcquiresUntilTheTxnEnds) {
+  LockManager::Options o;
+  o.deadlock_policy = DeadlockPolicy::kWoundWait;
+  LockManager lm(o);
+  ASSERT_TRUE(lm.Acquire(5, kR1, LockMode::kS).ok());
+
+  // Older txn 2 requests X: it wounds 5 and waits for 5 to end.
+  Status st2;
+  std::thread older([&] { st2 = lm.Acquire(2, kR1, LockMode::kX); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (lm.NumBlockedWaiters() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(lm.NumBlockedWaiters(), 1u);
+  // The waiter wounds under kR1's shard mutex before it sleeps, so this
+  // read of kR1 returns only after the wound.
+  EXPECT_EQ(lm.GroupMode(kR1), LockMode::kS);
+
+  // The flag lives on 5's TxnLocks, which an id-keyed call resolves too:
+  // even a free resource is refused.
+  EXPECT_TRUE(lm.Acquire(5, kR2, LockMode::kS).IsAborted());
+  EXPECT_EQ(lm.HeldMode(5, kR2), LockMode::kNL);
+
+  EXPECT_EQ(lm.ReleaseAll(5), 1u);
+  older.join();
+  EXPECT_TRUE(st2.ok()) << st2;
+
+  // The wound ended with the transaction: the id begins afresh.
+  EXPECT_TRUE(lm.Acquire(5, kR2, LockMode::kS).ok());
+  EXPECT_EQ(lm.ReleaseAll(5), 1u);
+  EXPECT_EQ(lm.ReleaseAll(2), 1u);
+  EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
 // ---- The map does not grow with transactions served ---------------------
 
 TEST(TxnLocksMapTest, EveryTxnManagerEndEmptiesTheMap) {
@@ -287,6 +408,104 @@ TEST(TxnLocksMapTest, IdKeyedRestoreAndAdoptShareOneEntry) {
   EXPECT_EQ(lm.NumTxns(), 2u);
   EXPECT_EQ(lm.ReleaseAll(8), 1u);
   EXPECT_EQ(lm.ReleaseAll(9), 1u);
+  EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksMapTest, TransactionHandleIsTheMapEntry) {
+  LockManager lm;
+  txn::TxnManager txns(&lm);
+  txn::Transaction* t = txns.Begin(1);
+  const TxnId id = t->id();
+  EXPECT_EQ(lm.Begin(id).get(), &t->locks());
+
+  // Grants through the handle and by id land in one held list.
+  ASSERT_TRUE(lm.Acquire(id, kR1, LockMode::kX, {}, &t->locks()).ok());
+  ASSERT_TRUE(lm.Acquire(id, kR2, LockMode::kS).ok());
+  EXPECT_EQ(lm.LocksOf(id).size(), 2u);
+  EXPECT_EQ(lm.NumTxns(), 1u);
+  ASSERT_TRUE(txns.Commit(t).ok());
+  txns.Forget(id);
+  EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksMapTest, InspectionAndFailedReleasesBeginNothing) {
+  LockManager lm;
+  EXPECT_EQ(lm.ReleaseAll(42), 0u);
+  EXPECT_TRUE(lm.LocksOf(42).empty());
+  EXPECT_EQ(lm.HeldMode(42, kR1), LockMode::kNL);
+  EXPECT_TRUE(lm.Release(42, kR1).IsNotFound());
+  EXPECT_TRUE(lm.Downgrade(42, kR1, LockMode::kIS).IsNotFound());
+  EXPECT_EQ(lm.NumTxns(), 0u);
+
+  // The entry exists, but 42 holds nothing on it.
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS).ok());
+  EXPECT_TRUE(lm.Release(42, kR1).IsNotFound());
+  EXPECT_TRUE(lm.Downgrade(42, kR1, LockMode::kIS).IsNotFound());
+  EXPECT_EQ(lm.NumTxns(), 1u);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumTxns(), 0u);
+}
+
+TEST(TxnLocksMapTest, RejectedRestoreBeginsNoTransaction) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX).ok());
+  // All-or-nothing: the conflict on kR1 keeps 7's record on kR2 out too.
+  EXPECT_TRUE(lm.RestoreLongLocks({{7, kR2, LockMode::kX},
+                                   {8, kR1, LockMode::kS}})
+                  .IsInternal());
+  EXPECT_EQ(lm.NumTxns(), 1u);
+  EXPECT_TRUE(lm.LocksOf(7).empty());
+  EXPECT_EQ(lm.GroupMode(kR2), LockMode::kNL);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksMapTest, RefusedIdKeyedAcquireLeavesTheIdToReleaseAll) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX).ok());
+  AcquireOptions no_wait;
+  no_wait.wait = false;
+  // The call began 2 before the conflict; its caller's EOT ends it.
+  EXPECT_TRUE(lm.Acquire(2, kR1, LockMode::kS, no_wait).IsConflict());
+  EXPECT_EQ(lm.NumTxns(), 2u);
+  EXPECT_TRUE(lm.LocksOf(2).empty());
+  EXPECT_EQ(lm.ReleaseAll(2), 0u);
+  EXPECT_EQ(lm.NumTxns(), 1u);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksMapTest, ConcurrentTransactionsLeaveTheMapEmpty) {
+  LockManager lm;
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 200;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      // Shared root and cell (compatible intention locks), a leaf of this
+      // worker's own, and a shared S that can take the fast path.
+      const std::vector<ResourceId> path = {
+          {0, 1}, {1, 10}, {2, 100 + static_cast<uint64_t>(w)}};
+      const ResourceId shared{3, 7};
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        const TxnId id = static_cast<TxnId>(1 + w * kTxnsPerThread + i);
+        std::shared_ptr<TxnLocks> locks = lm.Begin(id);
+        if (!lm.AcquirePath(id, path, LockMode::kX, {}, locks.get()).ok() ||
+            !lm.Acquire(id, path[1], LockMode::kIS, {}, locks.get()).ok() ||
+            !lm.Acquire(id, shared, LockMode::kS, {}, locks.get()).ok()) {
+          failures.fetch_add(1);
+        }
+        lm.ReleaseAll(id);
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(lm.NumTxns(), 0u);
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
