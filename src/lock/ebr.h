@@ -61,7 +61,14 @@ class Reclaimer {
   Reclaimer& operator=(const Reclaimer&) = delete;
 
  private:
-  struct Record {
+  /// One cache line per thread (64 bytes on x86-64 and most AArch64
+  /// parts): every fast-path pin is a seq_cst store to `epoch`, and
+  /// unpadded, four records share a line, so each pin would invalidate
+  /// three other threads' records.  On a 4-vCPU host `bench_contention`
+  /// `contended_s` at 4 threads went from 2.33 to 2.72 M ops/s with the
+  /// padding (median of 8 interleaved pairs, 7 ahead).  Costs 24 KB over
+  /// the unpadded table.
+  struct alignas(64) Record {
     wm::Atomic<uint64_t> epoch{kIdle};
     wm::Atomic<bool> used{false};
   };

@@ -97,16 +97,18 @@ LockManager::~LockManager() {
 // ---- Per-transaction lock state -----------------------------------------
 
 std::shared_ptr<TxnLocks> LockManager::Begin(TxnId txn) {
-  MutexLock lk(txns_mu_);
-  std::shared_ptr<TxnLocks>& t = txns_[txn];
-  if (t == nullptr) t.reset(new TxnLocks(txn));
-  return t;
+  return txns_.With(txn, [txn](auto& map) {
+    std::shared_ptr<TxnLocks>& t = map[txn];
+    if (t == nullptr) t.reset(new TxnLocks(txn));
+    return t;
+  });
 }
 
 std::shared_ptr<TxnLocks> LockManager::Registered(TxnId txn) const {
-  MutexLock lk(txns_mu_);
-  auto it = txns_.find(txn);
-  return it == txns_.end() ? nullptr : it->second;
+  return txns_.With(txn, [txn](const auto& map) {
+    auto it = map.find(txn);
+    return it == map.end() ? nullptr : it->second;
+  });
 }
 
 Status LockManager::Resolve(TxnId txn, TxnLocks*& t,
@@ -134,21 +136,21 @@ void LockManager::AddHeld(TxnLocks& t, std::span<const ResourceId> resources) {
 }
 
 bool LockManager::Rebegin(TxnLocks& t, std::span<const ResourceId> resources) {
-  MutexLock lk(txns_mu_);
-  std::shared_ptr<TxnLocks>& live = txns_[t.id()];
-  if (live == nullptr) live = t.shared_from_this();
-  live->Record(resources, /*revive=*/true);
-  return live.get() == &t;
+  return txns_.With(t.id(), [&t, resources](auto& map) {
+    std::shared_ptr<TxnLocks>& live = map[t.id()];
+    if (live == nullptr) live = t.shared_from_this();
+    live->Record(resources, /*revive=*/true);
+    return live.get() == &t;
+  });
 }
 
 void LockManager::Wound(TxnId txn) {
-  {
-    // Under the map mutex, so the flag cannot land on a transaction that
-    // ReleaseAll is ending (the flag dies with its TxnLocks).
-    MutexLock lk(txns_mu_);
-    auto it = txns_.find(txn);
-    if (it != txns_.end()) it->second->SetWounded();
-  }
+  // Under the id's stripe, so the flag cannot land on a transaction that
+  // ReleaseAll is ending (the flag dies with its TxnLocks).
+  txns_.With(txn, [txn](auto& map) {
+    auto it = map.find(txn);
+    if (it != map.end()) it->second->SetWounded();
+  });
   wfg_.Kill(txn, KillReason::kWounded);
 }
 
@@ -1112,14 +1114,14 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
 size_t LockManager::ReleaseAll(TxnId txn) {
   // EOT: End() invalidates the cache before the locks disappear and hands
   // over the held list; a later acquire through the handle re-begins it.
-  std::vector<ResourceId> held;
-  {
-    MutexLock lk(txns_mu_);
-    auto it = txns_.find(txn);
-    if (it == txns_.end()) return 0;
-    held = it->second->End();
-    txns_.erase(it);
-  }
+  const std::vector<ResourceId> held = txns_.With(txn, [txn](auto& map) {
+    std::vector<ResourceId> out;
+    auto it = map.find(txn);
+    if (it == map.end()) return out;
+    out = it->second->End();
+    map.erase(it);
+    return out;
+  });
   // Visit each shard once: group the held set by shard index, hashing each
   // resource a single time.
   std::vector<std::pair<uint32_t, ResourceId>> keyed;
@@ -1325,10 +1327,7 @@ std::vector<HeldLock> LockManager::LocksOf(TxnId txn) const {
   return out;
 }
 
-size_t LockManager::NumTxns() const {
-  MutexLock lk(txns_mu_);
-  return txns_.size();
-}
+size_t LockManager::NumTxns() const { return txns_.Size(); }
 
 size_t LockManager::NumEntries() const {
   size_t n = 0;

@@ -66,6 +66,7 @@
 #include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/status.h"
+#include "util/striped_map.h"
 #include "util/thread_annotations.h"
 #include "util/wm_atomic.h"
 
@@ -188,7 +189,7 @@ class LockManager {
   /// call resolves \p txn through `Begin` and uses no cache.
   Status Acquire(TxnId txn, ResourceId resource, LockMode mode,
                  const AcquireOptions& options = AcquireOptions(),
-                 TxnLocks* locks = nullptr) CODLOCK_EXCLUDES(txns_mu_);
+                 TxnLocks* locks = nullptr);
 
   /// Acquires a root-to-leaf chain in one call (§4.4.2 rule 5): every
   /// element of \p path except the last is locked in `IntentionFor(
@@ -204,7 +205,7 @@ class LockManager {
   Status AcquirePath(TxnId txn, std::span<const ResourceId> path,
                      LockMode leaf_mode,
                      const AcquireOptions& options = AcquireOptions(),
-                     TxnLocks* locks = nullptr) CODLOCK_EXCLUDES(txns_mu_);
+                     TxnLocks* locks = nullptr);
 
   /// Releases one acquisition of \p resource (locks are counted; the entry
   /// disappears when the count reaches zero).  The held *mode* is not
@@ -212,24 +213,23 @@ class LockManager {
   /// With \p locks, a release pairing a cache-granted acquisition is
   /// absorbed locally; one pairing a fast-path grant is absorbed by the
   /// entry's fast-path slot without the shard mutex.
-  Status Release(TxnId txn, ResourceId resource, TxnLocks* locks = nullptr)
-      CODLOCK_EXCLUDES(txns_mu_);
+  Status Release(TxnId txn, ResourceId resource, TxnLocks* locks = nullptr);
 
   /// Releases every lock of \p txn and ends its lock state (EOT; see
   /// txn_locks.h).  Returns the number released.  Shards are visited once
   /// each; the transaction's cache is invalidated first.
-  size_t ReleaseAll(TxnId txn) CODLOCK_EXCLUDES(txns_mu_);
+  size_t ReleaseAll(TxnId txn);
 
   /// Reduces the held mode of \p txn on \p resource to \p mode
   /// (de-escalation; mode must be weaker than or equal to the held mode).
   /// Waiters that the narrower mode no longer blocks are granted
   /// immediately.
   Status Downgrade(TxnId txn, ResourceId resource, LockMode mode,
-                   TxnLocks* locks = nullptr) CODLOCK_EXCLUDES(txns_mu_);
+                   TxnLocks* locks = nullptr);
 
   /// The lock state of \p txn, created on the first use of the id and
   /// shared by every later call until `ReleaseAll` ends it.
-  std::shared_ptr<TxnLocks> Begin(TxnId txn) CODLOCK_EXCLUDES(txns_mu_);
+  std::shared_ptr<TxnLocks> Begin(TxnId txn);
 
   /// Mode currently held by \p txn on \p resource (kNL if none); merges
   /// the holder vector with the entry's fast-path slots.
@@ -240,14 +240,14 @@ class LockManager {
   LockMode GroupMode(ResourceId resource) const;
 
   /// All locks currently held by \p txn.
-  std::vector<HeldLock> LocksOf(TxnId txn) const CODLOCK_EXCLUDES(txns_mu_);
+  std::vector<HeldLock> LocksOf(TxnId txn) const;
 
   /// Number of resources with at least one holder (vector or fast-path)
   /// or waiter.
   size_t NumEntries() const;
 
   /// Number of transactions begun and not yet ended (inspection).
-  size_t NumTxns() const CODLOCK_EXCLUDES(txns_mu_);
+  size_t NumTxns() const;
 
   /// Number of shards after clamping/rounding (inspection).
   size_t NumShards() const { return shards_.size(); }
@@ -507,16 +507,14 @@ class LockManager {
   /// Slow path of `Acquire` (shard, held list and — when \p cached — cache
   /// bookkeeping) after the fast path missed.
   Status AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
-                     LockMode mode, const AcquireOptions& options)
-      CODLOCK_EXCLUDES(txns_mu_);
+                     LockMode mode, const AcquireOptions& options);
 
   /// Optimistic compatible-mode grant: validates the entry's grant
   /// summary, claims a fast-path slot and revalidates — no shard mutex.
   /// On success the grant is fully accounted (stats, cache note, held
   /// list).  Returns false on any miss or validation failure (the caller
   /// proceeds to the slow path).
-  bool TryFastpathAcquire(TxnLocks& t, ResourceId resource, LockMode mode)
-      CODLOCK_EXCLUDES(txns_mu_);
+  bool TryFastpathAcquire(TxnLocks& t, ResourceId resource, LockMode mode);
 
   /// Undoes a fast-path claim that failed revalidation, then repairs any
   /// waiter that may have parked against the transient hold (takes the
@@ -564,26 +562,22 @@ class LockManager {
   /// The state a call records into: the handle \p t (put back under its id
   /// if a `ReleaseAll` ended it), or for a null \p t the map's entry for
   /// \p txn, pinned in \p by_id.  kAborted when \p txn was wounded.
-  Status Resolve(TxnId txn, TxnLocks*& t, std::shared_ptr<TxnLocks>& by_id)
-      CODLOCK_EXCLUDES(txns_mu_);
+  Status Resolve(TxnId txn, TxnLocks*& t, std::shared_ptr<TxnLocks>& by_id);
 
   /// Appends held-list rows for new holds; if a foreign `ReleaseAll` ended
   /// \p t after the call resolved it, the id is begun again first.
-  void AddHeld(TxnLocks& t, std::span<const ResourceId> resources)
-      CODLOCK_EXCLUDES(txns_mu_);
+  void AddHeld(TxnLocks& t, std::span<const ResourceId> resources);
 
   /// Puts the ended \p t back under its id unless another object holds it
   /// by now (then returns false) and appends \p resources to the object
   /// the map holds.
-  bool Rebegin(TxnLocks& t, std::span<const ResourceId> resources)
-      CODLOCK_EXCLUDES(txns_mu_);
+  bool Rebegin(TxnLocks& t, std::span<const ResourceId> resources);
 
   /// The live lock state of \p txn, or null.
-  std::shared_ptr<TxnLocks> Registered(TxnId txn) const
-      CODLOCK_EXCLUDES(txns_mu_);
+  std::shared_ptr<TxnLocks> Registered(TxnId txn) const;
 
   /// Marks \p txn wounded; its next acquire (and current waits) fail.
-  void Wound(TxnId txn) CODLOCK_EXCLUDES(txns_mu_);
+  void Wound(TxnId txn);
 
   Options options_;
   mutable std::vector<Shard> shards_;
@@ -597,12 +591,13 @@ class LockManager {
   /// Set by DrainForShutdown: requests that would wait fail instead.
   wm::Atomic<bool> draining_{false};
 
-  /// Live transactions' lock state.  Never held while taking a shard
-  /// mutex; taken only to begin and end a transaction and for
-  /// cross-transaction events (see txn_locks.h).
-  mutable Mutex txns_mu_;
-  std::unordered_map<TxnId, std::shared_ptr<TxnLocks>> txns_
-      CODLOCK_GUARDED_BY(txns_mu_);
+  /// Live transactions' lock state, striped by id: beginning or ending a
+  /// transaction, and a cross-transaction event on it (see txn_locks.h),
+  /// locks only its id's stripe, so no transaction takes a manager-global
+  /// mutex.  A stripe is held only inside `txns_.With`, after any shard
+  /// mutex and never while taking one; the analysis cannot name a stripe,
+  /// so no method here is annotated with it.
+  StripedMap<TxnId, std::shared_ptr<TxnLocks>> txns_;
 };
 
 }  // namespace codlock::lock

@@ -4,12 +4,14 @@
 ///
 /// Paper §4.1 has the lock manager "administrate held locks per
 /// transaction"; a `TxnLocks` is that administration, the single owner of
-/// each of these facts.  `LockManager` keeps one id → `TxnLocks` map and
-/// locks it only to begin a transaction, to end one (`ReleaseAll`) and for
-/// cross-transaction events: a wound, a release or downgrade by id, and
-/// `LocksOf`.  A caller passing its `TxnLocks*` takes no manager-global
-/// mutex per grant; an id-keyed call resolves the id through the map and
-/// never touches the cache.
+/// each of these facts.  `LockManager` keeps an id → `TxnLocks` map split
+/// into id-keyed stripes (util/striped_map.h) and locks only the id's
+/// stripe, and only to begin a transaction, to end one (`ReleaseAll`) and
+/// for cross-transaction events: a wound, a release or downgrade by id,
+/// and `LocksOf`.  No call takes a manager-global mutex for this state; a
+/// caller passing its `TxnLocks*` takes no stripe per grant either.  An
+/// id-keyed call resolves the id through its stripe and never touches the
+/// cache.
 ///
 /// **Lifetime.**  `LockManager::Begin` creates the object on the first use
 /// of an id and returns it afterwards, so an id-keyed `RestoreLongLocks`
@@ -25,7 +27,8 @@
 /// appears and removed when it goes, so a grant appends without
 /// searching.  The owner writes it; other threads read it (`LocksOf`) or
 /// take it (a foreign `ReleaseAll`) under a mutex per object — no two
-/// transactions share one.  Lock order: shard mutex, map mutex, this one.
+/// transactions share one.  Lock order: shard mutex, the id's registry
+/// stripe, this one.
 ///
 /// **Mode cache: ownership and threading.**  Propagation re-acquires the
 /// same intention locks over and over; the cache remembers (resource →
@@ -241,7 +244,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
 
   /// Appends one row per resource; returns false (appending nothing) when
   /// the transaction has ended, unless \p revive marks it live again (the
-  /// caller holds the manager's map mutex and has put it back under its
+  /// caller holds the id's registry stripe and has put it back under its
   /// id).
   bool Record(std::span<const ResourceId> resources, bool revive = false)
       CODLOCK_EXCLUDES(mu_) {
@@ -268,7 +271,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   }
 
   /// Ends the transaction: invalidates the cache, drops the wound flag and
-  /// hands over the held list.  The caller holds the map mutex.
+  /// hands over the held list.  The caller holds the id's registry stripe.
   std::vector<ResourceId> End() CODLOCK_EXCLUDES(mu_) {
     Invalidate();
     wounded_.store(false, wm::release);
@@ -299,7 +302,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
 
   mutable Mutex mu_;
   std::vector<ResourceId> held_ CODLOCK_GUARDED_BY(mu_);
-  /// Written under `mu_` (and the manager's map mutex); read lock-free by
+  /// Written under `mu_` (and the id's registry stripe); read lock-free by
   /// the owner at the start of a call.
   wm::Atomic<bool> ended_{false};
 };

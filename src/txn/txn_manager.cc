@@ -18,8 +18,7 @@ Transaction* TxnManager::Begin(authz::UserId user, TxnKind kind) {
   auto txn = std::make_shared<Transaction>(id, user, kind,
                                            lock_manager_->Begin(id));
   Transaction* raw = txn.get();
-  MutexLock lk(mu_);
-  txns_.emplace(id, std::move(txn));
+  txns_.With(id, [&](auto& map) { map.emplace(id, std::move(txn)); });
   return raw;
 }
 
@@ -28,13 +27,12 @@ Transaction* TxnManager::Adopt(TxnId id, authz::UserId user, TxnKind kind) {
   auto txn = std::make_shared<Transaction>(id, user, kind,
                                            lock_manager_->Begin(id));
   Transaction* raw = txn.get();
-  MutexLock lk(mu_);
   // Keep future ids younger than every adopted id.
   TxnId next = next_id_.load(std::memory_order_relaxed);
   while (next <= id && !next_id_.compare_exchange_weak(
                            next, id + 1, std::memory_order_relaxed)) {
   }
-  txns_[id] = std::move(txn);
+  txns_.With(id, [&](auto& map) { map[id] = std::move(txn); });
   return raw;
 }
 
@@ -94,26 +92,26 @@ Status TxnManager::Abort(Transaction* txn, const Status& cause) {
 }
 
 Result<std::shared_ptr<Transaction>> TxnManager::Get(TxnId id) const {
-  MutexLock lk(mu_);
-  auto it = txns_.find(id);
-  if (it == txns_.end()) {
+  std::shared_ptr<Transaction> txn = txns_.With(id, [id](const auto& map) {
+    auto it = map.find(id);
+    return it == map.end() ? nullptr : it->second;
+  });
+  if (txn == nullptr) {
     return Status::NotFound("transaction " + std::to_string(id) +
                             " not found");
   }
-  return it->second;
+  return txn;
 }
 
 void TxnManager::Forget(TxnId id) {
-  MutexLock lk(mu_);
-  txns_.erase(id);
+  txns_.With(id, [id](auto& map) { map.erase(id); });
 }
 
 size_t TxnManager::ActiveCount() const {
-  MutexLock lk(mu_);
   size_t n = 0;
-  for (const auto& [id, txn] : txns_) {
+  txns_.ForEach([&n](TxnId, const std::shared_ptr<Transaction>& txn) {
     if (txn->active()) ++n;
-  }
+  });
   return n;
 }
 

@@ -16,7 +16,6 @@
 
 #include <atomic>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "authz/authz.h"
@@ -24,9 +23,8 @@
 #include "lock/txn_locks.h"
 #include "nf2/store.h"
 #include "txn/undo_log.h"
-#include "util/mutex.h"
 #include "util/result.h"
-#include "util/thread_annotations.h"
+#include "util/striped_map.h"
 
 namespace codlock::txn {
 
@@ -83,6 +81,9 @@ class Transaction {
 
 /// \brief Creates, commits and aborts transactions; enforces strict 2PL by
 /// releasing all locks only at EOT.
+///
+/// Begin and end take no manager-global mutex: the id → transaction map
+/// and the lock manager's id → lock state map are both striped by id.
 class TxnManager {
  public:
   /// \p undo_log and \p store are optional: when both are given, Abort
@@ -136,7 +137,8 @@ class TxnManager {
   /// or the manager grows with every transaction ever begun.
   void Forget(TxnId id);
 
-  /// Number of transactions in state Active.
+  /// Number of transactions in state Active, summed stripe by stripe
+  /// (inspection; not a snapshot).
   size_t ActiveCount() const;
 
   lock::LockManager& lock_manager() { return *lock_manager_; }
@@ -148,9 +150,10 @@ class TxnManager {
   UndoLog* undo_log_ = nullptr;
   nf2::InstanceStore* store_ = nullptr;
   std::atomic<TxnId> next_id_{1};
-  mutable Mutex mu_;
-  std::unordered_map<TxnId, std::shared_ptr<Transaction>> txns_
-      CODLOCK_GUARDED_BY(mu_);
+  /// Registered transactions, striped by id: `Begin`, `Adopt`, `Get` and
+  /// `Forget` lock only their id's stripe, so no transaction takes a
+  /// manager-global mutex (util/striped_map.h).
+  StripedMap<TxnId, std::shared_ptr<Transaction>> txns_;
 };
 
 }  // namespace codlock::txn

@@ -23,6 +23,7 @@
 #include "lock/txn_locks.h"
 #include "sim/fixtures.h"
 #include "txn/txn_manager.h"
+#include "util/striped_map.h"
 #include "ws/server.h"
 
 namespace codlock::lock {
@@ -507,6 +508,82 @@ TEST(TxnLocksMapTest, ConcurrentTransactionsLeaveTheMapEmpty) {
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksMapTest, IdsSharingAStripeLiveIndependently) {
+  using Registry = StripedMap<TxnId, std::shared_ptr<TxnLocks>>;
+  constexpr TxnId kA = 3;
+  constexpr TxnId kB = kA + Registry::kStripes;
+  static_assert(Registry::StripeOf(kA) == Registry::StripeOf(kB));
+  constexpr ResourceId kR3{3, 300};
+  constexpr ResourceId kR4{4, 400};
+
+  LockManager::Options o;
+  o.deadlock_policy = DeadlockPolicy::kWoundWait;
+  LockManager lm(o);
+  txn::TxnManager txns(&lm);
+
+  // Begun independently: one stripe, two entries; a third transaction in
+  // another stripe counts too.
+  txn::Transaction* a = txns.Adopt(kA, 1, txn::TxnKind::kShort);
+  txn::Transaction* b = txns.Adopt(kB, 1, txn::TxnKind::kShort);
+  txn::Transaction* c = txns.Begin(1);
+  EXPECT_NE(Registry::StripeOf(c->id()), Registry::StripeOf(kA));
+  EXPECT_NE(&a->locks(), &b->locks());
+  EXPECT_EQ(lm.Begin(kA).get(), &a->locks());
+  EXPECT_EQ(lm.Begin(kB).get(), &b->locks());
+  EXPECT_EQ(lm.NumTxns(), 3u);
+  EXPECT_EQ(txns.ActiveCount(), 3u);
+
+  ASSERT_TRUE(lm.Acquire(kA, kR1, LockMode::kX, {}, &a->locks()).ok());
+  ASSERT_TRUE(lm.Acquire(kB, kR2, LockMode::kS, {}, &b->locks()).ok());
+  ASSERT_TRUE(lm.Acquire(kB, kR3, LockMode::kS, {}, &b->locks()).ok());
+  ASSERT_TRUE(lm.Acquire(c->id(), kR4, LockMode::kS, {}, &c->locks()).ok());
+
+  // Released by id: only B's hold and cache change.
+  ASSERT_TRUE(lm.Release(kB, kR3).ok());
+  EXPECT_EQ(lm.LocksOf(kB).size(), 1u);
+  EXPECT_EQ(b->locks().CachedMode(kR2), LockMode::kNL);
+  EXPECT_EQ(lm.LocksOf(kA).size(), 1u);
+  EXPECT_EQ(a->locks().CachedMode(kR1), LockMode::kX);
+
+  // Wounded: older A requests X on B's kR2 (by id, so this thread stays
+  // A's cache owner), wounds B and waits for B to end.
+  Status st_a;
+  std::thread older([&] { st_a = lm.Acquire(kA, kR2, LockMode::kX); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (lm.NumBlockedWaiters() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(lm.NumBlockedWaiters(), 1u);
+  // The waiter wounds under kR2's shard mutex before it sleeps, so this
+  // read of kR2 returns only after the wound.
+  EXPECT_EQ(lm.GroupMode(kR2), LockMode::kS);
+  EXPECT_TRUE(
+      lm.Acquire(kB, kR4, LockMode::kS, {}, &b->locks()).IsAborted());
+  EXPECT_EQ(a->locks().CachedMode(kR1), LockMode::kX);
+
+  // Ended: B's end leaves A registered, and A gets B's lock.
+  ASSERT_TRUE(txns.Abort(b, Status::Aborted("wounded")).ok());
+  txns.Forget(kB);
+  older.join();
+  ASSERT_TRUE(st_a.ok()) << st_a;
+  EXPECT_EQ(lm.NumTxns(), 2u);
+  EXPECT_EQ(txns.ActiveCount(), 2u);
+  EXPECT_TRUE(txns.Get(kB).status().IsNotFound());
+  EXPECT_EQ(lm.Begin(kA).get(), &a->locks());
+  EXPECT_EQ(lm.LocksOf(kA).size(), 2u);
+  EXPECT_TRUE(lm.Acquire(kA, kR4, LockMode::kS, {}, &a->locks()).ok());
+
+  ASSERT_TRUE(txns.Commit(a).ok());
+  txns.Forget(kA);
+  ASSERT_TRUE(txns.Commit(c).ok());
+  txns.Forget(c->id());
+  EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(txns.ActiveCount(), 0u);
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 

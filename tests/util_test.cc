@@ -1,12 +1,16 @@
-/// Tests for util: Status, Result, Rng, metrics, JSON escaping.
+/// Tests for util: Status, Result, Rng, metrics, JSON escaping, Mutex.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "util/json.h"
 #include "util/metrics.h"
+#include "util/mutex.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -146,6 +150,98 @@ TEST(CounterTest, ThreadSafeIncrements) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(c.value(), 80000u);
+}
+
+// ---- Mutex: spin, then park --------------------------------------------
+
+TEST(MutexTest, ContendedIncrementsGiveTheExactTotal) {
+  constexpr int kThreads = 4;
+  constexpr int kIncrements = 50000;
+  Mutex mu;
+  int64_t total = 0;  // guarded by mu
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIncrements; ++i) {
+        MutexLock lk(mu);
+        ++total;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  MutexLock lk(mu);
+  EXPECT_EQ(total, int64_t{kThreads} * kIncrements);
+}
+
+TEST(MutexTest, WaitersBehindASleepingHolderParkAndAllGetTheLock) {
+  // The holder sleeps far longer than the spin (~1 µs), so every waiter
+  // exhausts its tries and parks; each must still get the lock, after the
+  // holder.
+  constexpr int kWaiters = 3;
+  constexpr auto kHold = std::chrono::milliseconds(20);
+  Mutex mu;
+  bool released = false;  // guarded by mu
+  int acquired = 0;       // guarded by mu
+  std::atomic<int> arrived{0};
+  std::vector<std::chrono::steady_clock::duration> waited(kWaiters);
+
+  mu.Lock();
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&, w] {
+      const auto start = std::chrono::steady_clock::now();
+      arrived.fetch_add(1);
+      MutexLock lk(mu);
+      waited[w] = std::chrono::steady_clock::now() - start;
+      EXPECT_TRUE(released);
+      ++acquired;
+    });
+  }
+  while (arrived.load() < kWaiters) std::this_thread::yield();
+  std::this_thread::sleep_for(kHold);
+  released = true;
+  mu.Unlock();
+  for (auto& th : waiters) th.join();
+
+  MutexLock lk(mu);
+  EXPECT_EQ(acquired, kWaiters);
+  // Every waiter started before the holder's sleep, so its Lock outlasted
+  // the spin by far: it parked.
+  for (const auto& w : waited) EXPECT_GE(w, kHold);
+}
+
+TEST(MutexTest, CondVarPairsWithSpunAcquisitions) {
+  // Two threads hand a turn back and forth.  Every critical section is a
+  // few instructions, so most MutexLock acquisitions are won by spinning;
+  // each wait must still see the other side's notify.  A lost wake-up
+  // would end a wait at its deadline and fail the test.
+  constexpr int kRounds = 20000;
+  Mutex mu;
+  CondVar cv;
+  int turn = 0;   // guarded by mu: whose move, 0 or 1
+  int moves = 0;  // guarded by mu
+  std::atomic<bool> timed_out{false};
+  auto player = [&](int me) {
+    for (int i = 0; i < kRounds; ++i) {
+      MutexLock lk(mu);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      if (!cv.WaitUntil(mu, deadline, [&] { return turn == me; })) {
+        timed_out.store(true);
+        return;
+      }
+      turn = 1 - me;
+      ++moves;
+      cv.NotifyAll();
+    }
+  };
+  std::thread t0(player, 0);
+  std::thread t1(player, 1);
+  t0.join();
+  t1.join();
+  EXPECT_FALSE(timed_out.load());
+  MutexLock lk(mu);
+  EXPECT_EQ(moves, 2 * kRounds);
 }
 
 TEST(LockStatsTest, ResetClearsEverything) {
