@@ -1,32 +1,22 @@
 // Multi-core contention scaling benchmark (DESIGN.md §11,
 // EXPERIMENTS.md "Contention methodology").
 //
-// Measures how the lock manager scales as real threads pile onto it,
-// along the axes the optimistic fast path and batched path acquisition
-// were built for:
+// Measures how the lock manager scales as real threads pile onto it:
 //
 //  (a) contended_s          — N threads hammer a small shared keyset
 //      with compatible S/IS acquire→release cycles, per-txn caches
-//      attached, fast path ON.  This is the workload the seqlock grant
-//      summary exists for: every cycle should complete without touching
-//      a shard mutex.
-//  (b) contended_s_slowpath — identical workload with
-//      `Options::enable_fastpath = false` (caches still attached): the
-//      mutex-only baseline the fast path is measured against.  The
-//      committed baseline must show (a) >= 2x (b) at 4 threads — the
-//      scaling floor tools/bench_regression_check.py enforces.
-//  (c) partitioned_x        — N threads, disjoint per-thread keysets,
+//      attached, next to a standing group of IS holders.  Every cycle
+//      takes the key's shard mutex twice.
+//  (b) partitioned_x        — N threads, disjoint per-thread keysets,
 //      exclusive X cycles.  No logical contention; isolates raw shard
 //      and cache-line scaling from compatibility effects.
-//  (d) deep_path / shallow_path — root-to-leaf `AcquirePath` chains
+//  (c) deep_path / shallow_path — root-to-leaf `AcquirePath` chains
 //      (depth 12 vs 2) with a shared ancestor spine and X leaves:
 //      concurrent propagators meet in the same shard mutexes, each
 //      visiting every shard of its chain once.
 //
 // Each (series, thread-count) point reports aggregate throughput and
-// approximate p50/p99 per-op latency (util::LatencyHistogram), plus the
-// fast-path counters so a regression in *how* the work was served is
-// visible even when throughput is flat.
+// approximate p50/p99 per-op latency (util::LatencyHistogram).
 //
 // `--json` emits the machine-readable baseline (BENCH_contention.json)
 // with the context block tools/bench_regression_check.py keys on.
@@ -58,8 +48,6 @@ struct Point {
   double seconds = 0;
   uint64_t p50_ns = 0;
   uint64_t p99_ns = 0;
-  uint64_t fastpath_grants = 0;
-  uint64_t fastpath_failures = 0;
   double ops_per_s() const { return seconds > 0 ? ops / seconds : 0; }
 };
 
@@ -108,14 +96,12 @@ Point RunThreads(LockManager& lm, int nthreads, uint64_t ops_per_thread,
   p.seconds = std::chrono::duration<double>(end - start).count();
   p.p50_ns = hist.Quantile(0.50);
   p.p99_ns = hist.Quantile(0.99);
-  p.fastpath_grants = lm.stats().fastpath_grants.value();
-  p.fastpath_failures = lm.stats().fastpath_failures.value();
   return p;
 }
 
 constexpr int kHotKeys = 4;  // contended keyset: dense holder groups
 
-/// (a)/(b): compatible S/IS churn over kHotKeys shared resources.
+/// (a): compatible S/IS churn over kHotKeys shared resources.
 ///
 /// kPinners standing transactions hold IS on every hot key, the steady
 /// state the protocol produces at a hot spot (relation- and unit-level
@@ -123,15 +109,12 @@ constexpr int kHotKeys = 4;  // contended keyset: dense holder groups
 /// as long as it runs).  Without them, every release would empty and
 /// retire the entry and each cycle would re-create it through the slow
 /// path — a cold-table artifact, not the contention this series
-/// measures.  The standing group is also what separates the two code
-/// paths: the slow path scans the holder list per compatibility test
-/// and per release, the fast path validates one O(1) grant summary.
+/// measures.  Each grant and release scans the standing group's holder
+/// rows.
 constexpr int kPinners = 32;
 
-Point RunContended(bool fastpath, int nthreads, uint64_t ops) {
-  LockManager::Options opt;
-  opt.enable_fastpath = fastpath;
-  LockManager lm(opt);
+Point RunContended(int nthreads, uint64_t ops) {
+  LockManager lm;
   for (int p = 0; p < kPinners; ++p) {
     const TxnId pinner = static_cast<TxnId>(9000 + p);
     for (int k = 0; k < kHotKeys; ++k) {
@@ -151,7 +134,7 @@ Point RunContended(bool fastpath, int nthreads, uint64_t ops) {
                     });
 }
 
-/// (c): disjoint per-thread keysets, exclusive cycles.
+/// (b): disjoint per-thread keysets, exclusive cycles.
 Point RunPartitioned(int nthreads, uint64_t ops) {
   LockManager lm;
   return RunThreads(lm, nthreads, ops,
@@ -164,10 +147,10 @@ Point RunPartitioned(int nthreads, uint64_t ops) {
                     });
 }
 
-/// (d): AcquirePath over a shared ancestor spine of \p depth levels plus
-/// a per-thread leaf, X at the leaf (IX spine — not fast-path eligible,
-/// so concurrent chains meet in the shard mutexes), as in the protocol
-/// layer's downward propagation.
+/// (c): AcquirePath over a shared ancestor spine of \p depth levels plus
+/// a per-thread leaf, X at the leaf (IX spine, so concurrent chains meet
+/// in the shard mutexes), as in the protocol layer's downward
+/// propagation.
 Point RunPath(int depth, int nthreads, uint64_t ops) {
   LockManager lm;
   return RunThreads(
@@ -196,15 +179,7 @@ void PrintPointJson(std::ostream& os, const Point& p) {
   os << "{\"threads\": " << p.threads << ", \"ops\": " << p.ops
      << ", \"throughput_ops_s\": " << p.ops_per_s()
      << ", \"p50_ns\": " << p.p50_ns << ", \"p99_ns\": " << p.p99_ns
-     << ", \"fastpath_grants\": " << p.fastpath_grants
-     << ", \"fastpath_failures\": " << p.fastpath_failures << "}";
-}
-
-const Point* PointAt(const Series& s, int threads) {
-  for (const Point& p : s.points) {
-    if (p.threads == threads) return &p;
-  }
-  return nullptr;
+     << "}";
 }
 
 }  // namespace
@@ -244,27 +219,15 @@ int main(int argc, char** argv) {
   const uint64_t path_ops = std::max<uint64_t>(1, ops / 4);
   std::vector<Series> series;
   series.push_back({"contended_s", {}});
-  series.push_back({"contended_s_slowpath", {}});
   series.push_back({"partitioned_x", {}});
   series.push_back({"deep_path", {}});
   series.push_back({"shallow_path", {}});
   for (int n : thread_counts) {
-    series[0].points.push_back(RunContended(/*fastpath=*/true, n, ops));
-    series[1].points.push_back(RunContended(/*fastpath=*/false, n, ops));
-    series[2].points.push_back(RunPartitioned(n, ops));
-    series[3].points.push_back(RunPath(/*depth=*/12, n, path_ops));
-    series[4].points.push_back(RunPath(/*depth=*/2, n, path_ops));
+    series[0].points.push_back(RunContended(n, ops));
+    series[1].points.push_back(RunPartitioned(n, ops));
+    series[2].points.push_back(RunPath(/*depth=*/12, n, path_ops));
+    series[3].points.push_back(RunPath(/*depth=*/2, n, path_ops));
   }
-
-  // The scaling-floor ratio: fast path vs slow path on the contended
-  // S/IS workload at 4 threads (or the largest measured count).
-  const int floor_threads =
-      PointAt(series[0], 4) ? 4 : thread_counts.back();
-  const Point* fp = PointAt(series[0], floor_threads);
-  const Point* sp = PointAt(series[1], floor_threads);
-  const double speedup =
-      (fp && sp && sp->ops_per_s() > 0) ? fp->ops_per_s() / sp->ops_per_s()
-                                        : 0;
 
   if (json) {
     std::cout.setf(std::ios::fixed);
@@ -282,22 +245,16 @@ int main(int argc, char** argv) {
       }
       std::cout << "    }" << (s + 1 < series.size() ? ",\n" : "\n");
     }
-    std::cout << "  },\n  \"derived\": {\"fastpath_speedup_threads\": "
-              << floor_threads
-              << ", \"fastpath_speedup\": " << speedup << "}\n}\n";
+    std::cout << "  }\n}\n";
   } else {
     for (const Series& s : series) {
       std::cout << s.name << ":\n";
       for (const Point& p : s.points) {
         std::cout << "  t=" << p.threads << "  "
                   << static_cast<uint64_t>(p.ops_per_s()) << " ops/s  p50="
-                  << p.p50_ns << "ns p99=" << p.p99_ns
-                  << "ns  fp=" << p.fastpath_grants << "/"
-                  << p.fastpath_failures << "\n";
+                  << p.p50_ns << "ns p99=" << p.p99_ns << "ns\n";
       }
     }
-    std::cout << "fastpath speedup @" << floor_threads << " threads: "
-              << speedup << "x\n";
   }
   return 0;
 }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "fault/fault_injector.h"
 #include "util/mutation_points.h"
@@ -34,14 +35,6 @@ void NoteHoldersAdded(LockStats& stats, int64_t n) {
 }
 
 void NoteHolderAdded(LockStats& stats) { NoteHoldersAdded(stats, 1); }
-
-/// Modes eligible for the optimistic fast path: the shared modes, which
-/// are mutually compatible in every combination — concurrent fast-path
-/// claims therefore need no ordering among themselves, only against the
-/// mutex side (the seqlock summary provides that).
-bool FastpathEligible(LockMode mode) {
-  return mode == LockMode::kS || mode == LockMode::kIS;
-}
 
 }  // namespace
 
@@ -76,21 +69,14 @@ LockManager::LockManager(Options options)
 
 LockManager::~LockManager() {
   // Standard lifetime contract: no concurrent users at destruction.  Take
-  // each shard mutex anyway so the analysis is satisfied and any release
-  // store is flushed.
+  // each shard mutex anyway so the analysis is satisfied.
   for (Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (auto& head : shard.buckets) {
-      Entry* e = head.load(wm::relaxed);
-      head.store(nullptr, wm::relaxed);
-      while (e != nullptr) {
-        Entry* next = e->next.load(wm::relaxed);
-        delete e;
-        e = next;
-      }
+    for (Entry*& head : shard.buckets) {
+      while (head != nullptr) delete std::exchange(head, head->next);
     }
-    for (Entry* e : shard.retired) delete e;
-    shard.retired.clear();
+    for (Entry* e : shard.pool) delete e;
+    shard.pool.clear();
   }
 }
 
@@ -154,106 +140,47 @@ void LockManager::Wound(TxnId txn) {
   wfg_.Kill(txn, KillReason::kWounded);
 }
 
-// ---- Entry index (lock-free bucket chains + epoch-pooled nodes) ----------
+// ---- Entry index (bucket chains + pooled nodes) --------------------------
 
 LockManager::Entry* LockManager::FindEntry(const Shard& shard,
                                            const ResourceId& res) const {
-  // Safe under the shard mutex *or* under an EBR guard: `res` and `next`
-  // of a linked node are immutable, and an unlinked node keeps its `next`
-  // pointing into the live tail so a reader mid-traversal continues.
-  Entry* e = shard.buckets[BucketIndexFor(res)].load(wm::seq_cst);
-  while (e != nullptr) {
+  for (Entry* e = shard.buckets[BucketIndexFor(res)]; e != nullptr;
+       e = e->next) {
     if (e->res == res) return e;
-    e = e->next.load(wm::seq_cst);
   }
   return nullptr;
 }
 
 LockManager::Entry& LockManager::EntryFor(Shard& shard, const ResourceId& res) {
-  const size_t b = BucketIndexFor(res);
-  Entry* head = shard.buckets[b].load(wm::relaxed);
-  for (Entry* e = head; e != nullptr;
-       e = e->next.load(wm::relaxed)) {
-    if (e->res == res) return *e;
-  }
+  if (Entry* e = FindEntry(shard, res)) return *e;
   Entry* e;
-  if (!shard.retired.empty() &&
-      ebr::Global().SafeToReclaim(shard.retired.front()->retire_stamp)) {
-    // The oldest retired node is epoch-safe: no pinned reader can still
-    // hold a pointer into it, so its key may be rewritten and its chain
-    // link repointed.
-    e = shard.retired.front();
-    shard.retired.erase(shard.retired.begin());
-    e->res = res;
-    e->summary.store(0, wm::relaxed);
-    e->holders.clear();
-    e->waiters.clear();
+  if (!shard.pool.empty()) {
+    e = shard.pool.back();
+    shard.pool.pop_back();
   } else {
     e = new Entry();
-    e->res = res;
   }
-  e->next.store(head, wm::relaxed);
-  // Publish: the seq_cst store orders the key/link writes above before the
-  // node becomes reachable to lock-free readers.
-  shard.buckets[b].store(e, wm::seq_cst);
-  ++shard.num_entries;
+  e->res = res;
+  Entry*& head = shard.buckets[BucketIndexFor(res)];
+  e->next = head;
+  head = e;
   return *e;
 }
 
-void LockManager::RetireEntry(Shard& shard, Entry& entry) {
-  const size_t b = BucketIndexFor(entry.res);
-  Entry* cur = shard.buckets[b].load(wm::relaxed);
-  if (cur == &entry) {
-    shard.buckets[b].store(entry.next.load(wm::relaxed),
-                           wm::seq_cst);
-  } else {
-    while (cur != nullptr) {
-      Entry* next = cur->next.load(wm::relaxed);
-      if (next == &entry) break;
-      cur = next;
-    }
-    if (cur == nullptr) return;  // not linked — nothing to do (defensive)
-    cur->next.store(entry.next.load(wm::relaxed),
-                    wm::seq_cst);
-  }
-  // The node's own `next` stays intact: a pinned reader that reached it
-  // before the unlink continues through to the live tail of the chain.
-  entry.summary.fetch_or(kSummaryRetired, wm::seq_cst);
-  entry.holders.clear();
-  entry.waiters.clear();
-  // Stamp *after* the unlink: a reader pinned at or above the stamp
-  // provably validated its pin after the unlink became visible and cannot
-  // reach this node any more.
-  entry.retire_stamp = ebr::Global().Stamp();
-  --shard.num_entries;
-  shard.retired.push_back(&entry);
-  // Bound the idle pool; only an epoch-safe node may be freed outright.
-  if (shard.retired.size() > kEntryPoolSize &&
-      ebr::Global().SafeToReclaim(shard.retired.front()->retire_stamp)) {
-    delete shard.retired.front();
-    shard.retired.erase(shard.retired.begin());
-  }
-}
-
 void LockManager::MaybeRetireEntry(Shard& shard, Entry& entry) {
-  if ((entry.summary.load(wm::relaxed) & kSummaryRetired) != 0) {
-    return;  // already unlinked by an earlier repair
+  if (!entry.holders.empty() || !entry.waiters.empty()) return;
+  Entry** link = &shard.buckets[BucketIndexFor(entry.res)];
+  while (*link != &entry) {
+    if (*link == nullptr) return;  // not linked — nothing to do (defensive)
+    link = &(*link)->next;
   }
-  if (entry.holders.empty() && entry.waiters.empty() && FpSlotsEmpty(entry)) {
-    RetireEntry(shard, entry);
+  *link = entry.next;
+  // The node keeps its empty vectors' capacity for its next use.
+  if (shard.pool.size() < kEntryPoolSize) {
+    shard.pool.push_back(&entry);
+  } else {
+    delete &entry;
   }
-}
-
-bool LockManager::FpSlotsEmpty(const Entry& entry) {
-  for (const FpSlot& slot : entry.fp) {
-    // A transient claim (txn set, word still 0) counts as occupied:
-    // retiring under it would strand the claimant's revalidation.
-    if (slot.txn.load(wm::seq_cst) != kInvalidTxn ||
-        slot.word.load(wm::seq_cst) != 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 // ---- Grant machinery -----------------------------------------------------
@@ -261,34 +188,15 @@ bool LockManager::FpSlotsEmpty(const Entry& entry) {
 bool LockManager::CompatibleWithHolders(const Shard& shard, const Entry& entry,
                                         TxnId txn, LockMode target) {
   (void)shard;  // capability-only parameter
-  bool compatible = true;
   for (const Holder& h : entry.holders) {
     if (h.txn == txn) continue;
     stats_.compat_tests.Add();
     if (!Compatible(target, h.mode)) {
-      compatible = false;
-      break;
+      stats_.conflicts.Add();
+      return false;
     }
   }
-  if (compatible) {
-    // Fast-path slots are holders too.  A transaction appearing both in
-    // the vector and in a slot is conflict-equivalent to holding the
-    // supremum of the two modes (the lattice distributes compatibility
-    // over suprema), so testing each part separately is exact.
-    for (const FpSlot& slot : entry.fp) {
-      const TxnId t = slot.txn.load(wm::seq_cst);
-      if (t == kInvalidTxn || t == txn) continue;
-      const uint64_t w = slot.word.load(wm::seq_cst);
-      if (w == 0) continue;  // transient claim: its revalidation sees us
-      stats_.compat_tests.Add();
-      if (!Compatible(target, FpMode(w))) {
-        compatible = false;
-        break;
-      }
-    }
-  }
-  if (!compatible) stats_.conflicts.Add();
-  return compatible;
+  return true;
 }
 
 std::vector<TxnId> LockManager::BlockersOf(const Shard& shard,
@@ -305,12 +213,6 @@ std::vector<TxnId> LockManager::BlockersOf(const Shard& shard,
   };
   for (const Holder& h : entry.holders) {
     if (h.txn != txn && !Compatible(target, h.mode)) add(h.txn);
-  }
-  for (const FpSlot& slot : entry.fp) {
-    const TxnId t = slot.txn.load(wm::seq_cst);
-    if (t == kInvalidTxn || t == txn) continue;
-    const uint64_t w = slot.word.load(wm::seq_cst);
-    if (w != 0 && !Compatible(target, FpMode(w))) add(t);
   }
   if (self == nullptr || !self->is_conversion) {
     // FIFO: a regular request is also gated by every earlier queued waiter.
@@ -374,171 +276,6 @@ void LockManager::EraseWaiter(Shard& shard, Entry& entry,
   }
 }
 
-// ---- Optimistic compatible-mode fast path --------------------------------
-
-bool LockManager::TryFastpathAcquire(TxnLocks& t, ResourceId resource,
-                                     LockMode mode) {
-  // The caller gates the duration: fast-path holds are always short.
-  if (draining_.load(wm::acquire)) return false;
-  const TxnId txn = t.id();
-  ebr::Reclaimer::Guard guard(ebr::Global());
-  if (!guard.ok()) return false;  // registration table full: slow path only
-  Shard& shard = ShardFor(resource);
-  Entry* entry = FindEntry(shard, resource);
-  if (entry == nullptr) return false;  // first toucher pays the slow path
-
-  // Mutation point (kill-suite only): grant without the seqlock premise or
-  // revalidation.  A shared mode then lands over an exclusive holder and
-  // the compatibility oracle must see the impossible pair.
-  const bool validate =
-      !mutation::Enabled(mutation::Mutant::kFastpathSkipValidation);
-
-  // Order-weakening mutation point (kill-suite only): the premise and
-  // revalidation loads must be seq_cst — `codlock_wmc`'s
-  // summary_publish_validate harness proves relaxed loads can validate
-  // against a stale even summary and grant S over an X holder.
-  const wm::MemoryOrder summary_mo = mutation::WeakenedOrder(
-      mutation::Mutant::kWmSummaryLoadRelaxed, wm::seq_cst);
-  const uint64_t s1 = entry->summary.load(summary_mo);
-  if (validate) {
-    // Premise: settled summary (even sequence), no queued waiter to be
-    // fair to, not retired, and no vector holder whose mode conflicts
-    // with ours.  Other *fast-path* holders are always S/IS and therefore
-    // compatible by construction.
-    if ((s1 & 1) != 0 || (s1 & (kSummaryWaiters | kSummaryRetired)) != 0) {
-      return false;
-    }
-    const uint64_t mask = s1 >> kSummaryMaskShift;
-    for (int m = 0; m < kNumModes; ++m) {
-      if ((mask & (uint64_t{1} << m)) != 0 &&
-          !Compatible(mode, static_cast<LockMode>(m))) {
-        return false;
-      }
-    }
-  }
-
-  FpSlot* free_slot = nullptr;
-  for (FpSlot& slot : entry->fp) {
-    const TxnId owner = slot.txn.load(wm::seq_cst);
-    if (owner == txn) {
-      // Re-entrant covered acquisition: bump the count.  No revalidation —
-      // a covered re-acquisition never changes the entry's conflict set
-      // (the slow path bypasses the waiter queue for it too).
-      uint64_t w = slot.word.load(wm::seq_cst);
-      while (true) {
-        if (w == 0 || !Covers(FpMode(w), mode)) return false;  // slow path
-        if (slot.word.compare_exchange_weak(w, w + kFpCountOne,
-                                            wm::seq_cst)) {
-          stats_.fastpath_grants.Add();
-          t.NoteFastpath(resource, FpMode(w));
-          return true;
-        }
-      }
-    }
-    if (free_slot == nullptr && owner == kInvalidTxn) free_slot = &slot;
-  }
-  if (free_slot == nullptr) return false;  // slots saturated: slow path
-
-  TxnId expected = kInvalidTxn;
-  // Order-weakening mutation point: the claim must sit in the seq_cst
-  // total order for the Dekker-style argument below — relaxed, a
-  // mutex-side slot scan may legally read the stale empty slot
-  // (codlock_wmc: summary_publish_validate, wm.slot-cas-relaxed).
-  if (!free_slot->txn.compare_exchange_strong(
-          expected, txn,
-          mutation::WeakenedOrder(mutation::Mutant::kWmSlotCasRelaxed,
-                                  wm::seq_cst))) {
-    return false;  // lost the slot race; slow path rather than re-scan
-  }
-  free_slot->word.store(FpWord(mode, 1), wm::seq_cst);
-  if (validate) {
-    // Revalidate: a shard-mutex mutation between the two reads bumped the
-    // sequence.  Mutators go odd *before* their compatibility scan, so in
-    // the seq_cst total order either they see our claim or we see their
-    // bump — never neither.
-    const uint64_t s2 = entry->summary.load(summary_mo);
-    if (s2 != s1) {
-      UndoFastpathClaim(shard, *entry, *free_slot, /*fresh_claim=*/true);
-      stats_.fastpath_failures.Add();
-      return false;
-    }
-  }
-  stats_.fastpath_grants.Add();
-  NoteHolderAdded(stats_);
-  t.NoteFastpath(resource, mode);
-  AddHeld(t, {&resource, 1});
-  return true;
-}
-
-void LockManager::UndoFastpathClaim(Shard& shard, Entry& entry, FpSlot& slot,
-                                    bool fresh_claim) {
-  slot.word.store(0, wm::seq_cst);
-  if (fresh_claim) slot.txn.store(kInvalidTxn, wm::seq_cst);
-  // A mutex-side grant decision may have counted the transient claim as a
-  // holder (and parked a waiter against it), and the entry may now be
-  // empty.  Repair under the mutex so no wakeup is lost.
-  MutexLock lk(shard.mu);
-  if ((entry.summary.load(wm::relaxed) & kSummaryRetired) != 0) {
-    return;  // already unlinked; nothing to repair
-  }
-  EntryMutation em(entry);
-  GrantWaiters(shard, entry);
-  MaybeRetireEntry(shard, entry);
-}
-
-LockManager::FpRelease LockManager::FastpathRelease(TxnId txn,
-                                                    ResourceId resource) {
-  ebr::Reclaimer::Guard guard(ebr::Global());
-  if (!guard.ok()) return FpRelease::kNoSlot;
-  Shard& shard = ShardFor(resource);
-  Entry* entry = FindEntry(shard, resource);
-  if (entry == nullptr) return FpRelease::kNoSlot;
-  for (FpSlot& slot : entry->fp) {
-    if (slot.txn.load(wm::seq_cst) != txn) continue;
-    uint64_t w = slot.word.load(wm::seq_cst);
-    while (true) {
-      if (w == 0) return FpRelease::kNoSlot;  // purged concurrently
-      const uint64_t next = (w >> 8) > 1 ? w - kFpCountOne : 0;
-      if (!slot.word.compare_exchange_weak(w, next,
-                                           wm::seq_cst)) {
-        continue;
-      }
-      stats_.releases.Add();
-      if (next != 0) return FpRelease::kReleased;
-      slot.txn.store(kInvalidTxn, wm::seq_cst);
-      stats_.held_locks.fetch_sub(1, wm::relaxed);
-      // Freed the last count.  If a waiter parked against this hold — or a
-      // grant decision that could park one is in flight (odd sequence) —
-      // repair under the mutex; otherwise an X waiter blocked only by our
-      // S would sleep to its deadline.  Also repair when the entry is
-      // plausibly empty, so it gets retired rather than lingering.
-      const uint64_t s = entry->summary.load(wm::seq_cst);
-      bool occupied = false;
-      for (const FpSlot& other : entry->fp) {
-        if (&other == &slot) continue;
-        if (other.txn.load(wm::seq_cst) != kInvalidTxn ||
-            other.word.load(wm::seq_cst) != 0) {
-          occupied = true;
-          break;
-        }
-      }
-      const bool maybe_empty = (s >> kSummaryMaskShift) == 0 && !occupied;
-      if ((s & 1) != 0 || (s & kSummaryWaiters) != 0 ||
-          ((s & kSummaryRetired) == 0 && maybe_empty)) {
-        MutexLock lk(shard.mu);
-        if ((entry->summary.load(wm::relaxed) &
-             kSummaryRetired) == 0) {
-          EntryMutation em(*entry);
-          GrantWaiters(shard, *entry);
-          MaybeRetireEntry(shard, *entry);
-        }
-      }
-      return FpRelease::kReleasedLast;
-    }
-  }
-  return FpRelease::kNoSlot;
-}
-
 // ---- Acquire -------------------------------------------------------------
 
 Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
@@ -549,8 +286,8 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   if (mode == LockMode::kNL) {
     return Status::InvalidArgument("cannot acquire mode NL");
   }
-  // Fast path: a covered re-acquisition is answered from the transaction's
-  // own cache without touching any mutex.  A wound invalidates the cache
+  // A covered re-acquisition is answered from the transaction's own cache
+  // without touching any mutex.  A wound invalidates the cache
   // (see Wound), so a wounded transaction always falls through to the
   // slow path and fails there.
   // A hit pays exactly one atomic RMW: cache_hits.  Total requests =
@@ -566,17 +303,6 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   std::shared_ptr<TxnLocks> by_id;
   TxnLocks* t = locks;
   CODLOCK_RETURN_IF_ERROR(Resolve(txn, t, by_id));
-  // Optimistic fast path: a short S/IS request against a settled entry is
-  // granted by claiming a fast-path slot, seqlock-validated — no shard
-  // mutex.  Gated on a handle, whose cache slot tells a release to probe
-  // the fast-path slot.
-  if (options_.enable_fastpath && locks != nullptr &&
-      options.duration == LockDuration::kShort && FastpathEligible(mode) &&
-      TryFastpathAcquire(*t, resource, mode)) {
-    stats_.grants.Add();
-    stats_.immediate_grants.Add();
-    return Status::OK();
-  }
   return AcquireSlow(*t, locks != nullptr, resource, mode, options);
 }
 
@@ -620,6 +346,18 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   const bool want_long = options.duration == LockDuration::kLong;
   const size_t n = path.size();
   auto mode_of = [&](size_t i) { return i + 1 == n ? leaf_mode : prefix_mode; };
+  // A failure rolls back every acquisition *this call* made (the positions
+  // \p made selects), leaf-to-root, so the failed path leaves no new
+  // intention locks behind for the retry loop to trip over.  Count-paired:
+  // a re-entrant acquisition merely drops back to its previous count; a
+  // fresh grant disappears.  Mode upgrades from conversions persist (safe —
+  // strictly stronger).
+  auto roll_back = [&](Status status, auto made) {
+    for (size_t i = n; i-- > 0;) {
+      if (made(i)) Release(txn, path[i], locks);
+    }
+    return status;
+  };
 
   // Batched processing tracks path positions in 64-bit masks on the stack;
   // paths longer than that (never produced by the protocols — hierarchies
@@ -627,8 +365,10 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   constexpr size_t kMaxBatch = 64;
   if (n > kMaxBatch) {
     for (size_t i = 0; i < n; ++i) {
-      CODLOCK_RETURN_IF_ERROR(Acquire(txn, path[i], mode_of(i), options,
-                                      locks));
+      Status status = Acquire(txn, path[i], mode_of(i), options, locks);
+      if (!status.ok()) {
+        return roll_back(std::move(status), [i](size_t j) { return j < i; });
+      }
     }
     return Status::OK();
   }
@@ -652,22 +392,6 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   if (n - hits != 0) stats_.requests.Add(n - hits);
   if (todo_mask == 0) return Status::OK();
 
-  // Pass 1.5: optimistic fast path for shared-mode positions (an S leaf
-  // makes the *whole* path eligible: IS prefix + S leaf).  Successes are
-  // fully accounted inside TryFastpathAcquire except for the batched
-  // grants counters below.
-  uint64_t fp_mask = 0;
-  if (options_.enable_fastpath && locks != nullptr && !want_long) {
-    for (uint64_t scan = todo_mask; scan != 0; scan &= scan - 1) {
-      const size_t i = static_cast<size_t>(std::countr_zero(scan));
-      if (!FastpathEligible(mode_of(i))) continue;
-      if (TryFastpathAcquire(*t, path[i], mode_of(i))) {
-        fp_mask |= uint64_t{1} << i;
-        todo_mask &= ~(uint64_t{1} << i);
-      }
-    }
-  }
-
   // Pass 2: group by shard and visit each shard mutex once.  Immediate
   // grants may land out of path order; that is invisible to other
   // transactions (each grant only *adds* to this transaction's hold set)
@@ -689,13 +413,8 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       Entry& entry = EntryFor(shard, path[i]);
       bool record_held = false;
       LockMode granted = LockMode::kNL;
-      bool ok;
-      {
-        EntryMutation em(entry);
-        ok = TryGrantLocked(shard, entry, txn, mode_of(i), options, granted,
-                            record_held);
-      }
-      if (ok) {
+      if (TryGrantLocked(shard, entry, txn, mode_of(i), options, granted,
+                         record_held)) {
         granted_of[i] = granted;
         granted_mask |= uint64_t{1} << i;
         if (record_held) newly_held[num_newly_held++] = path[i];
@@ -704,8 +423,8 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       }
     }
   }
-  const uint64_t immediate = static_cast<uint64_t>(std::popcount(granted_mask) +
-                                                   std::popcount(fp_mask));
+  const uint64_t immediate =
+      static_cast<uint64_t>(std::popcount(granted_mask));
   if (immediate != 0) {
     stats_.grants.Add(immediate);
     stats_.immediate_grants.Add(immediate);
@@ -726,10 +445,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   // Pass 3: whatever conflicted is acquired blocking, in path order
   // (rule 5 root-to-leaf waiting semantics; ascending bits = path order).
   // A mid-path failure (timeout, deadlock, shed, injected fault) rolls
-  // back every acquisition *this call* made — cache hits, fast-path and
-  // immediate grants and blocking grants — leaf-to-root, so the failed
-  // path leaves no new intention locks behind for the retry loop to trip
-  // over.
+  // back the cache hits, immediate grants and blocking grants.
   Status status;
   uint64_t blocking_done = 0;
   for (uint64_t scan = deferred_mask; scan != 0; scan &= scan - 1) {
@@ -743,16 +459,9 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     blocking_done |= uint64_t{1} << i;
   }
   if (status.ok()) return Status::OK();
-
-  const uint64_t undo = hit_mask | fp_mask | granted_mask | blocking_done;
-  for (size_t i = n; i-- > 0;) {
-    if ((undo & (uint64_t{1} << i)) == 0) continue;
-    // Count-paired: a re-entrant acquisition merely drops back to its
-    // previous count; a fresh grant disappears.  Mode upgrades from
-    // conversions persist (safe — strictly stronger).
-    Release(txn, path[i], locks);
-  }
-  return status;
+  const uint64_t undo = hit_mask | granted_mask | blocking_done;
+  return roll_back(std::move(status),
+                   [undo](size_t i) { return ((undo >> i) & 1) != 0; });
 }
 
 // ---- Locked grant/wait machinery -----------------------------------------
@@ -810,75 +519,64 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
                                   bool& record_held, LockMode& granted) {
   const TxnId txn = t.id();
   Entry& entry = EntryFor(shard, resource);
-  std::shared_ptr<WaiterState> waiter;
-  LockMode target = mode;
-  bool is_conversion = false;
-  {
-    // One seqlock window spans the grant decision *and* the enqueue: a
-    // fast-path release racing our compatibility scan then sees an odd
-    // sequence (or the published waiter flag) and repairs under the mutex,
-    // so its wakeup cannot fall between our scan and our park.
-    EntryMutation em(entry);
-    if (TryGrantLocked(shard, entry, txn, mode, options, granted,
-                       record_held)) {
-      stats_.grants.Add();
-      stats_.immediate_grants.Add();
-      if (record_held) NoteHolderAdded(stats_);
-      return Status::OK();
-    }
-
-    const Holder* mine = FindHolder(entry, txn);
-    target = mine != nullptr ? Supremum(mine->mode, mode) : mode;
-    is_conversion = mine != nullptr;
-
-    if (!options.wait) {
-      MaybeRetireEntry(shard, entry);
-      return Status::Conflict("lock " + std::string(LockModeName(mode)) +
-                              " on " + resource.ToString() +
-                              " conflicts and wait=false");
-    }
-
-    // Crash/restart drain: no new waiter may park once draining started.
-    if (draining_.load(wm::acquire)) {
-      MaybeRetireEntry(shard, entry);
-      return Status::Aborted("lock manager is draining for shutdown");
-    }
-
-    // Overload shedding: beyond the blocked-waiter cap, rejecting is
-    // kinder than queuing — the convoy would only deepen.  kShed tells the
-    // caller "retry with backoff", unlike kConflict/kTimeout.
-    if (options_.max_blocked_waiters != 0 &&
-        blocked_waiters_.load(wm::acquire) >=
-            options_.max_blocked_waiters) {
-      stats_.sheds.Add();
-      MaybeRetireEntry(shard, entry);
-      return Status::Shed("lock wait on " + resource.ToString() + " shed: " +
-                          std::to_string(options_.max_blocked_waiters) +
-                          " waiters already blocked");
-    }
-
-    if (fault::FireResult f = g_fault_waiter_alloc.Fire()) {
-      MaybeRetireEntry(shard, entry);
-      return fault::StatusFor(f, g_fault_waiter_alloc.name());
-    }
-
-    // Enqueue; the window's closing store publishes the has-waiters flag.
-    waiter = std::make_shared<WaiterState>();
-    waiter->txn = txn;
-    waiter->wanted = target;
-    waiter->is_conversion = is_conversion;
-    waiter->duration = options.duration;
-    if (is_conversion) {
-      // Conversions wait at the front: they only need current holders to
-      // drain, and granting them first avoids needless conversion
-      // deadlocks with queued fresh requests.
-      entry.waiters.insert(entry.waiters.begin(), waiter);
-    } else {
-      entry.waiters.push_back(waiter);
-    }
-    stats_.waits.Add();
-    blocked_waiters_.fetch_add(1, wm::acq_rel);
+  if (TryGrantLocked(shard, entry, txn, mode, options, granted,
+                     record_held)) {
+    stats_.grants.Add();
+    stats_.immediate_grants.Add();
+    if (record_held) NoteHolderAdded(stats_);
+    return Status::OK();
   }
+
+  const Holder* mine = FindHolder(entry, txn);
+  const LockMode target = mine != nullptr ? Supremum(mine->mode, mode) : mode;
+  const bool is_conversion = mine != nullptr;
+
+  if (!options.wait) {
+    MaybeRetireEntry(shard, entry);
+    return Status::Conflict("lock " + std::string(LockModeName(mode)) +
+                            " on " + resource.ToString() +
+                            " conflicts and wait=false");
+  }
+
+  // Crash/restart drain: no new waiter may park once draining started.
+  if (draining_.load(wm::acquire)) {
+    MaybeRetireEntry(shard, entry);
+    return Status::Aborted("lock manager is draining for shutdown");
+  }
+
+  // Overload shedding: beyond the blocked-waiter cap, rejecting is
+  // kinder than queuing — the convoy would only deepen.  kShed tells the
+  // caller "retry with backoff", unlike kConflict/kTimeout.
+  if (options_.max_blocked_waiters != 0 &&
+      blocked_waiters_.load(wm::acquire) >=
+          options_.max_blocked_waiters) {
+    stats_.sheds.Add();
+    MaybeRetireEntry(shard, entry);
+    return Status::Shed("lock wait on " + resource.ToString() + " shed: " +
+                        std::to_string(options_.max_blocked_waiters) +
+                        " waiters already blocked");
+  }
+
+  if (fault::FireResult f = g_fault_waiter_alloc.Fire()) {
+    MaybeRetireEntry(shard, entry);
+    return fault::StatusFor(f, g_fault_waiter_alloc.name());
+  }
+
+  auto waiter = std::make_shared<WaiterState>();
+  waiter->txn = txn;
+  waiter->wanted = target;
+  waiter->is_conversion = is_conversion;
+  waiter->duration = options.duration;
+  if (is_conversion) {
+    // Conversions wait at the front: they only need current holders to
+    // drain, and granting them first avoids needless conversion
+    // deadlocks with queued fresh requests.
+    entry.waiters.insert(entry.waiters.begin(), waiter);
+  } else {
+    entry.waiters.push_back(waiter);
+  }
+  stats_.waits.Add();
+  blocked_waiters_.fetch_add(1, wm::acq_rel);
 
   const uint64_t timeout_ms =
       options.timeout_ms != AcquireOptions::kTimeoutDefault
@@ -1006,13 +704,10 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
 void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
                                     const WaiterState* waiter,
                                     const Stopwatch& waited) {
-  {
-    EntryMutation em(entry);
-    EraseWaiter(shard, entry, waiter);
-    // Our queue slot may have been the only thing blocking those behind us.
-    GrantWaiters(shard, entry);
-    MaybeRetireEntry(shard, entry);
-  }
+  EraseWaiter(shard, entry, waiter);
+  // Our queue slot may have been the only thing blocking those behind us.
+  GrantWaiters(shard, entry);
+  MaybeRetireEntry(shard, entry);
   wfg_.Remove(txn);
   stats_.wait_ns.Record(waited.ElapsedNanos());
 }
@@ -1021,31 +716,11 @@ void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
 
 Status LockManager::Release(TxnId txn, ResourceId resource,
                             TxnLocks* locks) {
-  // Fast path: the matching acquisition never reached the shard either.
+  // The matching acquisition was a cache hit and never reached the shard
+  // either.
   if (locks != nullptr && locks->ConsumeRelease(resource)) {
     stats_.releases.Add();
     return Status::OK();
-  }
-  // Optimistic fast path: release a fast-path slot count without the
-  // mutex.  The cache slot says whether a fast-path slot may back this
-  // resource (after an invalidation the probe runs conservatively).
-  // Fast-path grants are made only through a handle; an id-keyed release
-  // takes the mutex path, which releases fast-path slots too.
-  if (options_.enable_fastpath && locks != nullptr &&
-      locks->MaybeFastpathHeld(resource)) {
-    switch (FastpathRelease(txn, resource)) {
-      case FpRelease::kReleased:
-        return Status::OK();
-      case FpRelease::kReleasedLast:
-        // The slot is gone, and with it its held-list row.  A cached mode
-        // may have been backed by it alone, so drop that too (safe: a
-        // vector-side mode still held is re-noted on its next use).
-        locks->Forget(resource);
-        locks->Erase(resource);
-        return Status::OK();
-      case FpRelease::kNoSlot:
-        break;
-    }
   }
   Shard& shard = ShardFor(resource);
   bool forget = false;
@@ -1056,7 +731,6 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
       return Status::NotFound("no lock entry for " + resource.ToString());
     }
     Entry& entry = *e;
-    EntryMutation em(entry);
     for (size_t i = 0; i < entry.holders.size(); ++i) {
       if (entry.holders[i].txn != txn) continue;
       stats_.releases.Add();
@@ -1070,36 +744,12 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
       forget = true;
       return Status::OK();
     }
-    // Fast-path slot fallback: reached when the lock-free probe was
-    // skipped or failed (id-keyed release, EBR registration exhausted).
-    // Safe under the mutex: the owner's lock-free ops are CAS-based, so
-    // this decrement linearizes against them.
-    for (FpSlot& slot : entry.fp) {
-      if (slot.txn.load(wm::seq_cst) != txn) continue;
-      uint64_t w = slot.word.load(wm::seq_cst);
-      while (w != 0) {
-        const uint64_t next = (w >> 8) > 1 ? w - kFpCountOne : 0;
-        if (!slot.word.compare_exchange_weak(w, next,
-                                             wm::seq_cst)) {
-          continue;
-        }
-        stats_.releases.Add();
-        if (next == 0) {
-          slot.txn.store(kInvalidTxn, wm::seq_cst);
-          stats_.held_locks.fetch_sub(1, wm::relaxed);
-          GrantWaiters(shard, entry);
-          MaybeRetireEntry(shard, entry);
-          forget = true;
-        }
-        return Status::OK();
-      }
-    }
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " holds no lock on " + resource.ToString());
   }();
   if (forget) {
-    // One representation of the hold is gone: drop its held-list row, and
-    // no cached mode may survive it.
+    // The hold is gone: drop its held-list row, and no cached mode may
+    // survive it.
     if (locks != nullptr) {
       locks->Forget(resource);
       locks->Erase(resource);
@@ -1140,29 +790,13 @@ size_t LockManager::ReleaseAll(TxnId txn) {
       Entry* e = FindEntry(shard, keyed[i].second);
       if (e == nullptr) continue;
       Entry& entry = *e;
-      EntryMutation em(entry);
-      bool changed = false;
       for (size_t h = 0; h < entry.holders.size(); ++h) {
         if (entry.holders[h].txn != txn) continue;
         entry.holders.erase(entry.holders.begin() + static_cast<long>(h));
         ++released;
-        changed = true;
-        break;
-      }
-      // Purge any fast-path slot of this transaction as well; the
-      // exchange linearizes against the owner's CAS-based count updates.
-      for (FpSlot& slot : entry.fp) {
-        if (slot.txn.load(wm::seq_cst) != txn) continue;
-        const uint64_t w = slot.word.exchange(0, wm::seq_cst);
-        slot.txn.store(kInvalidTxn, wm::seq_cst);
-        if (w != 0) {
-          ++released;
-          changed = true;
-        }
-      }
-      if (changed) {
         GrantWaiters(shard, entry);
         MaybeRetireEntry(shard, entry);
+        break;
       }
     }
   }
@@ -1177,14 +811,13 @@ size_t LockManager::ReleaseAll(TxnId txn) {
 
 size_t LockManager::DrainForShutdown() {
   // From here on AcquireLocked refuses to park new waiters (they fail with
-  // kAborted before enqueuing) and the optimistic fast path stands down.
+  // kAborted before enqueuing).
   draining_.store(true, wm::release);
   size_t killed = 0;
   for (Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
+    for (Entry* head : shard.buckets) {
+      for (Entry* e = head; e != nullptr; e = e->next) {
         for (auto& w : e->waiters) {
           if (w->granted) continue;
           KillReason expected = KillReason::kNone;
@@ -1218,7 +851,6 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
       return Status::NotFound("no lock entry for " + resource.ToString());
     }
     Entry& entry = *e;
-    EntryMutation em(entry);
     for (Holder& h : entry.holders) {
       if (h.txn != txn) continue;
       if (!Covers(h.mode, mode)) {
@@ -1230,23 +862,6 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
       // The narrower mode may unblock queued waiters.
       GrantWaiters(shard, entry);
       return Status::OK();
-    }
-    // Fast-path-only hold: rewrite the slot's mode in place.
-    for (FpSlot& slot : entry.fp) {
-      if (slot.txn.load(wm::seq_cst) != txn) continue;
-      uint64_t w = slot.word.load(wm::seq_cst);
-      while (w != 0) {
-        if (!Covers(FpMode(w), mode)) {
-          return Status::InvalidArgument(
-              "cannot downgrade " + std::string(LockModeName(FpMode(w))) +
-              " to " + std::string(LockModeName(mode)));
-        }
-        if (slot.word.compare_exchange_weak(w, FpWord(mode, w >> 8),
-                                            wm::seq_cst)) {
-          GrantWaiters(shard, entry);
-          return Status::OK();
-        }
-      }
     }
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " holds no lock on " + resource.ToString());
@@ -1277,11 +892,6 @@ HeldLock LockManager::HoldOf(Entry& entry, TxnId txn) {
     held.mode = h->mode;
     held.duration = h->duration;
   }
-  for (const FpSlot& slot : entry.fp) {
-    if (slot.txn.load(wm::seq_cst) != txn) continue;
-    const uint64_t w = slot.word.load(wm::seq_cst);
-    if (w != 0) held.mode = Supremum(held.mode, FpMode(w));
-  }
   return held;
 }
 
@@ -1299,11 +909,6 @@ LockMode LockManager::GroupMode(ResourceId resource) const {
   if (e == nullptr) return LockMode::kNL;
   LockMode m = LockMode::kNL;
   for (const Holder& h : e->holders) m = Supremum(m, h.mode);
-  for (const FpSlot& slot : e->fp) {
-    if (slot.txn.load(wm::seq_cst) == kInvalidTxn) continue;
-    const uint64_t w = slot.word.load(wm::seq_cst);
-    if (w != 0) m = Supremum(m, FpMode(w));
-  }
   return m;
 }
 
@@ -1313,10 +918,7 @@ std::vector<HeldLock> LockManager::LocksOf(TxnId txn) const {
   std::vector<ResourceId> held = t->Held();
   std::vector<HeldLock> out;
   out.reserve(held.size());
-  std::unordered_set<ResourceId, ResourceIdHash> seen;
   for (const ResourceId& resource : held) {
-    // A vector holder and a fast-path slot are two rows of one resource.
-    if (!seen.insert(resource).second) continue;
     Shard& shard = ShardFor(resource);
     MutexLock lk(shard.mu);
     Entry* e = FindEntry(shard, resource);
@@ -1333,12 +935,9 @@ size_t LockManager::NumEntries() const {
   size_t n = 0;
   for (const Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (const auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
-        if (!e->holders.empty() || !e->waiters.empty() || !FpSlotsEmpty(*e)) {
-          ++n;
-        }
+    for (const Entry* head : shard.buckets) {
+      for (const Entry* e = head; e != nullptr; e = e->next) {
+        if (!e->holders.empty() || !e->waiters.empty()) ++n;
       }
     }
   }
@@ -1349,10 +948,8 @@ std::vector<LongLockRecord> LockManager::SnapshotLongLocks() const {
   std::vector<LongLockRecord> out;
   for (const Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (const auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
-        // Fast-path slots never contribute: those grants are always short.
+    for (const Entry* head : shard.buckets) {
+      for (const Entry* e = head; e != nullptr; e = e->next) {
         for (const Holder& h : e->holders) {
           if (h.duration == LockDuration::kLong) {
             out.push_back(LongLockRecord{h.txn, e->res, h.mode});
@@ -1368,29 +965,10 @@ std::vector<LongLockRecord> LockManager::SnapshotAllLocks() const {
   std::vector<LongLockRecord> out;
   for (const Shard& shard : shards_) {
     MutexLock lk(shard.mu);
-    for (const auto& head : shard.buckets) {
-      for (Entry* e = head.load(wm::relaxed); e != nullptr;
-           e = e->next.load(wm::relaxed)) {
-        const size_t first_row = out.size();
+    for (const Entry* head : shard.buckets) {
+      for (const Entry* e = head; e != nullptr; e = e->next) {
         for (const Holder& h : e->holders) {
           out.push_back(LongLockRecord{h.txn, e->res, h.mode});
-        }
-        // Merge fast-path slots: a transaction with both a vector row and
-        // a slot on one entry is reported once, at the supremum.
-        for (const FpSlot& slot : e->fp) {
-          const TxnId t = slot.txn.load(wm::seq_cst);
-          if (t == kInvalidTxn) continue;
-          const uint64_t w = slot.word.load(wm::seq_cst);
-          if (w == 0) continue;
-          bool merged = false;
-          for (size_t r = first_row; r < out.size(); ++r) {
-            if (out[r].txn == t) {
-              out[r].mode = Supremum(out[r].mode, FpMode(w));
-              merged = true;
-              break;
-            }
-          }
-          if (!merged) out.push_back(LongLockRecord{t, e->res, FpMode(w)});
         }
       }
     }
@@ -1431,7 +1009,6 @@ Status LockManager::RestoreLongLocks(
     {
       MutexLock lk(shard.mu);
       Entry& entry = EntryFor(shard, rec.resource);
-      EntryMutation em(entry);
       if (Holder* mine = FindHolder(entry, rec.txn)) {
         mine->mode = Supremum(mine->mode, rec.mode);
         mine->duration = LockDuration::kLong;

@@ -29,24 +29,13 @@
 ///  * waiters carry their own condition variable, so a grant wakes exactly
 ///    the transactions it unblocked instead of broadcasting to the shard.
 ///
-/// ## Multi-core machinery (see DESIGN.md §11)
+/// ## Lock table (see DESIGN.md §11)
 ///
-///  * **Optimistic compatible-mode fast path.**  Every `Entry` carries a
-///    seqlock-style *grant summary*: a packed word holding a sequence
-///    number (odd while a shard-mutex holder mutates the entry), a
-///    has-waiters flag, a retired flag and the mode mask of the vector
-///    holders.  `Acquire` of S/IS through a `TxnLocks` handle validates
-///    the summary, claims one of the entry's atomic *fast-path slots*
-///    (txn + packed mode/count) and revalidates — granting without ever
-///    taking the shard mutex.  Any summary change between the two reads
-///    undoes the claim and falls back to the locked slow path.  Fast-path
-///    holders are first-class: every compatibility test, blocker set,
-///    snapshot and mode query merges them with the holder vector.
-///  * **Epoch-based reclamation.**  Entries live in per-shard lock-free
-///    bucket chains.  Retiring an entry unlinks it under the mutex and
-///    stamps it with the global epoch (`lock/ebr.h`); the node is reused
-///    only once no reader can still hold a pointer into it, so fast-path
-///    readers never race `RetireEntry` and never block on the allocator.
+/// Entries live in per-shard bucket chains guarded by the shard mutex, so
+/// a hold has one representation: a holder-vector row, read and written
+/// only under that mutex.  An entry that empties is unlinked and its node
+/// goes back to a small per-shard pool (LIFO, `kEntryPoolSize`), where the
+/// next new entry of the shard reuses it at once, vector capacity and all.
 
 #ifndef CODLOCK_LOCK_LOCK_MANAGER_H_
 #define CODLOCK_LOCK_LOCK_MANAGER_H_
@@ -59,7 +48,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "lock/ebr.h"
 #include "lock/mode.h"
 #include "lock/resource.h"
 #include "lock/txn_locks.h"
@@ -146,10 +134,6 @@ class LockManager {
     /// Default deadline for waiting requests; may be
     /// `AcquireOptions::kTimeoutInfinite`.
     uint64_t default_timeout_ms = 10'000;
-    /// Master switch for the optimistic compatible-mode fast path.  Off,
-    /// every request takes the mutex-protected slow path — the benchmark
-    /// baseline the fast path is measured against.
-    bool enable_fastpath = true;
     /// Overload shedding: when more than this many requests are blocked
     /// manager-wide, further requests that would have to wait fail with
     /// `StatusCode::kShed` instead of queuing (0 = unlimited).  Bounds the
@@ -184,9 +168,9 @@ class LockManager {
   ///
   /// \p locks, when given, must be \p txn's lock state (`Begin`), used
   /// from the transaction's own thread.  Covered re-acquisitions are then
-  /// answered from its cache, short S/IS requests may take the optimistic
-  /// fast path, and no grant takes a manager-global mutex.  Without it the
-  /// call resolves \p txn through `Begin` and uses no cache.
+  /// answered from its cache, and no grant takes a manager-global mutex.
+  /// Without it the call resolves \p txn through `Begin` and uses no
+  /// cache.
   Status Acquire(TxnId txn, ResourceId resource, LockMode mode,
                  const AcquireOptions& options = AcquireOptions(),
                  TxnLocks* locks = nullptr);
@@ -211,8 +195,7 @@ class LockManager {
   /// disappears when the count reaches zero).  The held *mode* is not
   /// recomputed on partial release; use `Downgrade` for de-escalation.
   /// With \p locks, a release pairing a cache-granted acquisition is
-  /// absorbed locally; one pairing a fast-path grant is absorbed by the
-  /// entry's fast-path slot without the shard mutex.
+  /// absorbed locally.
   Status Release(TxnId txn, ResourceId resource, TxnLocks* locks = nullptr);
 
   /// Releases every lock of \p txn and ends its lock state (EOT; see
@@ -231,8 +214,7 @@ class LockManager {
   /// shared by every later call until `ReleaseAll` ends it.
   std::shared_ptr<TxnLocks> Begin(TxnId txn);
 
-  /// Mode currently held by \p txn on \p resource (kNL if none); merges
-  /// the holder vector with the entry's fast-path slots.
+  /// Mode currently held by \p txn on \p resource (kNL if none).
   LockMode HeldMode(TxnId txn, ResourceId resource) const;
 
   /// Effective *granted group* mode of \p resource: supremum over all
@@ -242,8 +224,7 @@ class LockManager {
   /// All locks currently held by \p txn.
   std::vector<HeldLock> LocksOf(TxnId txn) const;
 
-  /// Number of resources with at least one holder (vector or fast-path)
-  /// or waiter.
+  /// Number of resources with at least one holder or waiter.
   size_t NumEntries() const;
 
   /// Number of transactions begun and not yet ended (inspection).
@@ -252,14 +233,11 @@ class LockManager {
   /// Number of shards after clamping/rounding (inspection).
   size_t NumShards() const { return shards_.size(); }
 
-  /// All long locks currently held (for the `LongLockStore`).  Fast-path
-  /// grants are always short, so the fast-path slots never contribute.
+  /// All long locks currently held (for the `LongLockStore`).
   std::vector<LongLockRecord> SnapshotLongLocks() const;
 
   /// All locks currently held, regardless of duration (used by the
   /// protocol validator to audit global consistency of the grant set).
-  /// A transaction with both a vector holder and a fast-path slot on one
-  /// entry is reported once, at the supremum of the two modes.
   std::vector<LongLockRecord> SnapshotAllLocks() const;
 
   /// Re-installs long locks after a crash.  All-or-nothing: the records
@@ -317,73 +295,28 @@ class LockManager {
     LockDuration duration = LockDuration::kShort;
   };
 
-  // ---- Grant summary (seqlock word) --------------------------------------
-  //
-  //   bits  0..31  sequence number; odd while a shard-mutex holder is
-  //                mutating the entry (bumped *before* any compat scan)
-  //   bit   32     has_waiters: the waiter queue is non-empty
-  //   bit   33     retired: the entry is unlinked, awaiting reuse
-  //   bits 40..45  mode mask of the holder *vector* (one bit per LockMode;
-  //                fast-path slots are not folded in — they are always
-  //                S/IS and therefore compatible with any fast-path
-  //                request by construction)
-  static constexpr uint64_t kSummarySeqMask = 0xffff'ffffull;
-  static constexpr uint64_t kSummaryWaiters = uint64_t{1} << 32;
-  static constexpr uint64_t kSummaryRetired = uint64_t{1} << 33;
-  static constexpr int kSummaryMaskShift = 40;
-
-  static constexpr uint64_t SummaryModeBit(LockMode m) {
-    return uint64_t{1} << (kSummaryMaskShift + static_cast<int>(m));
-  }
-
-  /// Fast-path holder slot: lock-free representation of one transaction's
-  /// S/IS hold.  `txn` is claimed by CAS; `word` packs the mode (low 8
-  /// bits) and the acquisition count (remaining bits).  A slot with
-  /// `word == 0` is empty or mid-claim/mid-undo and is ignored by scans.
-  struct FpSlot {
-    wm::Atomic<TxnId> txn{kInvalidTxn};
-    wm::Atomic<uint64_t> word{0};
-  };
-  static constexpr size_t kFpSlots = 8;
-  static constexpr uint64_t kFpCountOne = uint64_t{1} << 8;
-
-  static constexpr LockMode FpMode(uint64_t word) {
-    return static_cast<LockMode>(word & 0xff);
-  }
-  static constexpr uint64_t FpWord(LockMode mode, uint64_t count) {
-    return static_cast<uint64_t>(mode) | (count << 8);
-  }
-
-  /// Lock-table entry, embedded in a per-shard bucket chain.  `res` and
-  /// `next` are read lock-free by the fast path; everything below the
-  /// summary is guarded by the owning shard's mutex (expressed as
-  /// REQUIRES(shard.mu) on the accessors — the analysis cannot tie a
-  /// member to a mutex in a different object).
+  /// Lock-table entry, embedded in a per-shard bucket chain.  Every field
+  /// is guarded by the owning shard's mutex (expressed as REQUIRES(shard.mu)
+  /// on the accessors — the analysis cannot tie a member to a mutex in a
+  /// different object).
   struct Entry {
-    ResourceId res;                  ///< immutable while linked
-    wm::Atomic<Entry*> next{nullptr};
-    wm::Atomic<uint64_t> summary{0};
-    std::array<FpSlot, kFpSlots> fp{};
-    std::vector<Holder> holders;     ///< guarded by the shard mutex
-    std::vector<std::shared_ptr<WaiterState>> waiters;  ///< shard mutex
-    uint64_t retire_stamp = 0;       ///< EBR epoch at unlink (shard mutex)
+    ResourceId res;
+    Entry* next = nullptr;
+    std::vector<Holder> holders;
+    std::vector<std::shared_ptr<WaiterState>> waiters;
   };
 
   static constexpr size_t kBucketsPerShard = 256;
 
   struct Shard {
     mutable Mutex mu;
-    /// Bucket heads of the intrusive entry chain; written under `mu`,
-    /// traversed lock-free under an EBR guard.
-    std::array<wm::Atomic<Entry*>, kBucketsPerShard> buckets{};
-    /// Linked entries (inspection; maintained under `mu`).
-    size_t num_entries CODLOCK_GUARDED_BY(mu) = 0;
-    /// Unlinked entries awaiting epoch-safe reuse, oldest first.
-    std::vector<Entry*> retired CODLOCK_GUARDED_BY(mu);
+    std::array<Entry*, kBucketsPerShard> buckets CODLOCK_GUARDED_BY(mu){};
+    /// Unlinked nodes ready for reuse, most recently retired last.
+    std::vector<Entry*> pool CODLOCK_GUARDED_BY(mu);
   };
 
-  /// Per-shard cap on pooled (retired) entry nodes beyond which epoch-safe
-  /// nodes are freed outright (bounds idle memory).
+  /// Per-shard cap on pooled entry nodes; a node retired into a full pool
+  /// is freed (bounds idle memory).
   static constexpr size_t kEntryPoolSize = 32;
 
   /// Waits-for graph over currently blocked transactions.
@@ -420,32 +353,6 @@ class LockManager {
     std::unordered_map<TxnId, WaitRec> waiting_ CODLOCK_GUARDED_BY(mu_);
   };
 
-  /// RAII seqlock window for entry mutations under the shard mutex: the
-  /// constructor bumps the summary sequence to odd *before* the caller
-  /// scans holders or fast-path slots for a grant decision; the destructor
-  /// recomputes the flags/mask from the entry and publishes an even
-  /// sequence.  Must not span a condition-variable wait and must not nest.
-  class EntryMutation {
-   public:
-    explicit EntryMutation(Entry& e) : e_(e) {
-      uint64_t s = e_.summary.load(wm::relaxed);
-      e_.summary.store(s + 1, wm::seq_cst);
-    }
-    ~EntryMutation() {
-      uint64_t cur = e_.summary.load(wm::relaxed);
-      uint64_t flags = cur & kSummaryRetired;
-      if (!e_.waiters.empty()) flags |= kSummaryWaiters;
-      for (const Holder& h : e_.holders) flags |= SummaryModeBit(h.mode);
-      e_.summary.store(((cur + 1) & kSummarySeqMask) | flags,
-                       wm::seq_cst);
-    }
-    EntryMutation(const EntryMutation&) = delete;
-    EntryMutation& operator=(const EntryMutation&) = delete;
-
-   private:
-    Entry& e_;
-  };
-
   size_t ShardIndexFor(ResourceId r) const {
     return ResourceIdHash{}(r) & shard_mask_;
   }
@@ -456,42 +363,32 @@ class LockManager {
 
   Shard& ShardFor(ResourceId r) const { return shards_[ShardIndexFor(r)]; }
 
-  /// Lock-free chain lookup.  Callers without the shard mutex must hold an
-  /// EBR guard for the duration of any use of the returned pointer.
-  Entry* FindEntry(const Shard& shard, const ResourceId& res) const;
+  /// The linked entry for \p res, or null.
+  Entry* FindEntry(const Shard& shard, const ResourceId& res) const
+      CODLOCK_REQUIRES(shard.mu);
 
-  /// Finds or creates the entry for \p res, reusing an epoch-safe retired
-  /// node when one is available.
+  /// Finds or creates the entry for \p res, reusing a pooled node when one
+  /// is available.
   Entry& EntryFor(Shard& shard, const ResourceId& res)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// Unlinks an empty entry (no holders, waiters or fast-path slots),
-  /// marks it retired and stamps it for epoch-safe reuse.  Must run inside
-  /// an EntryMutation window.
-  void RetireEntry(Shard& shard, Entry& entry) CODLOCK_REQUIRES(shard.mu);
-
-  /// RetireEntry iff the entry is fully empty.  Must run inside an
-  /// EntryMutation window.
+  /// If \p entry is empty (no holders or waiters), unlinks it and returns
+  /// its node to the shard's pool, or frees it when the pool is full.
   void MaybeRetireEntry(Shard& shard, Entry& entry)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// True when no fast-path slot of \p entry holds a count (transient
-  /// claims count as occupied — conservative).
-  static bool FpSlotsEmpty(const Entry& entry);
-
-  /// The vector holder of \p txn on \p entry, or null (shard mutex held).
+  /// The holder of \p txn on \p entry, or null (shard mutex held).
   static Holder* FindHolder(Entry& entry, TxnId txn);
 
-  /// \p txn's hold on \p entry, its vector row merged with its fast-path
-  /// slot; mode kNL when it holds nothing (shard mutex held).
+  /// \p txn's hold on \p entry; mode kNL when it holds nothing (shard mutex
+  /// held).
   static HeldLock HoldOf(Entry& entry, TxnId txn);
 
   /// Attempts an immediate grant of \p mode (no waiting): re-entrant
   /// covered acquisition, in-place conversion or fresh grant when the
   /// queue is clear and all holders are compatible.  On success sets
   /// \p granted to the mode now held and \p record_held when the caller
-  /// must append a held-list row (a new vector holder).  Must run inside
-  /// an EntryMutation window.
+  /// must append a held-list row (a new holder).
   bool TryGrantLocked(Shard& shard, Entry& entry, TxnId txn, LockMode mode,
                       const AcquireOptions& options, LockMode& granted,
                       bool& record_held) CODLOCK_REQUIRES(shard.mu);
@@ -504,30 +401,10 @@ class LockManager {
                        bool& record_held, LockMode& granted)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// Slow path of `Acquire` (shard, held list and — when \p cached — cache
-  /// bookkeeping) after the fast path missed.
+  /// `Acquire` after a cache miss: the shard, the held list and — when
+  /// \p cached — the cache bookkeeping.
   Status AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
                      LockMode mode, const AcquireOptions& options);
-
-  /// Optimistic compatible-mode grant: validates the entry's grant
-  /// summary, claims a fast-path slot and revalidates — no shard mutex.
-  /// On success the grant is fully accounted (stats, cache note, held
-  /// list).  Returns false on any miss or validation failure (the caller
-  /// proceeds to the slow path).
-  bool TryFastpathAcquire(TxnLocks& t, ResourceId resource, LockMode mode);
-
-  /// Undoes a fast-path claim that failed revalidation, then repairs any
-  /// waiter that may have parked against the transient hold (takes the
-  /// shard mutex for the repair).
-  void UndoFastpathClaim(Shard& shard, Entry& entry, FpSlot& slot,
-                         bool fresh_claim) CODLOCK_EXCLUDES(shard.mu);
-
-  enum class FpRelease { kNoSlot, kReleased, kReleasedLast };
-
-  /// Lock-free release of one fast-path acquisition.  kReleasedLast means
-  /// the slot was freed entirely (the caller drops its held-list row and
-  /// cached mode).
-  FpRelease FastpathRelease(TxnId txn, ResourceId resource);
 
   /// Unwinds a failed wait: dequeues the waiter, deregisters it from the
   /// waits-for graph, promotes unblocked waiters and drops an empty entry.
@@ -535,14 +412,13 @@ class LockManager {
                          const WaiterState* waiter, const Stopwatch& waited)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// Grant test for (txn, target mode) against all *other* holders —
-  /// vector holders and fast-path slots.  Counts compatibility tests in
-  /// stats.  Grant decisions must run inside an EntryMutation window.
+  /// Grant test for (txn, target mode) against all *other* holders.
+  /// Counts compatibility tests in stats.
   bool CompatibleWithHolders(const Shard& shard, const Entry& entry, TxnId txn,
                              LockMode target) CODLOCK_REQUIRES(shard.mu);
 
-  /// Blockers of (txn, target mode): other holders (vector or fast-path)
-  /// with incompatible modes, plus (for non-conversion requests) earlier
+  /// Blockers of (txn, target mode): other holders with incompatible
+  /// modes, plus (for non-conversion requests) earlier
   /// queued waiters.
   std::vector<TxnId> BlockersOf(const Shard& shard, const Entry& entry,
                                 TxnId txn, LockMode target,
@@ -551,7 +427,7 @@ class LockManager {
 
   /// Promotes grantable waiters at the front of the queue and wakes each
   /// one on its own condition variable.  Called with the shard mutex held
-  /// whenever holders change; must run inside an EntryMutation window.
+  /// whenever holders change.
   void GrantWaiters(Shard& shard, Entry& entry) CODLOCK_REQUIRES(shard.mu);
 
   void EraseWaiter(Shard& shard, Entry& entry, const WaiterState* w)

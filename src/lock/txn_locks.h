@@ -22,10 +22,9 @@
 /// under that id meanwhile — no grant is recorded where `ReleaseAll` is
 /// blind.
 ///
-/// **Held list.**  One row per representation of a hold (a holder-vector
-/// row and a fast-path slot on one entry are two rows), added when it
-/// appears and removed when it goes, so a grant appends without
-/// searching.  The owner writes it; other threads read it (`LocksOf`) or
+/// **Held list.**  One row per hold (the transaction's holder row on one
+/// lock-table entry), added when it appears and removed when it goes, so a
+/// grant appends without searching.  The owner writes it; other threads read it (`LocksOf`) or
 /// take it (a foreign `ReleaseAll`) under a mutex per object — no two
 /// transactions share one.  Lock order: shard mutex, the id's registry
 /// stripe, this one.
@@ -92,8 +91,6 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     ResourceId res;
     LockMode mode = LockMode::kNL;
     uint8_t duration = 0;  ///< 1 when the shard-side holder is long.
-    uint8_t fastpath = 0;  ///< 1 when an optimistic fast-path slot may
-                           ///< back this mode (release probes the entry).
     uint32_t pending = 0;  ///< cache grants not yet released
   };
 
@@ -157,28 +154,6 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     if (is_long) s->duration = 1;
   }
 
-  /// Records an optimistic fast-path grant of \p mode on \p r (always
-  /// short duration).
-  void NoteFastpath(const ResourceId& r, LockMode mode) {
-    AssertOwner();
-    Fresh();
-    Slot* s = FindOrCreate(r);
-    if (s == nullptr) return;
-    s->mode = Supremum(s->mode, mode);
-    s->fastpath = 1;
-  }
-
-  /// True when a release of \p r should probe the entry's fast-path slots
-  /// before taking the shard mutex.  Conservative: an invalidated cache or
-  /// an uncached resource answers true (probe; a miss is cheap and the
-  /// slow path handles fast-path slots too).
-  bool MaybeFastpathHeld(const ResourceId& r) {
-    AssertOwner();
-    if (!Fresh()) return true;
-    const Slot* s = Find(r);
-    return s == nullptr || s->fastpath != 0;
-  }
-
   /// Consumes one cache grant of \p r if any is pending; the caller skips
   /// the shard entirely when this returns true.
   bool ConsumeRelease(const ResourceId& r) {
@@ -236,7 +211,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     Slot* s = Find(r);
     if (s != nullptr) return s;
     if (slots_.size() >= kMaxCached) return nullptr;
-    slots_.push_back(Slot{r, LockMode::kNL, 0, 0, 0});
+    slots_.push_back(Slot{r, LockMode::kNL, 0, 0});
     return &slots_.back();
   }
 
@@ -255,7 +230,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     return true;
   }
 
-  /// Removes one row of \p r (one representation of the hold is gone).
+  /// Removes the row of \p r (the hold is gone).
   void Forget(const ResourceId& r) CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
     auto it = std::find(held_.begin(), held_.end(), r);
@@ -264,7 +239,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     held_.pop_back();
   }
 
-  /// Copy of the held list (may name a resource twice; see file comment).
+  /// Copy of the held list.
   std::vector<ResourceId> Held() const CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
     return held_;

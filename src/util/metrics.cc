@@ -78,7 +78,6 @@ void LockStats::Reset() {
   immediate_grants.Reset();
   cache_hits.Reset();
   fastpath_grants.Reset();
-  fastpath_failures.Reset();
   waits.Reset();
   conflicts.Reset();
   compat_tests.Reset();
@@ -115,8 +114,6 @@ std::string LockStats::ToString() const {
   os << "requests=" << requests.value() << " grants=" << grants.value()
      << " immediate=" << immediate_grants.value()
      << " cache_hits=" << cache_hits.value()
-     << " fastpath=" << fastpath_grants.value()
-     << " fastpath_fail=" << fastpath_failures.value()
      << " waits=" << waits.value()
      << " conflicts=" << conflicts.value()
      << " compat_tests=" << compat_tests.value()
@@ -159,8 +156,6 @@ std::string LockStats::ToJson() const {
   field("grants", grants.value());
   field("immediate_grants", immediate_grants.value());
   field("cache_hits", cache_hits.value());
-  field("fastpath_grants", fastpath_grants.value());
-  field("fastpath_failures", fastpath_failures.value());
   field("waits", waits.value());
   field("conflicts", conflicts.value());
   field("compat_tests", compat_tests.value());

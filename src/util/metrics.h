@@ -70,12 +70,10 @@ struct LockStats {
   Counter immediate_grants;   ///< Slow-path grants that never blocked.
   Counter cache_hits;         ///< Grants answered by a per-txn lock cache
                               ///< (no shard mutex touched).
-  Counter fastpath_grants;    ///< Grants by the optimistic compatible-mode
-                              ///< fast path (seqlock-validated, no shard
-                              ///< mutex; also counted in grants).
-  Counter fastpath_failures;  ///< Fast-path attempts that failed seqlock
-                              ///< revalidation and fell back to the slow
-                              ///< path after undoing their claim.
+  Counter fastpath_grants;    ///< Always 0: the lock manager has one grant
+                              ///< path, under the shard mutex.  Kept only
+                              ///< because perfbench's lock.fastpath_share
+                              ///< still reads it.
   Counter waits;              ///< Requests that blocked at least once.
   Counter conflicts;          ///< Compatibility-test failures.
   Counter compat_tests;       ///< Compatibility tests executed.

@@ -1,5 +1,5 @@
 /// \file wm_atomic.h
-/// \brief `wm::Atomic<T>` — the only way the lock-free surface spells an
+/// \brief `wm::Atomic<T>` — the only way src/lock and src/wm spell an
 /// atomic.
 ///
 /// Normal builds: a zero-cost passthrough to the underlying C++ atomic,

@@ -4,9 +4,9 @@
 ///
 /// The atomics-discipline lint (`tools/check_atomics.py`) forbids the raw
 /// tokens `std::atomic` and `std::memory_order` everywhere under
-/// `src/lock/` and `src/wm/`: every atomic access on the lock-free surface
-/// must flow through `wm::Atomic` (src/util/wm_atomic.h) so that one
-/// greppable vocabulary covers the whole surface and the `CODLOCK_WMC`
+/// `src/lock/` and `src/wm/`: every atomic access there must flow through
+/// `wm::Atomic` (src/util/wm_atomic.h) so that one greppable vocabulary
+/// covers them all and the `CODLOCK_WMC`
 /// model build can interpose on it.  These aliases are that vocabulary —
 /// `wm::acquire` instead of `std::memory_order_acquire` — and live in
 /// their own header because both faces of the shim (the passthrough and

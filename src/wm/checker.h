@@ -30,8 +30,8 @@
 ///    checker equates with execution order: an sc load never reads a
 ///    store with an mo-later sc store.  This is a sound restriction (every
 ///    enumerated execution is consistent) that can under-enumerate some
-///    exotic mixed-order behaviors; the weak behaviors the kill-suite
-///    needs involve relaxed accesses, which S does not constrain.
+///    exotic mixed-order behaviors; the weak behaviors a kernel must find
+///    involve relaxed accesses, which S does not constrain.
 ///  * Plain (`wm::Var`) accesses are race-checked with vector clocks and
 ///    never value-branched: a race is itself the reported bug.
 ///
@@ -89,8 +89,8 @@ class Checker {
     /// Recorded-violation cap (exploration keeps counting via
     /// `violations_capped` unless `stop_on_violation`).
     size_t max_violations = 4;
-    /// Stop at the first violating execution (kill-suite mode: we only
-    /// need the counterexample, not the census).
+    /// Stop at the first violating execution (when only a counterexample
+    /// is needed, not the census).
     bool stop_on_violation = false;
   };
 

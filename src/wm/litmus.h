@@ -1,19 +1,12 @@
 /// \file litmus.h
 /// \brief Registry of the weak-memory litmus harnesses `codlock_wmc` runs.
 ///
-/// Each harness is a bounded kernel distilled from one lock-free protocol
-/// in src/lock — the same accesses, the same memory orders, the same
-/// `mutation::WeakenedOrder` toggles at the same logical sites — small
-/// enough for the checker to enumerate every consistent execution.  The
-/// distillations and the argument that each mirrors its production
-/// counterpart are documented per-harness in litmus.cc and summarized in
-/// DESIGN.md §12.
+/// Each harness is a bounded kernel small enough for the checker to
+/// enumerate every consistent execution (DESIGN.md §12).
 ///
 /// Two kinds of entry:
 ///
-///  * protocol harnesses — must be violation-free unmutated; the order-
-///    weakening mutants of `mutation_points.h` must make at least one of
-///    them fail (the wmc kill-suite, `KillSuite()` below);
+///  * protocol harnesses — must be violation-free and explore completely;
 ///  * self-check harnesses (`expect_violation`) — textbook-broken kernels
 ///    (e.g. message passing over relaxed accesses) that must *always*
 ///    produce a violation, proving the race detector and invariant
@@ -27,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/mutation_points.h"
 #include "wm/checker.h"
 
 namespace codlock::wm::litmus {
@@ -45,17 +37,6 @@ struct Harness {
 
 const std::vector<Harness>& AllHarnesses();
 const Harness* FindHarness(std::string_view name);
-
-/// One wmc kill-suite case: enabling `mutant` must make `harness` (a
-/// protocol harness above) report at least one violation.
-struct KillCase {
-  mutation::Mutant mutant;
-  const char* harness;
-};
-
-/// The order-weakening slice of the repo's mutation kill-suite (the
-/// protocol-decision slice lives in `codlock_mc --kill-suite`).
-const std::vector<KillCase>& KillSuite();
 
 }  // namespace codlock::wm::litmus
 

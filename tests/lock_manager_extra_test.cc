@@ -148,5 +148,84 @@ TEST(LockManagerExtraTest, SingleShardConfigurationWorks) {
   EXPECT_EQ(lm.ReleaseAll(1), 50u);
 }
 
+// ---- The lock table: bucket chains and the entry pool -------------------
+
+LockManager SingleShardManager() {
+  LockManager::Options o;
+  o.num_shards = 1;
+  return LockManager(o);
+}
+
+TEST(LockManagerTableTest, ReusedEntryCarriesNothingOfItsPreviousResource) {
+  LockManager lm = SingleShardManager();
+  const ResourceId r1{5, 1};
+  const ResourceId r2{5, 2};
+  ASSERT_TRUE(lm.Acquire(1, r1, LockMode::kX).ok());
+  AcquireOptions no_wait;
+  no_wait.wait = false;
+  EXPECT_EQ(lm.Acquire(2, r1, LockMode::kS, no_wait).code(),
+            StatusCode::kConflict);
+  // The release empties r1's entry; its node goes to the pool and is the
+  // one r2's first request gets.
+  ASSERT_TRUE(lm.Release(1, r1).ok());
+  ASSERT_TRUE(lm.Acquire(3, r2, LockMode::kIS).ok());
+
+  EXPECT_EQ(lm.GroupMode(r1), LockMode::kNL);
+  EXPECT_EQ(lm.GroupMode(r2), LockMode::kIS);
+  EXPECT_EQ(lm.HeldMode(1, r2), LockMode::kNL);
+  std::vector<LongLockRecord> all = lm.SnapshotAllLocks();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].txn, 3u);
+  EXPECT_EQ(all[0].resource, r2);
+  // Nobody holds r1 any more: an X there is granted at once.
+  EXPECT_TRUE(lm.Acquire(2, r1, LockMode::kX, no_wait).ok());
+  lm.ReleaseAll(2);
+  lm.ReleaseAll(3);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(LockManagerTableTest, UnlinkingMidChainKeepsTheRestReachable) {
+  // 2048 resources over one shard's 256 buckets: every chain is several
+  // entries long, so releases unlink heads, middles and tails.
+  LockManager lm = SingleShardManager();
+  constexpr uint64_t kN = 2048;
+  for (uint64_t i = 0; i < kN; ++i) {
+    ASSERT_TRUE(lm.Acquire(1, ResourceId{6, i}, LockMode::kS).ok());
+  }
+  for (uint64_t i = 1; i < kN; i += 2) {
+    ASSERT_TRUE(lm.Release(1, ResourceId{6, i}).ok());
+  }
+  EXPECT_EQ(lm.NumEntries(), kN / 2);
+  for (uint64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(lm.HeldMode(1, ResourceId{6, i}),
+              i % 2 == 0 ? LockMode::kS : LockMode::kNL)
+        << i;
+  }
+  for (uint64_t i = kN; i > 0; i -= 2) {  // the rest, in reverse
+    ASSERT_TRUE(lm.Release(1, ResourceId{6, i - 2}).ok());
+  }
+  EXPECT_EQ(lm.NumEntries(), 0u);
+  EXPECT_TRUE(lm.SnapshotAllLocks().empty());
+}
+
+TEST(LockManagerTableTest, EntriesFreedPastThePoolAreRecreated) {
+  // Far more entries empty at once than the pool keeps: most nodes are
+  // freed, and later requests must build fresh ones rather than reach a
+  // freed node (ASan would flag it).
+  LockManager lm = SingleShardManager();
+  constexpr uint64_t kN = 200;
+  for (TxnId txn = 1; txn <= 3; ++txn) {
+    const uint32_t rel = txn == 2 ? 8 : 7;  // txn 3 reuses txn 1's keys
+    for (uint64_t i = 0; i < kN; ++i) {
+      ASSERT_TRUE(lm.Acquire(txn, ResourceId{rel, i}, LockMode::kX).ok());
+    }
+    EXPECT_EQ(lm.NumEntries(), kN);
+    EXPECT_EQ(lm.GroupMode(ResourceId{rel, kN - 1}), LockMode::kX);
+    EXPECT_EQ(lm.LocksOf(txn).size(), kN);
+    EXPECT_EQ(lm.ReleaseAll(txn), kN);
+    EXPECT_EQ(lm.NumEntries(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace codlock::lock

@@ -16,11 +16,9 @@
 ///  * skip-downward-propagation → side-entry      → (b) visibility (the
 ///    from-the-side writer races the outer unit's implicit locks)
 ///  * drop-cache-invalidation   → shared-effector → (d) cache coherence
-///    (stale fast-path slots survive commit)
+///    (stale cached modes survive commit)
 ///  * skip-waiter-wakeup        → side-entry      → (e) termination (a
 ///    granted-but-unnotified waiter wedges the schedule)
-///  * fastpath.skip-validation  → side-entry      → (a) compatibility (an
-///    unvalidated optimistic grant lands over an exclusive holder)
 
 #include <gtest/gtest.h>
 
@@ -104,15 +102,6 @@ TEST(McMutationTest, KillsDropCacheInvalidation) {
 TEST(McMutationTest, KillsSkipWaiterWakeup) {
   ExpectKilled(mutation::Mutant::kSkipWaiterWakeup, SideEntryWorkload(),
                "termination:");
-}
-
-TEST(McMutationTest, KillsFastpathSkipValidation) {
-  // Without the seqlock premise/revalidation, the optimistic fast path
-  // grants a shared mode over a conflicting exclusive holder (e.g. T1's
-  // propagation IS over T3's relation-level X); SnapshotAllLocks includes
-  // fast-path slots, so the compatibility oracle sees the impossible pair.
-  ExpectKilled(mutation::Mutant::kFastpathSkipValidation, SideEntryWorkload(),
-               "compatibility:");
 }
 
 }  // namespace

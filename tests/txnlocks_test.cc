@@ -6,8 +6,8 @@
 ///   - a hit never touches a shard, and only answers covered requests;
 ///   - Release / Downgrade / ReleaseAll / a wound all drop the cached mode
 ///     before it could answer stale;
-///   - fast-path grants and releases balance against shard-side hold
-///     counts (rule 4).
+///   - cache grants and releases balance against shard-side hold counts
+///     (rule 4).
 
 #include <gtest/gtest.h>
 
@@ -218,39 +218,15 @@ TEST(TxnLocksTest, EndedHandleFailsOnceItsIdIsBegunElsewhere) {
   EXPECT_EQ(lm.NumTxns(), 0u);
 }
 
-TEST(TxnLocksTest, VectorAndFastpathHoldsOfOneResourceAreTwoRows) {
+TEST(TxnLocksTest, ReleaseThroughHandleDropsItsRow) {
   LockManager lm;
-  ASSERT_TRUE(lm.Acquire(2, kR1, LockMode::kIS).ok());  // creates the entry
+  ASSERT_TRUE(lm.Acquire(2, kR1, LockMode::kIS).ok());
   std::shared_ptr<TxnLocks> locks = lm.Begin(1);
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
-  ASSERT_EQ(lm.stats().fastpath_grants.value(), 1u);
-  // An id-keyed IX lands in the holder vector, next to the fast-path S.
-  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kIX).ok());
-  std::vector<HeldLock> held = lm.LocksOf(1);
-  ASSERT_EQ(held.size(), 1u);
-  EXPECT_EQ(held[0].mode, LockMode::kSIX);
-
-  // Releasing the vector hold keeps the fast-path row: ReleaseAll still
-  // finds the S.
-  ASSERT_TRUE(lm.Release(1, kR1).ok());
-  held = lm.LocksOf(1);
-  ASSERT_EQ(held.size(), 1u);
-  EXPECT_EQ(held[0].mode, LockMode::kS);
-  EXPECT_EQ(lm.ReleaseAll(1), 1u);
-  lm.ReleaseAll(2);
-  EXPECT_EQ(lm.NumEntries(), 0u);
-}
-
-TEST(TxnLocksTest, FastpathReleaseThroughHandleDropsItsRow) {
-  LockManager lm;
-  ASSERT_TRUE(lm.Acquire(2, kR1, LockMode::kIS).ok());  // creates the entry
-  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
-  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
-  ASSERT_EQ(lm.stats().fastpath_grants.value(), 1u);
   ASSERT_EQ(lm.LocksOf(1).size(), 1u);
 
-  // The last release of the fast-path slot removes its row and cached
-  // mode; the transaction stays begun with nothing left to release.
+  // The last release of the hold removes its row and cached mode; the
+  // transaction stays begun with nothing left to release.
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
   EXPECT_TRUE(lm.LocksOf(1).empty());
   EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kNL);
@@ -258,6 +234,103 @@ TEST(TxnLocksTest, FastpathReleaseThroughHandleDropsItsRow) {
   EXPECT_EQ(lm.NumTxns(), 2u);
   EXPECT_EQ(lm.ReleaseAll(1), 0u);
   EXPECT_EQ(lm.ReleaseAll(2), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, IdKeyedReleaseDropsTheHandlesRow) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_TRUE(lm.Acquire(1, kR2, LockMode::kIX, {}, locks.get()).ok());
+
+  // Released without the handle: the row goes through the id's map, so
+  // ReleaseAll later finds only what is still held.
+  ASSERT_TRUE(lm.Release(1, kR1).ok());
+  std::vector<HeldLock> held = lm.LocksOf(1);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].resource, kR2);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, LocksOfReportsACacheHitHoldOnceAfterOneRelease) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_EQ(lm.stats().cache_hits.value(), 1u);
+
+  // The release pairs the cache hit; the shard-side hold and its one row
+  // stay.
+  ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
+  std::vector<HeldLock> held = lm.LocksOf(1);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].resource, kR1);
+  EXPECT_EQ(held[0].mode, LockMode::kS);
+  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kS);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, ConversionThroughHandleKeepsOneRow) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  // S does not cover IX: the shard converts the one holder to SIX.
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kIX, {}, locks.get()).ok());
+
+  std::vector<HeldLock> held = lm.LocksOf(1);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].mode, LockMode::kSIX);
+  std::vector<LongLockRecord> all = lm.SnapshotAllLocks();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].txn, 1u);
+  EXPECT_EQ(all[0].mode, LockMode::kSIX);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, HandleReleaseOfSWakesAQueuedXWaiter) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+
+  Status st2;
+  std::thread writer([&] { st2 = lm.Acquire(2, kR1, LockMode::kX); });
+  while (lm.NumBlockedWaiters() < 1) std::this_thread::yield();
+
+  // The release through the handle must hand the entry to the waiter
+  // (a lost wakeup would leave it asleep until its deadline).
+  ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
+  writer.join();
+  EXPECT_TRUE(st2.ok()) << st2;
+  EXPECT_EQ(lm.stats().timeouts.value(), 0u);
+  EXPECT_EQ(lm.GroupMode(kR1), LockMode::kX);
+  lm.ReleaseAll(1);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, HandleDowngradeToISGrantsAQueuedIX) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+
+  Status st2;
+  std::thread writer([&] { st2 = lm.Acquire(2, kR1, LockMode::kIX); });
+  while (lm.NumBlockedWaiters() < 1) std::this_thread::yield();
+
+  // IS is compatible with IX: the narrower mode admits the waiter, and
+  // the handle's cached S must not survive the downgrade.
+  ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kIS, locks.get()).ok());
+  writer.join();
+  EXPECT_TRUE(st2.ok()) << st2;
+  EXPECT_EQ(lm.GroupMode(kR1), LockMode::kIX);
+  EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kIS);
+  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(lm.LocksOf(1).size(), 1u);
+  lm.ReleaseAll(1);
+  lm.ReleaseAll(2);
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 
@@ -489,7 +562,7 @@ TEST(TxnLocksMapTest, ConcurrentTransactionsLeaveTheMapEmpty) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       // Shared root and cell (compatible intention locks), a leaf of this
-      // worker's own, and a shared S that can take the fast path.
+      // worker's own, and an S every worker holds at once.
       const std::vector<ResourceId> path = {
           {0, 1}, {1, 10}, {2, 100 + static_cast<uint64_t>(w)}};
       const ResourceId shared{3, 7};
@@ -729,6 +802,71 @@ TEST(AcquirePathTest, LongPathsFallBackToPerResourceAcquisition) {
   EXPECT_EQ(lm.ReleaseAll(1), 80u);
 }
 
+std::vector<ResourceId> PathOfLength(uint64_t n) {
+  std::vector<ResourceId> path;
+  for (uint64_t i = 0; i < n; ++i) path.push_back(ResourceId{3, i});
+  return path;
+}
+
+/// Txn 2 holds X on the leaf of an \p n-resource path; txn 1's no-wait X
+/// path must fail and leave nothing of its own behind.
+void ExpectFailedPathLeavesNoGrantsBehind(uint64_t n) {
+  LockManager lm;
+  const std::vector<ResourceId> path = PathOfLength(n);
+  ASSERT_TRUE(lm.Acquire(2, path.back(), LockMode::kX).ok());
+  AcquireOptions no_wait;
+  no_wait.wait = false;
+  EXPECT_EQ(lm.AcquirePath(1, path, LockMode::kX, no_wait).code(),
+            StatusCode::kConflict);
+  EXPECT_TRUE(lm.LocksOf(1).empty());
+  EXPECT_EQ(lm.HeldMode(1, path[0]), LockMode::kNL);
+  EXPECT_EQ(lm.NumEntries(), 1u);
+  EXPECT_EQ(lm.ReleaseAll(1), 0u);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+/// As above, but txn 1 held X on the root before the call: the path's
+/// re-entrant IX there is rolled back to the one acquisition made before.
+void ExpectFailedPathKeepsLocksHeldBeforeTheCall(uint64_t n) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  const std::vector<ResourceId> path = PathOfLength(n);
+  ASSERT_TRUE(lm.Acquire(1, path[0], LockMode::kX, {}, locks.get()).ok());
+  ASSERT_TRUE(lm.Acquire(2, path.back(), LockMode::kX).ok());
+  AcquireOptions no_wait;
+  no_wait.wait = false;
+  EXPECT_EQ(lm.AcquirePath(1, path, LockMode::kX, no_wait, locks.get()).code(),
+            StatusCode::kConflict);
+  std::vector<HeldLock> held = lm.LocksOf(1);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].resource, path[0]);
+  EXPECT_EQ(held[0].mode, LockMode::kX);
+  // Exactly one acquisition is left to pair.
+  ASSERT_TRUE(lm.Release(1, path[0], locks.get()).ok());
+  EXPECT_EQ(lm.HeldMode(1, path[0]), LockMode::kNL);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+// 64 resources is the longest path the batched passes take; 65 falls back
+// to per-resource acquisition, which must roll back just the same.
+TEST(AcquirePathTest, FailedBatchedPathLeavesNoGrantsBehind) {
+  ExpectFailedPathLeavesNoGrantsBehind(64);
+}
+
+TEST(AcquirePathTest, FailedLongPathLeavesNoGrantsBehind) {
+  ExpectFailedPathLeavesNoGrantsBehind(65);
+}
+
+TEST(AcquirePathTest, FailedBatchedPathKeepsLocksHeldBeforeTheCall) {
+  ExpectFailedPathKeepsLocksHeldBeforeTheCall(3);
+}
+
+TEST(AcquirePathTest, FailedLongPathKeepsLocksHeldBeforeTheCall) {
+  ExpectFailedPathKeepsLocksHeldBeforeTheCall(65);
+}
+
 TEST(LockManagerShardingTest, ShardCountClampedToPowerOfTwo) {
   auto shards_with = [](int n) {
     LockManager::Options o;
@@ -770,6 +908,35 @@ TEST(LockManagerShardingTest, DerivedNumShardsScalesWithCores) {
   // Huge hosts hit the 1024 ceiling.
   EXPECT_EQ(LockManager::DerivedNumShards(1000), 1024u);
   EXPECT_EQ(LockManager::DerivedNumShards(100000), 1024u);
+}
+
+TEST(LockManagerWakeupTest, HandleReleaseAllWakesTheWaitersOfEveryEntry) {
+  LockManager::Options o;
+  o.num_shards = 2;
+  LockManager lm(o);
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  const std::vector<ResourceId> held = {{4, 1}, {4, 2}, {4, 3}, {4, 4}};
+  for (const ResourceId& r : held) {
+    ASSERT_TRUE(lm.Acquire(1, r, LockMode::kS, {}, locks.get()).ok());
+  }
+
+  std::vector<Status> got(held.size());
+  std::vector<std::thread> writers;
+  for (size_t i = 0; i < held.size(); ++i) {
+    writers.emplace_back([&, i] {
+      got[i] = lm.Acquire(static_cast<TxnId>(10 + i), held[i], LockMode::kX);
+    });
+  }
+  while (lm.NumBlockedWaiters() < held.size()) std::this_thread::yield();
+
+  EXPECT_EQ(lm.ReleaseAll(1), held.size());
+  for (std::thread& w : writers) w.join();
+  for (size_t i = 0; i < held.size(); ++i) {
+    EXPECT_TRUE(got[i].ok()) << got[i];
+    EXPECT_EQ(lm.GroupMode(held[i]), LockMode::kX);
+    lm.ReleaseAll(static_cast<TxnId>(10 + i));
+  }
+  EXPECT_EQ(lm.NumEntries(), 0u);
 }
 
 TEST(LockManagerWakeupTest, DowngradePromotesEveryCompatibleQueuedWaiter) {

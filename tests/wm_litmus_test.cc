@@ -5,25 +5,18 @@
 // must therefore never include a src/lock header: those are compiled
 // into codlock_lock against the passthrough face, and mixing the two
 // worlds in one translation unit is exactly the ODR hazard the
-// distinctly-named ModelAtomic exists to turn into a link error.  The
-// production protocol is covered through its distilled litmus kernels
-// (src/wm/litmus.cc), which flip the same `mutation::WeakenedOrder`
-// toggles as the production sites.
+// distinctly-named ModelAtomic exists to turn into a link error.
 
 #include <cstdint>
 
 #include <gtest/gtest.h>
 
-#include "util/mutation_points.h"
 #include "util/wm_atomic.h"
 #include "wm/checker.h"
 #include "wm/litmus.h"
 
 namespace codlock::wm {
 namespace {
-
-using mutation::Mutant;
-using mutation::ScopedMutant;
 
 // ---------------------------------------------------------------------------
 // Checker-primitive tests: tiny hand-built kernels with known execution
@@ -214,7 +207,7 @@ TEST(WmCheckerTest, BudgetCapsExploration) {
 
 TEST(WmLitmusTest, RegistryShapeIsStable) {
   const auto& all = litmus::AllHarnesses();
-  EXPECT_GE(all.size(), 6u);
+  EXPECT_GE(all.size(), 3u);
   size_t controls = 0;
   for (const litmus::Harness& h : all) {
     EXPECT_NE(litmus::FindHarness(h.name), nullptr);
@@ -231,7 +224,7 @@ TEST(WmLitmusTest, ProtocolHarnessesAreCleanAndComplete) {
     opts.max_executions = h.default_budget;
     Result r = h.run(opts);
     EXPECT_TRUE(r.complete) << h.name << " did not explore completely";
-    EXPECT_TRUE(r.clean()) << h.name << " reported a violation unmutated";
+    EXPECT_TRUE(r.clean()) << h.name << " reported a violation";
   }
 }
 
@@ -244,55 +237,6 @@ TEST(WmLitmusTest, NegativeControlsReportViolations) {
     Result r = h.run(opts);
     EXPECT_FALSE(r.clean())
         << h.name << " is a negative control but found nothing";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Kill-suite tests: each order-weakening mutant must break its
-// designated harness.  This is the gtest twin of `codlock_wmc
-// --kill-suite`, so a regression fails the ordinary test run too.
-
-TEST(WmKillSuiteTest, EveryOrderWeakeningMutantHasAKillCase) {
-  const auto& suite = litmus::KillSuite();
-  for (uint32_t m = 0; m < static_cast<uint32_t>(Mutant::kNumMutants); ++m) {
-    const auto mu = static_cast<Mutant>(m);
-    if (!mutation::IsOrderWeakening(mu)) continue;
-    bool covered = false;
-    for (const litmus::KillCase& kc : suite) covered |= kc.mutant == mu;
-    EXPECT_TRUE(covered) << "no kill case for " << mutation::MutantName(mu);
-  }
-}
-
-TEST(WmKillSuiteTest, EachMutantIsKilledByItsHarness) {
-  for (const litmus::KillCase& kc : litmus::KillSuite()) {
-    const litmus::Harness* h = litmus::FindHarness(kc.harness);
-    ASSERT_NE(h, nullptr) << kc.harness;
-    Checker::Options opts;
-    opts.max_executions = h->default_budget;
-    opts.stop_on_violation = true;
-    Result r;
-    {
-      ScopedMutant guard(kc.mutant);
-      r = h->run(opts);
-    }
-    EXPECT_FALSE(r.clean()) << mutation::MutantName(kc.mutant)
-                            << " survived " << kc.harness;
-  }
-}
-
-// WeakenedOrder itself: identity when disabled, relaxed when enabled,
-// and never touching non-order mutants' behavior.
-TEST(WmKillSuiteTest, WeakenedOrderFlipsOnlyUnderItsMutant) {
-  EXPECT_EQ(mutation::WeakenedOrder(Mutant::kWmSummaryLoadRelaxed, seq_cst),
-            seq_cst);
-  {
-    ScopedMutant guard(Mutant::kWmSummaryLoadRelaxed);
-    EXPECT_EQ(
-        mutation::WeakenedOrder(Mutant::kWmSummaryLoadRelaxed, seq_cst),
-        relaxed);
-    // A different mutant's site is unaffected.
-    EXPECT_EQ(mutation::WeakenedOrder(Mutant::kWmSlotCasRelaxed, acquire),
-              acquire);
   }
 }
 

@@ -14,11 +14,7 @@ Reads the two perf baselines the repo keeps at its root —
                            BENCH_overhead.json;
   BENCH_contention.json    bench_contention --json; every per-thread-count
                            "throughput_ops_s" in every series is compared
-                           (higher is better), and the fresh run's
-                           fast-path speedup on the contended S/IS series
-                           must clear --fastpath-floor (default 2.0) — the
-                           multi-core scaling floor, enforced regardless
-                           of thresholds;
+                           (higher is better);
   BENCH_ring.json          bench_ring --json; compared like
                            BENCH_overhead.json (out-of-process serving
                            transport overhead, DESIGN.md §13).
@@ -27,8 +23,7 @@ Baselines are only comparable on the same class of machine and build:
 when both documents carry a "context" block, a library_build_type
 mismatch refuses the comparison (exit 1) and a num_cpus mismatch skips
 the cross-run series comparison with a loud warning — pass
---allow-context-mismatch to downgrade the refusal to a warning.  The
-fast-path floor is a within-run ratio and is enforced either way.
+--allow-context-mismatch to downgrade the refusal to a warning.
 
 and prints one line per metric with the relative delta.  A metric whose
 delta is worse than the threshold (default 15%) counts as a regression;
@@ -191,10 +186,6 @@ def main():
     ap.add_argument("--strict", action="store_true",
                     help="exit non-zero when any regression is found "
                          "(default: only those beyond --fail-threshold)")
-    ap.add_argument("--fastpath-floor", type=float, default=2.0,
-                    help="minimum fast-path vs slow-path speedup the fresh "
-                         "BENCH_contention.json must show on the contended "
-                         "S/IS series (default 2.0; 0 disables)")
     ap.add_argument("--allow-context-mismatch", action="store_true",
                     help="downgrade a library_build_type mismatch between "
                          "baseline and fresh context blocks from a refusal "
@@ -287,16 +278,15 @@ def main():
             regressions += worse
             failures += fatal
 
-    # --- BENCH_contention.json: per-thread series + the scaling floor. ------
+    # --- BENCH_contention.json: per-thread series. --------------------------
     ct = "BENCH_contention.json"
     base_path = os.path.join(args.baseline_dir, ct)
     fresh_path = os.path.join(args.fresh_dir, ct)
-    fresh_doc = load_json(fresh_path) if os.path.exists(fresh_path) else None
-    if fresh_doc is not None:
-        require_context(ct, fresh_doc, "fresh", expected)
-    if os.path.exists(base_path) and fresh_doc is not None:
+    if os.path.exists(base_path) and os.path.exists(fresh_path):
         base_doc = load_json(base_path)
+        fresh_doc = load_json(fresh_path)
         require_context(ct, base_doc, "baseline", expected)
+        require_context(ct, fresh_doc, "fresh", expected)
         print(f"{ct} (throughput_ops_s per thread count, higher is better):")
         comparable, ctx_fatal = check_context(ct, base_doc, fresh_doc,
                                               args.allow_context_mismatch)
@@ -321,24 +311,6 @@ def main():
     else:
         print(f"{ct}: not present in both directories, "
               f"cross-run comparison skipped")
-
-    # The S/IS scaling floor is a within-run ratio (fast path vs slow path
-    # in the *fresh* capture), so it holds regardless of machine class.
-    if fresh_doc is not None and args.fastpath_floor > 0:
-        derived = fresh_doc.get("derived", {})
-        speedup = derived.get("fastpath_speedup")
-        threads = derived.get("fastpath_speedup_threads")
-        if isinstance(speedup, (int, float)):
-            ok = speedup >= args.fastpath_floor
-            print(f"  fastpath speedup @{threads} threads: {speedup:.2f}x "
-                  f"(floor {args.fastpath_floor:.2f}x) "
-                  f"[{'ok' if ok else 'FAILURE'}]")
-            compared += 1
-            if not ok:
-                failures += 1
-        else:
-            print("  fastpath speedup: missing from fresh run [FAILURE]")
-            failures += 1
 
     print(f"compared {compared} metrics, {regressions} regression(s) beyond "
           f"{args.threshold:.0%}, {failures} beyond the "

@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Atomics-discipline lint for the lock-free surface.
+"""Atomics-discipline lint for the wm::Atomic shim.
 
-The concurrency protocol in src/lock is verified by exhaustively
-exploring its memory-model behaviors (`codlock_wmc`), which only works
-because every atomic access goes through the `codlock::wm::Atomic` /
+The weak-memory checker (`codlock_wmc`) can only explore code whose
+every atomic access goes through the `codlock::wm::Atomic` /
 `codlock::wm::Var` shim (src/util/wm_atomic.h): under CODLOCK_WMC the
 shim records each access into the exploration runtime, and in a normal
 build it compiles to the identical `std::atomic` call.  A raw
 `std::atomic` (or `std::memory_order_*`, or `#include <atomic>`) inside
-src/lock or src/wm would silently escape the checker, so this script
-fails CI on any such token outside the shim itself.
+src/lock or src/wm would escape any kernel built over that code, so this
+script fails CI on any such token outside the shim itself.
 
 It also emits (with --json) the full inventory of shim declarations and
 access sites with their memory-order expressions — the machine-readable
@@ -54,9 +53,7 @@ ACCESS_RE = re.compile(
     r"fetch_and|compare_exchange_strong|compare_exchange_weak|"
     r"AwaitPred|AwaitEq|Get|Set)\s*\(")
 
-ORDER_RE = re.compile(
-    r"wm::(relaxed|acquire|release|acq_rel|seq_cst)|"
-    r"mutation::WeakenedOrder\s*\(\s*mutation::Mutant::(?P<mutant>\w+)")
+ORDER_RE = re.compile(r"wm::(relaxed|acquire|release|acq_rel|seq_cst)")
 
 
 def strip_comments_and_strings(text):
@@ -106,21 +103,14 @@ def balanced_args(code, start):
 
 def order_of(args):
     """Extracts the memory-order expression(s) from an access's argument
-    list: 'wm.summary-load-relaxed toggle' for a WeakenedOrder site,
-    else the wm:: order names, else 'none' (plain Get/Set) / 'variable'
+    list: the wm:: order names, else 'none' (plain Get/Set) / 'variable'
     (order held in a local)."""
-    m = ORDER_RE.search(args)
-    if m is None:
-        if re.search(r"\b\w*mo\w*\b", args):
-            return "variable"
-        return "none"
-    orders = []
-    for m in ORDER_RE.finditer(args):
-        if m.group("mutant"):
-            orders.append("WeakenedOrder(%s)" % m.group("mutant"))
-        else:
-            orders.append("wm::" + m.group(1))
-    return ", ".join(orders)
+    orders = ["wm::" + m.group(1) for m in ORDER_RE.finditer(args)]
+    if orders:
+        return ", ".join(orders)
+    if re.search(r"\b\w*mo\w*\b", args):
+        return "variable"
+    return "none"
 
 
 def scan_file(root, rel, escapes, decls, sites):

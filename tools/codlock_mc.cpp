@@ -206,8 +206,6 @@ constexpr MutantConfig kKillSuite[] = {
      lock::DeadlockPolicy::kDetect, true},
     {mutation::Mutant::kSkipWaiterWakeup, "side-entry",
      lock::DeadlockPolicy::kDetect, true},
-    {mutation::Mutant::kFastpathSkipValidation, "side-entry",
-     lock::DeadlockPolicy::kDetect, true},
 };
 
 /// Runs the ring-protocol exploration once; returns violating count (the
