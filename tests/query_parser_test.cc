@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "query/parser.h"
 #include "sim/engine.h"
 #include "sim/fixtures.h"
+#include "util/rng.h"
 
 namespace codlock::query {
 namespace {
+
+using namespace std::string_literals;
 
 class ParserTest : public ::testing::Test {
  protected:
@@ -95,43 +101,228 @@ TEST_F(ParserTest, KeywordsAreCaseInsensitive) {
   EXPECT_EQ(q->object_key, "c1");
 }
 
+TEST_F(ParserTest, WhitespaceAndIdentifierCharacters) {
+  // Keywords in any case, separated by any C-locale space character;
+  // identifiers of letters, digits and '_', possibly starting with a digit.
+  Result<Query> q = Parse(
+      "sElEcT\tr_2\nFrOm c_1\tIn cells,\n\tr_2 iN c_1.robots\r\n"
+      "wHeRe c_1.cell_id\t=\t'c1' AnD r_2.robot_id = 'r1'\vFoR\fUpDaTe");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->relation, f_.cells);
+  EXPECT_EQ(q->object_key, "c1");
+  EXPECT_EQ(nf2::PathToString(q->path), "robots['r1']");
+  EXPECT_EQ(q->kind, AccessKind::kUpdate);
+
+  q = Parse("SELECT 9c FROM 9c IN cells WHERE 9c.cell_id='c 1'FOR delete");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->object_key, "c 1");
+  EXPECT_TRUE(q->path.empty());
+  EXPECT_EQ(q->kind, AccessKind::kDelete);
+  EXPECT_EQ(q->name,
+            "SELECT 9c FROM 9c IN cells WHERE 9c.cell_id='c 1'FOR delete");
+}
+
+/// One rejected query text with the exact status it must produce.
+struct ErrorCase {
+  std::string text;
+  StatusCode code;
+  std::string message;
+};
+
+void ExpectErrors(const nf2::Catalog& catalog,
+                  const std::vector<ErrorCase>& cases) {
+  for (const ErrorCase& c : cases) {
+    Result<Query> q = ParseQuery(catalog, c.text);
+    ASSERT_FALSE(q.ok()) << c.text;
+    EXPECT_EQ(q.status().code(), c.code) << c.text << ": " << q.status();
+    EXPECT_EQ(q.status().message(), c.message) << c.text;
+  }
+}
+
+constexpr StatusCode kInvalid = StatusCode::kInvalidArgument;
+constexpr StatusCode kNotFound = StatusCode::kNotFound;
+
 TEST_F(ParserTest, SyntaxErrors) {
-  EXPECT_FALSE(Parse("").ok());
-  EXPECT_FALSE(Parse("FROM c IN cells FOR READ").ok());
-  EXPECT_FALSE(Parse("SELECT c FROM c cells FOR READ").ok());
-  EXPECT_FALSE(Parse("SELECT c FROM c IN cells FOR BROWSE").ok());
-  EXPECT_FALSE(Parse("SELECT c FROM c IN cells").ok());
-  EXPECT_FALSE(
-      Parse("SELECT c FROM c IN cells WHERE c.cell_id = 'c1").ok());
-  EXPECT_FALSE(
-      Parse("SELECT c FROM c IN cells FOR READ trailing").ok());
-  EXPECT_FALSE(Parse("SELECT c FROM c IN cells FOR READ ;").ok());
+  const std::string kFor = "expected FOR READ/UPDATE/DELETE";
+  const std::string kKind = "FOR must be READ, UPDATE or DELETE";
+  ExpectErrors(*f_.catalog, {
+      {"", kInvalid, "query must start with SELECT"},
+      {"FROM c IN cells FOR READ", kInvalid, "query must start with SELECT"},
+      {"'SELECT' c FROM c IN cells FOR READ", kInvalid,
+       "query must start with SELECT"},
+      {"SELECTc FROM c IN cells FOR READ", kInvalid,
+       "query must start with SELECT"},
+      {"SELECT", kInvalid, "SELECT needs a range variable"},
+      {"SELECT 'c' FROM c IN cells FOR READ", kInvalid,
+       "SELECT needs a range variable"},
+      {"SELECT c IN cells FOR READ", kInvalid,
+       "expected FROM after SELECT <var>"},
+      {"SELECT c FROM", kInvalid, "expected range variable in FROM"},
+      {"SELECT c FROM . IN cells", kInvalid,
+       "expected range variable in FROM"},
+      {"SELECT c FROM c IN cells,", kInvalid,
+       "expected range variable in FROM"},
+      {"SELECT c FROM c cells FOR READ", kInvalid,
+       "expected IN after range variable 'c'"},
+      {"SELECT c FROM c INTO cells FOR READ", kInvalid,
+       "expected IN after range variable 'c'"},
+      {"SELECT c FROM c IN", kInvalid, "expected relation or path after IN"},
+      {"SELECT c FROM c IN 'cells' FOR READ", kInvalid,
+       "expected relation or path after IN"},
+      {"SELECT r FROM c IN cells, r IN c.", kInvalid,
+       "expected attribute after 'c.'"},
+      {"SELECT r FROM c IN cells, r IN c.=robots", kInvalid,
+       "expected attribute after 'c.'"},
+      {"SELECT c FROM c IN cells", kInvalid, kFor},
+      {"SELECT c FROM c IN cells = 'x' FOR READ", kInvalid, kFor},
+      {"SELECT c FROM c IN cells WHERE c.cell_id = 'c1' OR c.cell_id = 'c2' "
+       "FOR READ",
+       kInvalid, kFor},
+      {"SELECT c FROM c IN cells FORREAD", kInvalid, kFor},
+      {"SELECT c FROM c IN cells FOR BROWSE", kInvalid, kKind},
+      {"SELECT c FROM c IN cells FOR", kInvalid, kKind},
+      {"SELECT c FROM c IN cells FOR ,", kInvalid, kKind},
+      {"SELECT c FROM c IN cells FOR READ trailing", kInvalid,
+       "trailing input after FOR READ"},
+      {"SELECT c FROM c IN cells for update ,", kInvalid,
+       "trailing input after FOR UPDATE"},
+      {"SELECT c FROM c IN cells For Delete 'x'", kInvalid,
+       "trailing input after FOR DELETE"},
+      {"SELECT c FROM c IN cells WHERE", kInvalid,
+       "expected <var>.<attr> in WHERE"},
+      {"SELECT c FROM c IN cells WHERE c.cell_id = 'c1' AND", kInvalid,
+       "expected <var>.<attr> in WHERE"},
+      {"SELECT c FROM c IN cells WHERE c cell_id = 'c1'", kInvalid,
+       "expected '.' after 'c' in WHERE"},
+      {"SELECT c FROM c IN cells WHERE c.", kInvalid,
+       "expected attribute in WHERE"},
+      {"SELECT c FROM c IN cells WHERE c.'cell_id'", kInvalid,
+       "expected attribute in WHERE"},
+      {"SELECT c FROM c IN cells WHERE c.cell_id 'c1'", kInvalid,
+       "only equality predicates are supported"},
+      {"SELECT c FROM c IN cells WHERE c.cell_id = c1 FOR READ", kInvalid,
+       "expected 'literal' in WHERE"},
+      {"SELECT c FROM c IN cells WHERE c.cell_id =", kInvalid,
+       "expected 'literal' in WHERE"},
+      // Lexical errors surface when the parser reaches the bad token.
+      {"SELECT c FROM c IN cells WHERE c.cell_id = 'c1", kInvalid,
+       "unterminated string literal"},
+      {"'", kInvalid, "unterminated string literal"},
+      {"SELECT c FROM c IN cells FOR READ ;", kInvalid,
+       "unexpected character ';' in query"},
+      {"SELECT c FROM c IN cells WHERE c.cell_id < 'c1'", kInvalid,
+       "unexpected character '<' in query"},
+      {"SELECT c-1 FROM c IN cells FOR READ", kInvalid,
+       "unexpected character '-' in query"},
+      {"SELECT * FROM c IN cells FOR READ", kInvalid,
+       "unexpected character '*' in query"},
+      // A non-ASCII byte is neither a letter nor a space in the C locale.
+      {"SELECT c FROM c IN c\xC3\xA9lls FOR READ", kInvalid,
+       "unexpected character '\xC3' in query"},
+      {"SELECT c FROM c IN cells\xA0 FOR READ", kInvalid,
+       "unexpected character '\xA0' in query"},
+      {"SELECT c\0 FROM c IN cells FOR READ"s, kInvalid,
+       "unexpected character '\0' in query"s},
+      // An error before a bad token wins over the lexical error.
+      {"SELECT c IN 'c1", kInvalid, "expected FROM after SELECT <var>"},
+  });
 }
 
 TEST_F(ParserTest, SemanticErrors) {
-  // Unknown relation.
-  EXPECT_TRUE(Parse("SELECT x FROM x IN nonexistent FOR READ")
-                  .status()
-                  .IsNotFound());
-  // Unknown range variable.
-  EXPECT_FALSE(
-      Parse("SELECT r FROM c IN cells, r IN z.robots FOR READ").ok());
-  // Unbound SELECT variable.
-  EXPECT_FALSE(Parse("SELECT z FROM c IN cells FOR READ").ok());
-  // Non-collection attribute in a binding.
-  EXPECT_FALSE(
-      Parse("SELECT r FROM c IN cells, r IN c.cell_id FOR READ").ok());
-  // Non-key predicate is outside the fragment.
-  EXPECT_FALSE(Parse("SELECT r FROM c IN cells, r IN c.robots "
-                     "WHERE r.trajectory = 't' FOR READ")
-                   .ok());
-  // Second relation binding (join) rejected.
-  EXPECT_FALSE(
-      Parse("SELECT c FROM c IN cells, e IN effectors FOR READ").ok());
-  // Intermediate binding without key selection.
-  EXPECT_FALSE(Parse("SELECT e FROM c IN cells, r IN c.robots, "
-                     "e IN r.effectors WHERE c.cell_id = 'c1' FOR READ")
-                   .ok());
+  const std::string kNoKey =
+      "' is not a key attribute; only key-equality predicates are in the "
+      "supported fragment";
+  ExpectErrors(*f_.catalog, {
+      {"SELECT x FROM x IN nonexistent FOR READ", kNotFound,
+       "relation 'nonexistent' not found"},
+      {"SELECT x FROM x IN Cells FOR READ", kNotFound,
+       "relation 'Cells' not found"},
+      {"SELECT r FROM c IN cells, r IN z.robots FOR READ", kInvalid,
+       "unknown range variable 'z' in FROM"},
+      {"SELECT c FROM c IN c.robots FOR READ", kInvalid,
+       "unknown range variable 'c' in FROM"},
+      {"SELECT z FROM c IN cells FOR READ", kInvalid,
+       "SELECT variable 'z' is not bound in FROM"},
+      {"SELECT r FROM c IN cells, r IN c.cell_id FOR READ", kInvalid,
+       "'cell_id' is not a set or list attribute"},
+      {"SELECT r FROM c IN cells, r IN c.nothing FOR READ", kNotFound,
+       "tuple 'cells' has no field 'nothing'"},
+      {"SELECT x FROM c IN cells, r IN c.robots, e IN r.effectors, "
+       "x IN e.tool FOR READ",
+       kInvalid, "attribute 'ref' is not a tuple"},
+      {"SELECT r FROM c IN cells, r IN c.robots "
+       "WHERE r.trajectory = 't' FOR READ",
+       kInvalid, "'trajectory" + kNoKey},
+      {"SELECT c FROM c IN cells WHERE c.nothing = 'x' FOR READ", kNotFound,
+       "tuple 'cells' has no field 'nothing'"},
+      {"SELECT c FROM c IN cells WHERE z.cell_id = 'x' FOR READ", kInvalid,
+       "unknown range variable 'z' in WHERE"},
+      {"SELECT e FROM c IN cells, r IN c.robots, e IN r.effectors "
+       "WHERE e.eff_id = 'e1' FOR READ",
+       kInvalid, "attribute 'ref' is not a tuple"},
+      {"SELECT c FROM c IN cells, e IN effectors FOR READ", kInvalid,
+       "only the first FROM binding may range over a relation (joins are "
+       "outside the lock-relevant fragment)"},
+      {"SELECT e FROM c IN cells, r IN c.robots, "
+       "e IN r.effectors WHERE c.cell_id = 'c1' FOR READ",
+       kInvalid,
+       "intermediate range variable 'r' must be selected by a key "
+       "predicate"},
+      // A semantic error stops the parse before a later lexical error.
+      {"SELECT c FROM c IN cells WHERE c.tool = 'x' ;", kNotFound,
+       "tuple 'cells' has no field 'tool'"},
+      // ... but the token after a relation is read before the lookup.
+      {"SELECT c FROM c IN nowhere ;", kInvalid,
+       "unexpected character ';' in query"},
+  });
+}
+
+TEST_F(ParserTest, MutatedFigure3TextsFailCleanly) {
+  // Truncations, byte flips and stray quotes of the Fig. 3 texts: every
+  // parse ends OK or with one of the parser's two error codes.
+  const std::vector<std::string> texts = {
+      "SELECT o FROM c IN cells, o IN c.c_objects "
+      "WHERE c.cell_id = 'c1' FOR READ",
+      "SELECT r FROM c IN cells, r IN c.robots "
+      "WHERE c.cell_id = 'c1' AND r.robot_id = 'r1' FOR UPDATE",
+      "SELECT r FROM c IN cells, r IN c.robots "
+      "WHERE c.cell_id = 'c1' AND r.robot_id = 'r2' FOR UPDATE",
+  };
+  Rng rng(0x51D3C0DE);
+  int parsed = 0, rejected = 0;
+  for (int i = 0; i < 12'000; ++i) {
+    std::string text = texts[rng.Uniform(texts.size())];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int e = 0; e < edits; ++e) {
+      const size_t pos = rng.Uniform(text.size() + 1);
+      switch (rng.Uniform(3)) {
+        case 0:
+          text.resize(pos);
+          break;
+        case 1:
+          if (pos < text.size()) {
+            text[pos] = static_cast<char>(text[pos] ^ (1u << rng.Uniform(8)));
+          }
+          break;
+        default:
+          text.insert(pos, 1, '\'');
+          break;
+      }
+    }
+    Result<Query> q = Parse(text);
+    if (q.ok()) {
+      ++parsed;
+      EXPECT_EQ(q->name, text);
+      continue;
+    }
+    ++rejected;
+    const StatusCode code = q.status().code();
+    EXPECT_TRUE(code == kInvalid || code == kNotFound)
+        << text << ": " << q.status();
+    EXPECT_FALSE(q.status().message().empty()) << text;
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST_F(ParserTest, ParsedQ2ExecutesLikeHandBuiltQ2) {
