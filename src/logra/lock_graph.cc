@@ -125,6 +125,7 @@ LockGraph LockGraph::Build(const nf2::Catalog& catalog) {
     idx.solid_parent = g.seg_nodes_.at(rdef.segment);
     g.idx_nodes_[rel] = g.AddNode(std::move(idx));
   }
+  g.DeriveClosures();
   return g;
 }
 
@@ -132,47 +133,42 @@ bool LockGraph::IsEntryPoint(NodeId id) const {
   return !nodes_[id].dashed_in.empty();
 }
 
-std::vector<NodeId> LockGraph::SuperunitChain(NodeId id) const {
-  std::vector<NodeId> chain;
-  for (NodeId cur = nodes_[id].solid_parent; cur != kInvalidNode;
-       cur = nodes_[cur].solid_parent) {
-    chain.push_back(cur);
-  }
-  return chain;
-}
-
-std::vector<NodeId> LockGraph::RefBlusUnder(NodeId id) const {
-  std::vector<NodeId> out;
-  std::deque<NodeId> work{id};
-  while (!work.empty()) {
-    NodeId cur = work.front();
-    work.pop_front();
-    const Node& n = nodes_[cur];
-    if (n.is_ref_blu()) out.push_back(cur);
+void LockGraph::DeriveClosures() {
+  closures_.assign(nodes_.size(), Closures{});
+  std::vector<NodeId> queue;
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    Closures& c = closures_[id];
+    for (NodeId cur = nodes_[id].solid_parent; cur != kInvalidNode;
+         cur = nodes_[cur].solid_parent) {
+      c.superunit_chain.push_back(cur);
+    }
     // Solid edges only: never descend across a unit boundary here.
-    for (NodeId child : n.solid_children) work.push_back(child);
+    queue.assign(1, id);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      const Node& n = nodes_[queue[head]];
+      if (n.is_ref_blu()) c.ref_blus_under.push_back(queue[head]);
+      queue.insert(queue.end(), n.solid_children.begin(),
+                   n.solid_children.end());
+    }
   }
-  return out;
-}
-
-std::vector<nf2::RelationId> LockGraph::ReachableSharedRelations(
-    NodeId id) const {
-  std::vector<nf2::RelationId> out;
+  // Needs every node's ref BLUs, so it runs as a second pass.
   std::unordered_set<nf2::RelationId> seen;
-  std::deque<NodeId> roots{id};
-  while (!roots.empty()) {
-    NodeId root = roots.front();
-    roots.pop_front();
-    for (NodeId ref : RefBlusUnder(root)) {
-      NodeId target = nodes_[ref].dashed_target;
-      nf2::RelationId rel = nodes_[target].relation;
-      if (seen.insert(rel).second) {
-        out.push_back(rel);
-        roots.push_back(target);  // common data may again contain common data
+  for (NodeId id = 0; id < nodes_.size(); ++id) {
+    std::vector<nf2::RelationId>& out = closures_[id].reachable_shared;
+    seen.clear();
+    queue.assign(1, id);
+    for (size_t head = 0; head < queue.size(); ++head) {
+      for (NodeId ref : closures_[queue[head]].ref_blus_under) {
+        NodeId target = nodes_[ref].dashed_target;
+        nf2::RelationId rel = nodes_[target].relation;
+        if (seen.insert(rel).second) {
+          out.push_back(rel);
+          // Common data may again contain common data.
+          queue.push_back(target);
+        }
       }
     }
   }
-  return out;
 }
 
 std::vector<NodeId> LockGraph::ObjectSpecificNodes(nf2::RelationId rel) const {
@@ -183,7 +179,7 @@ std::vector<NodeId> LockGraph::ObjectSpecificNodes(nf2::RelationId rel) const {
   };
   NodeId rel_node = rel_nodes_.at(rel);
   // Ancestor chain (database, segment), root first for readability.
-  std::vector<NodeId> chain = SuperunitChain(rel_node);
+  const std::vector<NodeId>& chain = SuperunitChain(rel_node);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) add(*it);
   // The relation subtree plus the dashed closure.
   std::deque<NodeId> work{rel_node};

@@ -126,21 +126,34 @@ class LockGraph {
   /// complex-object node of a relation referenced from somewhere.
   bool IsEntryPoint(NodeId id) const;
 
+  // The three closures below are fixed by the schema, so `Build` derives
+  // them once for every node (§4.6, advantage 6a) and requests only read
+  // them.
+
   /// Immediate-parent chain of \p id, nearest first, up to and including
   /// the database node.  For an entry point this is exactly the node set
   /// implicit upward propagation must lock (minus the entry point itself):
   /// its relation, segment and database nodes (§4.4.1: superunit).
-  std::vector<NodeId> SuperunitChain(NodeId id) const;
+  const std::vector<NodeId>& SuperunitChain(NodeId id) const {
+    return closures_[id].superunit_chain;
+  }
 
   /// Ref-BLU nodes in the subtree of \p id *within the same unit*
-  /// (descending solid edges only).  Their dashed targets are the entry
-  /// points of the lower (dependent) inner units reachable via \p id —
-  /// the schema-level footprint of implicit downward propagation.
-  std::vector<NodeId> RefBlusUnder(NodeId id) const;
+  /// (descending solid edges only, breadth-first).  Their dashed targets
+  /// are the entry points of the lower (dependent) inner units reachable
+  /// via \p id — the schema-level footprint of implicit downward
+  /// propagation.
+  const std::vector<NodeId>& RefBlusUnder(NodeId id) const {
+    return closures_[id].ref_blus_under;
+  }
 
   /// Distinct relations whose entry points are reachable from \p id via
-  /// one dashed hop (transitively closed over nested sharing).
-  std::vector<nf2::RelationId> ReachableSharedRelations(NodeId id) const;
+  /// one dashed hop (transitively closed over nested sharing), in
+  /// breadth-first order of discovery.
+  const std::vector<nf2::RelationId>& ReachableSharedRelations(
+      NodeId id) const {
+    return closures_[id].reachable_shared;
+  }
 
   /// Nodes of the object-specific lock graph of \p rel: the database,
   /// segment and relation chain, the relation's own subtree, and the
@@ -166,16 +179,32 @@ class LockGraph {
   std::string NodeName(NodeId id) const;
 
   /// Direct mutable access to a node.  `Build` output is immutable in
-  /// production; this hook exists solely so lint tests can seed structural
-  /// violations (cycles, rewired edges) into an otherwise valid graph.
+  /// production; this hook exists solely so lint tests and the prover's
+  /// kill-suite can seed structural violations (cycles, rewired edges)
+  /// into an otherwise valid graph.  The closures above keep the values
+  /// `Build` derived until `RederiveForTest` runs.
   Node& MutableNodeForTest(NodeId id) { return nodes_[id]; }
 
+  /// Derives the closures again from the edited edges.  Requires what
+  /// `Build` guarantees of the solid edges (a forest) and of every dashed
+  /// target (an existing node); dashed edges may form cycles.
+  void RederiveForTest() { DeriveClosures(); }
+
  private:
+  /// Schema-derived facts of one node (see the accessors above).
+  struct Closures {
+    std::vector<NodeId> superunit_chain;
+    std::vector<NodeId> ref_blus_under;
+    std::vector<nf2::RelationId> reachable_shared;
+  };
+
   NodeId AddNode(Node node);
   NodeId BuildAttrSubtree(const nf2::Catalog& catalog, nf2::AttrId attr,
                           NodeId parent, NodeLevel level);
+  void DeriveClosures();
 
   std::vector<Node> nodes_;
+  std::vector<Closures> closures_;  ///< indexed by NodeId
   std::unordered_map<nf2::DatabaseId, NodeId> db_nodes_;
   std::unordered_map<nf2::SegmentId, NodeId> seg_nodes_;
   std::unordered_map<nf2::RelationId, NodeId> rel_nodes_;

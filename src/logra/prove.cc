@@ -542,7 +542,7 @@ class Prover {
   /// Rules 1/2: implicit locks on the superunit chain, outermost first.
   void ChainUp(BuildCtx& ctx, NodeId n, LockMode intent) const {
     if (!model_.upward_propagation) return;
-    std::vector<NodeId> chain = graph_.SuperunitChain(n);
+    const std::vector<NodeId>& chain = graph_.SuperunitChain(n);
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       Add(ctx, *it, intent);
     }
@@ -551,7 +551,7 @@ class Prover {
   /// The basic root-to-leaf protocol (always in force: this is explicit
   /// locking, not propagation).
   void ExplicitPath(BuildCtx& ctx, NodeId target, LockMode m) const {
-    std::vector<NodeId> chain = graph_.SuperunitChain(target);
+    const std::vector<NodeId>& chain = graph_.SuperunitChain(target);
     LockMode intent = alg_.IntentionFor(m);
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
       Add(ctx, *it, intent);
@@ -1337,6 +1337,7 @@ std::vector<ProverKillResult> RunProverKillSuite(
                          ? MutateDashedIntoInterior(mutated)
                          : MutateCyclicReference(mutated);
         if (applicable) {
+          mutated.RederiveForTest();
           report = ProveProtocol(mutated, catalog, shipped, paper, options);
         }
         break;

@@ -169,15 +169,15 @@ Result<SegmentId> Catalog::FindSegment(const std::string& name) const {
   return Status::NotFound("segment '" + name + "' not found");
 }
 
-Result<RelationId> Catalog::FindRelation(const std::string& name) const {
+Result<RelationId> Catalog::FindRelation(std::string_view name) const {
   for (const RelationDef& r : relations_) {
     if (r.name == name) return r.id;
   }
-  return Status::NotFound("relation '" + name + "' not found");
+  return Status::NotFound("relation '" + std::string(name) + "' not found");
 }
 
 Result<AttrId> Catalog::FindField(AttrId tuple_attr,
-                                  const std::string& name) const {
+                                  std::string_view name) const {
   if (tuple_attr >= attrs_.size()) return Status::NotFound("unknown attr id");
   const AttrDef& def = attrs_[tuple_attr];
   if (def.kind != AttrKind::kTuple) {
@@ -187,8 +187,8 @@ Result<AttrId> Catalog::FindField(AttrId tuple_attr,
   for (AttrId child : def.children) {
     if (attrs_[child].name == name) return child;
   }
-  return Status::NotFound("tuple '" + def.name + "' has no field '" + name +
-                          "'");
+  return Status::NotFound("tuple '" + def.name + "' has no field '" +
+                          std::string(name) + "'");
 }
 
 Result<AttrId> Catalog::ElementAttr(AttrId collection_attr) const {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -176,7 +177,7 @@ class Catalog {
 
   Result<DatabaseId> FindDatabase(const std::string& name) const;
   Result<SegmentId> FindSegment(const std::string& name) const;
-  Result<RelationId> FindRelation(const std::string& name) const;
+  Result<RelationId> FindRelation(std::string_view name) const;
 
   const DatabaseDef& database(DatabaseId id) const { return databases_[id]; }
   const SegmentDef& segment(SegmentId id) const { return segments_[id]; }
@@ -189,7 +190,7 @@ class Catalog {
   size_t num_attrs() const { return attrs_.size(); }
 
   /// Resolves the child of tuple attribute \p tuple_attr by name.
-  Result<AttrId> FindField(AttrId tuple_attr, const std::string& name) const;
+  Result<AttrId> FindField(AttrId tuple_attr, std::string_view name) const;
 
   /// Element attribute of a set/list attribute.
   Result<AttrId> ElementAttr(AttrId collection_attr) const;

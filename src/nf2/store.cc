@@ -1,7 +1,5 @@
 #include "nf2/store.h"
 
-#include <deque>
-
 namespace codlock::nf2 {
 
 InstanceStore::RelationStore& InstanceStore::StoreFor(RelationId rel) const {
@@ -194,13 +192,13 @@ Result<ResolvedPath> InstanceStore::Navigate(RelationId rel, ObjectId id,
   // must re-resolve through FindIid (see query::QueryExecutor).
   RelationStore& rs = StoreFor(rel);
   std::shared_lock latch(rs.mu);
-  return NavigateLocked(rel, id, path);
+  return NavigateLocked(rs, rel, id, path);
 }
 
-Result<ResolvedPath> InstanceStore::NavigateLocked(RelationId rel,
+Result<ResolvedPath> InstanceStore::NavigateLocked(const RelationStore& rs,
+                                                   RelationId rel,
                                                    ObjectId id,
                                                    const Path& path) const {
-  RelationStore& rs = StoreFor(rel);
   auto oit = rs.objects.find(id);
   if (oit == rs.objects.end()) {
     return Status::NotFound("object " + std::to_string(id) +
@@ -277,7 +275,7 @@ Result<Iid> InstanceStore::AddElement(RelationId rel, ObjectId id,
   // race with concurrent navigation (shared latch holders).
   RelationStore& rs = StoreFor(rel);
   std::unique_lock latch(rs.mu);
-  Result<ResolvedPath> rp = NavigateLocked(rel, id, coll_path);
+  Result<ResolvedPath> rp = NavigateLocked(rs, rel, id, coll_path);
   if (!rp.ok()) return rp.status();
   const AttrDef& coll_def = catalog_->attr(rp->target_attr());
   if (!IsCollection(coll_def.kind)) {
@@ -322,7 +320,7 @@ Status InstanceStore::RemoveElement(RelationId rel, ObjectId id,
   BumpMutationEpoch();
   RelationStore& rs = StoreFor(rel);
   std::unique_lock latch(rs.mu);
-  Result<ResolvedPath> rp = NavigateLocked(rel, id, coll_path);
+  Result<ResolvedPath> rp = NavigateLocked(rs, rel, id, coll_path);
   if (!rp.ok()) return rp.status();
   const AttrDef& coll_def = catalog_->attr(rp->target_attr());
   if (!IsCollection(coll_def.kind)) {
@@ -347,10 +345,10 @@ Status InstanceStore::RemoveElement(RelationId rel, ObjectId id,
 
 std::vector<RefValue> InstanceStore::CollectRefs(const Value& v) {
   std::vector<RefValue> out;
-  std::deque<const Value*> work{&v};
-  while (!work.empty()) {
-    const Value* cur = work.front();
-    work.pop_front();
+  // Breadth-first, with the visited prefix of the vector as the queue.
+  std::vector<const Value*> work{&v};
+  for (size_t head = 0; head < work.size(); ++head) {
+    const Value* cur = work[head];
     if (cur->is_ref()) {
       const RefValue& ref = cur->as_ref();
       bool seen = false;

@@ -193,8 +193,10 @@ class InstanceStore {
 
   RelationStore& StoreFor(RelationId rel) const;
 
-  /// Navigation core; the caller holds the relation's structure latch.
-  Result<ResolvedPath> NavigateLocked(RelationId rel, ObjectId id,
+  /// Navigation core; the caller holds \p rs's structure latch, where
+  /// \p rs is `StoreFor(rel)`.
+  Result<ResolvedPath> NavigateLocked(const RelationStore& rs,
+                                      RelationId rel, ObjectId id,
                                       const Path& path) const;
 
   void IndexIids(const Value& v, RelationId rel, ObjectId obj);

@@ -1,6 +1,8 @@
 #include "proto/co_protocol.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "util/mutation_points.h"
 
@@ -185,24 +187,28 @@ Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
   Result<nf2::Iid> root_iid = store_->RootIid(ref.relation, ref.object);
   if (!root_iid.ok()) return root_iid.status();
 
-  // The superunit chain (relation, segment, database), root first.
-  std::vector<lock::ResourceId> path;
-  for (logra::NodeId node = graph_->node(ep_node).solid_parent;
-       node != logra::kInvalidNode; node = graph_->node(node).solid_parent) {
-    path.push_back(lock::ResourceId{node, 0});
+  // The superunit chain (relation, segment, database), root first, then
+  // the entry point.  An entry point is a relation's complex-object node,
+  // so its chain has three nodes and the path fits a stack buffer.
+  const std::vector<logra::NodeId>& chain = graph_->SuperunitChain(ep_node);
+  std::array<lock::ResourceId, 4> path;
+  if (chain.size() >= path.size()) {
+    return Status::Internal("entry point is not directly under its relation");
   }
-  std::reverse(path.begin(), path.end());
-  const size_t chain_len = path.size();
+  size_t len = 0;
   // Mutation point (kill-suite only): rules 1/2 dropped — the entry point
   // is locked without its superunit chain, so a relation/segment-level
   // request no longer conflicts with the inner unit's use.
-  if (mutation::Enabled(mutation::Mutant::kSkipUpwardPropagation)) {
-    path.clear();
+  if (!mutation::Enabled(mutation::Mutant::kSkipUpwardPropagation)) {
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      path[len++] = lock::ResourceId{*it, 0};
+    }
   }
-  path.push_back(lock::ResourceId{ep_node, *root_iid});
+  path[len++] = lock::ResourceId{ep_node, *root_iid};
   CODLOCK_RETURN_IF_ERROR(
-      lm_->AcquirePath(txn.id(), path, ep_mode, opts, LocksFor(txn)));
-  lm_->stats().upward_propagations.Add(chain_len);
+      lm_->AcquirePath(txn.id(), std::span(path.data(), len), ep_mode, opts,
+                       LocksFor(txn)));
+  lm_->stats().upward_propagations.Add(chain.size());
   lm_->stats().downward_propagations.Add();
 
   // Common data may again contain common data: recurse.  The scan over the

@@ -24,7 +24,7 @@ LockTarget MakeTarget(const logra::LockGraph& graph,
 LockTarget MakeSingletonTarget(const logra::LockGraph& graph,
                                logra::NodeId node) {
   LockTarget t;
-  std::vector<logra::NodeId> chain = graph.SuperunitChain(node);
+  const std::vector<logra::NodeId>& chain = graph.SuperunitChain(node);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     t.path.emplace_back(*it, 0);
   }

@@ -31,7 +31,7 @@
 #ifndef CODLOCK_QUERY_PARSER_H_
 #define CODLOCK_QUERY_PARSER_H_
 
-#include <string>
+#include <string_view>
 
 #include "nf2/schema.h"
 #include "query/query.h"
@@ -39,9 +39,10 @@
 
 namespace codlock::query {
 
-/// Parses \p text against \p catalog into a `Query`.
-Result<Query> ParseQuery(const nf2::Catalog& catalog,
-                         const std::string& text);
+/// Parses \p text against \p catalog into a `Query`.  Errors are
+/// InvalidArgument (syntax, or outside the fragment) or NotFound (an
+/// unknown relation or attribute).
+Result<Query> ParseQuery(const nf2::Catalog& catalog, std::string_view text);
 
 }  // namespace codlock::query
 

@@ -34,15 +34,41 @@ Result<QueryPlan> LockPlanner::Plan(const Query& query) const {
       query.relation >= catalog_->num_relations()) {
     return Status::InvalidArgument("query names an unknown relation");
   }
-  // Validate the path against the schema early (query analysis).
-  Result<nf2::AttrId> target_attr =
-      ResolvePathAttr(*catalog_, query.relation, query.path);
-  if (!target_attr.ok()) return target_attr.status();
+  const nf2::RelationDef& rdef = catalog_->relation(query.relation);
 
   QueryPlan plan;
   plan.policy = options_.policy;
   plan.target_mode = query.is_write() ? LockMode::kX : LockMode::kS;
   plan.access_implies_refs = query.access_implies_refs;
+  const LockMode intention = lock::IntentionFor(plan.target_mode);
+
+  // The query-specific lock graph in rule 5 order: the outer unit's root
+  // chain, then every node the path visits, all with intention modes for
+  // now.  Walking the path resolves it against the schema, once, and so
+  // validates it before any data is accessed (query analysis).
+  std::vector<QuerySpecificLockGraph::Entry>& entries = plan.qslg.entries;
+  entries.reserve(8 + 2 * query.path.size());
+  auto add = [&entries](logra::NodeId node, LockMode mode, bool per_element) {
+    entries.push_back(QuerySpecificLockGraph::Entry{node, mode, per_element});
+  };
+  add(graph_->DatabaseNode(rdef.database), intention, false);
+  add(graph_->SegmentNode(rdef.segment), intention, false);
+  add(graph_->RelationNode(query.relation), intention, false);
+  nf2::AttrId target_attr = rdef.root;
+  add(graph_->NodeForAttr(target_attr), intention, false);
+  for (const nf2::PathStep& step : query.path) {
+    Result<nf2::AttrId> field =
+        catalog_->FindField(target_attr, step.attr_name);
+    if (!field.ok()) return field.status();
+    target_attr = *field;
+    add(graph_->NodeForAttr(target_attr), intention, false);
+    if (step.selects_element()) {
+      Result<nf2::AttrId> elem = catalog_->ElementAttr(target_attr);
+      if (!elem.ok()) return elem.status();
+      target_attr = *elem;
+      add(graph_->NodeForAttr(target_attr), intention, false);
+    }
+  }
 
   switch (options_.policy) {
     case GranulePolicy::kWholeObject:
@@ -54,26 +80,26 @@ Result<QueryPlan> LockPlanner::Plan(const Query& query) const {
 
     case GranulePolicy::kTuple: {
       plan.lock_path = query.path;
-      const nf2::AttrDef& def = catalog_->attr(*target_attr);
+      const nf2::AttrDef& def = catalog_->attr(target_attr);
       // "Locking each single tuple individually": a collection target is
       // locked element by element, regardless of how many there are.
       plan.per_element = nf2::IsCollection(def.kind);
       plan.expected_target_locks =
           plan.per_element
               ? std::max(1.0, query.selectivity *
-                                  stats_->CardinalityOf(*target_attr))
+                                  stats_->CardinalityOf(target_attr))
               : 1.0;
       break;
     }
 
     case GranulePolicy::kOptimal: {
       plan.lock_path = query.path;
-      const nf2::AttrDef& def = catalog_->attr(*target_attr);
+      const nf2::AttrDef& def = catalog_->attr(target_attr);
       if (nf2::IsCollection(def.kind)) {
         // Anticipated escalation: estimate the fine-granule lock count;
         // if it exceeds θ, lock the collection HoLU up-front instead.
         double expected = std::max(
-            1.0, query.selectivity * stats_->CardinalityOf(*target_attr));
+            1.0, query.selectivity * stats_->CardinalityOf(target_attr));
         if (expected <= options_.escalation_threshold) {
           plan.per_element = true;
           plan.expected_target_locks = expected;
@@ -94,68 +120,26 @@ Result<QueryPlan> LockPlanner::Plan(const Query& query) const {
     }
   }
 
-  BuildQslg(query, &plan);
-  return plan;
-}
-
-void LockPlanner::BuildQslg(const Query& query, QueryPlan* plan) const {
-  const nf2::RelationDef& rdef = catalog_->relation(query.relation);
-  const LockMode intention = lock::IntentionFor(plan->target_mode);
-  auto add = [plan](logra::NodeId node, LockMode mode, bool per_element) {
-    plan->qslg.entries.push_back(
-        QuerySpecificLockGraph::Entry{node, mode, per_element});
-  };
-
-  // Path from the outer unit's root to the target (rule 5 order).
-  add(graph_->DatabaseNode(rdef.database), intention, false);
-  add(graph_->SegmentNode(rdef.segment), intention, false);
-  add(graph_->RelationNode(query.relation), intention, false);
-
-  nf2::AttrId cur = rdef.root;
-  std::vector<nf2::AttrId> attr_chain{cur};
-  for (const nf2::PathStep& step : query.path) {
-    Result<nf2::AttrId> field = catalog_->FindField(cur, step.attr_name);
-    if (!field.ok()) return;  // Plan() validated already
-    cur = *field;
-    attr_chain.push_back(cur);
-    if (step.selects_element()) {
-      Result<nf2::AttrId> elem = catalog_->ElementAttr(cur);
-      if (!elem.ok()) return;
-      cur = *elem;
-      attr_chain.push_back(cur);
+  // The last node gets the target mode — unless per-element locking is
+  // planned, in which case the collection node keeps its intention mode
+  // and the element node is marked.
+  if (plan.per_element) {
+    Result<nf2::AttrId> elem = catalog_->ElementAttr(target_attr);
+    if (elem.ok()) {
+      add(graph_->NodeForAttr(*elem), plan.target_mode, true);
     }
-  }
-
-  // Intention locks on the chain; the last node gets the target mode —
-  // unless per-element locking is planned, in which case the collection
-  // node keeps its intention mode and the element node is marked.
-  for (size_t i = 0; i < attr_chain.size(); ++i) {
-    logra::NodeId node = graph_->NodeForAttr(attr_chain[i]);
-    const bool last = i + 1 == attr_chain.size();
-    if (!last) {
-      add(node, intention, false);
-      continue;
-    }
-    if (plan->per_element) {
-      add(node, intention, false);
-      Result<nf2::AttrId> elem = catalog_->ElementAttr(attr_chain[i]);
-      if (elem.ok()) {
-        add(graph_->NodeForAttr(*elem), plan->target_mode, true);
-      }
-    } else {
-      add(node, plan->target_mode, false);
-    }
+  } else {
+    entries.back().mode = plan.target_mode;
   }
 
   // Anticipated downward propagation: entry points of shared relations
   // reachable from the target node appear in the query-specific lock
   // graph with the mode rule 4/4′ will request (shown as S here; the
   // protocol decides S vs X per transaction rights at run time).
-  if (plan->access_implies_refs &&
-      (plan->target_mode == LockMode::kS || plan->target_mode == LockMode::kX)) {
-    logra::NodeId target_node = plan->qslg.entries.back().node;
+  if (plan.access_implies_refs &&
+      (plan.target_mode == LockMode::kS || plan.target_mode == LockMode::kX)) {
     for (nf2::RelationId shared :
-         graph_->ReachableSharedRelations(target_node)) {
+         graph_->ReachableSharedRelations(entries.back().node)) {
       const nf2::RelationDef& sdef = catalog_->relation(shared);
       add(graph_->DatabaseNode(sdef.database), LockMode::kIS, false);
       add(graph_->SegmentNode(sdef.segment), LockMode::kIS, false);
@@ -163,6 +147,7 @@ void LockPlanner::BuildQslg(const Query& query, QueryPlan* plan) const {
       add(graph_->ComplexObjectNode(shared), LockMode::kS, false);
     }
   }
+  return plan;
 }
 
 }  // namespace codlock::query

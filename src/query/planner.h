@@ -102,8 +102,6 @@ class LockPlanner {
   const Options& options() const { return options_; }
 
  private:
-  void BuildQslg(const Query& query, QueryPlan* plan) const;
-
   const logra::LockGraph* graph_;
   const nf2::Catalog* catalog_;
   const Statistics* stats_;

@@ -26,23 +26,6 @@ std::string Query::ToString() const {
   return out;
 }
 
-Result<nf2::AttrId> ResolvePathAttr(const nf2::Catalog& catalog,
-                                    nf2::RelationId rel,
-                                    const nf2::Path& path) {
-  nf2::AttrId cur = catalog.relation(rel).root;
-  for (const nf2::PathStep& step : path) {
-    Result<nf2::AttrId> field = catalog.FindField(cur, step.attr_name);
-    if (!field.ok()) return field.status();
-    cur = *field;
-    if (step.selects_element()) {
-      Result<nf2::AttrId> elem = catalog.ElementAttr(cur);
-      if (!elem.ok()) return elem.status();
-      cur = *elem;
-    }
-  }
-  return cur;
-}
-
 Query MakeQ1(nf2::RelationId cells) {
   Query q;
   q.name = "Q1";

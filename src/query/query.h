@@ -23,7 +23,6 @@
 
 #include "nf2/schema.h"
 #include "nf2/value.h"
-#include "util/result.h"
 
 namespace codlock::query {
 
@@ -58,12 +57,6 @@ struct Query {
 
   std::string ToString() const;
 };
-
-/// Schema attribute a path resolves to below \p rel's root tuple (the
-/// element attribute when the final step selects a collection element).
-Result<nf2::AttrId> ResolvePathAttr(const nf2::Catalog& catalog,
-                                    nf2::RelationId rel,
-                                    const nf2::Path& path);
 
 /// The three example queries of Fig. 3 against the Fig. 1 schema.
 Query MakeQ1(nf2::RelationId cells);

@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <set>
+
 #include "logra/lock_graph.h"
+#include "nf2/serialize.h"
 #include "sim/fixtures.h"
+#include "sim/schema_fuzz.h"
 
 namespace codlock::logra {
 namespace {
@@ -182,6 +188,113 @@ TEST(LockGraphDisjointTest, DisjointSchemaHasNoEntryPoints) {
     EXPECT_FALSE(g.IsEntryPoint(n.id));
     EXPECT_FALSE(n.is_ref_blu());
   }
+}
+
+// The closures `Build` stores, recomputed from the edges alone: the
+// solid-parent chain, a depth-first walk of the solid subtree, and the
+// dashed closure over relations.
+
+std::vector<NodeId> ChainOf(const LockGraph& g, NodeId id) {
+  std::vector<NodeId> chain;
+  for (NodeId p = g.node(id).solid_parent; p != kInvalidNode;
+       p = g.node(p).solid_parent) {
+    chain.push_back(p);
+  }
+  return chain;
+}
+
+void CollectRefBlus(const LockGraph& g, NodeId id, std::vector<NodeId>* out) {
+  if (g.node(id).dashed_target != kInvalidNode) out->push_back(id);
+  for (NodeId child : g.node(id).solid_children) CollectRefBlus(g, child, out);
+}
+
+void CollectShared(const LockGraph& g, NodeId id,
+                   std::set<nf2::RelationId>* seen) {
+  std::vector<NodeId> refs;
+  CollectRefBlus(g, id, &refs);
+  for (NodeId ref : refs) {
+    const NodeId target = g.node(ref).dashed_target;
+    if (seen->insert(g.node(target).relation).second) {
+      CollectShared(g, target, seen);
+    }
+  }
+}
+
+void ExpectClosuresMatchEdges(const LockGraph& g, const std::string& name) {
+  for (const Node& n : g.nodes()) {
+    SCOPED_TRACE(name + ": " + g.NodeName(n.id));
+    EXPECT_EQ(g.SuperunitChain(n.id), ChainOf(g, n.id));
+
+    std::vector<NodeId> refs;
+    CollectRefBlus(g, n.id, &refs);
+    std::vector<NodeId> stored = g.RefBlusUnder(n.id);
+    std::sort(refs.begin(), refs.end());
+    std::sort(stored.begin(), stored.end());
+    EXPECT_EQ(stored, refs);
+
+    std::set<nf2::RelationId> shared;
+    CollectShared(g, n.id, &shared);
+    const std::vector<nf2::RelationId>& reach =
+        g.ReachableSharedRelations(n.id);
+    EXPECT_EQ(std::set<nf2::RelationId>(reach.begin(), reach.end()), shared);
+    EXPECT_EQ(reach.size(), shared.size());  // each relation once
+  }
+}
+
+TEST(LockGraphClosuresTest, BuiltInFixturesMatchTheirEdges) {
+  sim::CellsFixture cells = sim::BuildCellsEffectors();
+  ExpectClosuresMatchEdges(LockGraph::Build(*cells.catalog), "cells");
+  sim::CellsFixture fig7 = sim::BuildFigure7Instance();
+  ExpectClosuresMatchEdges(LockGraph::Build(*fig7.catalog), "figure7");
+  sim::SyntheticParams params;
+  sim::SyntheticFixture shared = sim::BuildSynthetic(params);
+  ExpectClosuresMatchEdges(LockGraph::Build(*shared.catalog), "synthetic");
+  params.refs_per_leaf = 0;
+  sim::SyntheticFixture disjoint = sim::BuildSynthetic(params);
+  ExpectClosuresMatchEdges(LockGraph::Build(*disjoint.catalog),
+                           "synthetic-disjoint");
+}
+
+TEST(LockGraphClosuresTest, CorpusSchemasMatchTheirEdges) {
+  int loaded = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CODLOCK_FIXTURES_DIR)) {
+    if (entry.path().extension() != ".db") continue;
+    Result<nf2::LoadedDatabase> db =
+        nf2::LoadDatabaseFromFile(entry.path().string());
+    ASSERT_TRUE(db.ok()) << entry.path() << ": " << db.status();
+    ExpectClosuresMatchEdges(LockGraph::Build(*db->catalog),
+                             entry.path().filename().string());
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 3);
+}
+
+TEST(LockGraphClosuresTest, FuzzedSchemasMatchTheirEdges) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::FuzzedSchema s = sim::BuildFuzzedSchema(seed);
+    ExpectClosuresMatchEdges(LockGraph::Build(*s.catalog), s.name);
+  }
+}
+
+TEST(LockGraphClosuresTest, RederiveFollowsEditedEdges) {
+  // A dashed edge from inside the effectors unit back to the cells entry
+  // point (the prover's cyclic-reference mutant): the stored closures
+  // stay as built until re-derived, then follow the cycle and stop.
+  sim::CellsFixture f = sim::BuildCellsEffectors();
+  LockGraph g = LockGraph::Build(*f.catalog);
+  const NodeId eff_co = g.ComplexObjectNode(f.effectors);
+  const NodeId cells_co = g.ComplexObjectNode(f.cells);
+  const NodeId eff_id = g.node(eff_co).solid_children[0];
+  g.MutableNodeForTest(eff_id).dashed_target = cells_co;
+  g.MutableNodeForTest(cells_co).dashed_in.push_back(eff_id);
+  EXPECT_TRUE(g.RefBlusUnder(eff_co).empty());
+
+  g.RederiveForTest();
+  EXPECT_EQ(g.RefBlusUnder(eff_co), std::vector<NodeId>{eff_id});
+  EXPECT_EQ(g.ReachableSharedRelations(cells_co),
+            (std::vector<nf2::RelationId>{f.effectors, f.cells}));
+  ExpectClosuresMatchEdges(g, "cells with a cyclic reference");
 }
 
 }  // namespace

@@ -277,6 +277,35 @@ TEST_F(ParserTest, SemanticErrors) {
   });
 }
 
+TEST_F(ParserTest, AccessKindMustBeAKeyword) {
+  ExpectErrors(*f_.catalog, {
+      {"SELECT c FROM c IN cells FOR 'read'", kInvalid,
+       "FOR must be READ, UPDATE or DELETE"},
+      {"SELECT c FROM c IN cells FOR 'UPDATE'", kInvalid,
+       "FOR must be READ, UPDATE or DELETE"},
+  });
+}
+
+TEST_F(ParserTest, RangeVariableIsBoundOnce) {
+  ExpectErrors(*f_.catalog, {
+      {"SELECT c FROM c IN cells, c IN c.robots FOR READ", kInvalid,
+       "range variable 'c' is bound twice in FROM"},
+      {"SELECT r FROM c IN cells, r IN c.robots, r IN c.robots FOR READ",
+       kInvalid, "range variable 'r' is bound twice in FROM"},
+  });
+}
+
+TEST_F(ParserTest, OneKeyPredicatePerVariable) {
+  ExpectErrors(*f_.catalog, {
+      {"SELECT c FROM c IN cells "
+       "WHERE c.cell_id = 'c1' AND c.cell_id = 'c2' FOR READ",
+       kInvalid, "range variable 'c' has a second key predicate"},
+      {"SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' "
+       "AND r.robot_id = 'r1' AND r.robot_id = 'r1' FOR READ",
+       kInvalid, "range variable 'r' has a second key predicate"},
+  });
+}
+
 TEST_F(ParserTest, MutatedFigure3TextsFailCleanly) {
   // Truncations, byte flips and stray quotes of the Fig. 3 texts: every
   // parse ends OK or with one of the parser's two error codes.
