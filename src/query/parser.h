@@ -18,11 +18,12 @@
 ///
 ///  * `FROM v IN relation` — the range over a relation (first binding),
 ///  * `FROM ... , v IN w.attr` — range over a collection attribute of an
-///    earlier binding (navigation),
+///    earlier binding (navigation); each variable is bound once,
 ///  * `WHERE v.keyattr = 'literal'` — equality on *key* attributes, which
 ///    select either the complex object (root key) or one collection
-///    element (element key); conjunctions with AND,
-///  * `FOR READ | FOR UPDATE | FOR DELETE`.
+///    element (element key); conjunctions with AND, at most one
+///    predicate per variable,
+///  * `FOR READ | FOR UPDATE | FOR DELETE` (keywords, in any case).
 ///
 /// Anything else (non-key predicates, joins, projections with
 /// expressions) is outside the lock-relevant fragment and rejected with a
