@@ -13,7 +13,20 @@
 //  (c) deep_path / shallow_path — root-to-leaf `AcquirePath` chains
 //      (depth 12 vs 2) with a shared ancestor spine and X leaves:
 //      concurrent propagators meet in the same shard mutexes, each
-//      visiting every shard of its chain once.
+//      visiting every shard of its chain once.  Their spine uses instance
+//      0xA, not a singleton granule, so it is not split into lanes.
+//  (d) spine_path           — `AcquirePath` over an instance-0 database /
+//      segment / relation chain plus a per-thread leaf, X at the leaf:
+//      the §4.4.2 spine every transaction shares, which the lock
+//      manager's lanes split (each thread's transaction has its own lane).
+//  (e) singleton_s          — contended_s on instance-0 keys: every S
+//      takes all kLanes lanes and every IS one, next to standing IS
+//      holders spread over the lanes.  The cost side of the lanes.
+//
+// contended_s, partitioned_x and the two path series keep their keys:
+// key {7, 0} of contended_s, key {100 + t, 0} of partitioned_x and
+// thread 0's leaf {depth + 1, 0} of the path series are singleton
+// granules, so a share of their ops pays the lanes too.
 //
 // Each (series, thread-count) point reports aggregate throughput and
 // approximate p50/p99 per-op latency (util::LatencyHistogram).
@@ -113,25 +126,31 @@ constexpr int kHotKeys = 4;  // contended keyset: dense holder groups
 /// rows.
 constexpr int kPinners = 32;
 
-Point RunContended(int nthreads, uint64_t ops) {
+/// Key k of the hot keyset: {7, k} for contended_s, {8 + k, 0} (all
+/// singleton granules) for singleton_s.
+ResourceId HotKey(bool singletons, int k) {
+  return singletons ? ResourceId{static_cast<uint32_t>(8 + k), 0}
+                    : ResourceId{7, static_cast<uint64_t>(k)};
+}
+
+Point RunContended(bool singletons, int nthreads, uint64_t ops) {
   LockManager lm;
   for (int p = 0; p < kPinners; ++p) {
     const TxnId pinner = static_cast<TxnId>(9000 + p);
     for (int k = 0; k < kHotKeys; ++k) {
-      (void)lm.Acquire(pinner, ResourceId{7, static_cast<uint64_t>(k)},
-                       LockMode::kIS);
+      (void)lm.Acquire(pinner, HotKey(singletons, k), LockMode::kIS);
     }
   }
-  return RunThreads(lm, nthreads, ops,
-                    [](int t, uint64_t i, LockManager& m, TxnLocks& c) {
-                      const TxnId txn = static_cast<TxnId>(t + 1);
-                      const ResourceId res{7, static_cast<uint64_t>(
-                                                  (i + t) % kHotKeys)};
-                      const LockMode mode =
-                          (i & 1) ? LockMode::kIS : LockMode::kS;
-                      (void)m.Acquire(txn, res, mode, {}, &c);
-                      (void)m.Release(txn, res, &c);
-                    });
+  return RunThreads(
+      lm, nthreads, ops,
+      [singletons](int t, uint64_t i, LockManager& m, TxnLocks& c) {
+        const TxnId txn = static_cast<TxnId>(t + 1);
+        const ResourceId res =
+            HotKey(singletons, static_cast<int>((i + t) % kHotKeys));
+        const LockMode mode = (i & 1) ? LockMode::kIS : LockMode::kS;
+        (void)m.Acquire(txn, res, mode, {}, &c);
+        (void)m.Release(txn, res, &c);
+      });
 }
 
 /// (b): disjoint per-thread keysets, exclusive cycles.
@@ -165,6 +184,21 @@ Point RunPath(int depth, int nthreads, uint64_t ops) {
         path.push_back(ResourceId{
             static_cast<uint32_t>(depth + 1),
             static_cast<uint64_t>(t) * 4096 + (i % 64)});
+        (void)m.AcquirePath(txn, path, LockMode::kX, {}, &c);
+        m.ReleaseAll(txn);
+      });
+}
+
+/// (d): AcquirePath over the instance-0 database (node 1), segment (2)
+/// and relation (3) plus a per-thread object leaf, X at the leaf.
+Point RunSpine(int nthreads, uint64_t ops) {
+  LockManager lm;
+  return RunThreads(
+      lm, nthreads, ops, [](int t, uint64_t i, LockManager& m, TxnLocks& c) {
+        const TxnId txn = static_cast<TxnId>(t + 1);
+        const ResourceId path[] = {
+            {1, 0}, {2, 0}, {3, 0},
+            {4, static_cast<uint64_t>(t) * 4096 + 1 + (i % 64)}};
         (void)m.AcquirePath(txn, path, LockMode::kX, {}, &c);
         m.ReleaseAll(txn);
       });
@@ -222,11 +256,15 @@ int main(int argc, char** argv) {
   series.push_back({"partitioned_x", {}});
   series.push_back({"deep_path", {}});
   series.push_back({"shallow_path", {}});
+  series.push_back({"spine_path", {}});
+  series.push_back({"singleton_s", {}});
   for (int n : thread_counts) {
-    series[0].points.push_back(RunContended(n, ops));
+    series[0].points.push_back(RunContended(/*singletons=*/false, n, ops));
     series[1].points.push_back(RunPartitioned(n, ops));
     series[2].points.push_back(RunPath(/*depth=*/12, n, path_ops));
     series[3].points.push_back(RunPath(/*depth=*/2, n, path_ops));
+    series[4].points.push_back(RunSpine(n, path_ops));
+    series[5].points.push_back(RunContended(/*singletons=*/true, n, ops));
   }
 
   if (json) {

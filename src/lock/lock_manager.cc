@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <utility>
 
@@ -36,6 +37,27 @@ void NoteHoldersAdded(LockStats& stats, int64_t n) {
 
 void NoteHolderAdded(LockStats& stats) { NoteHoldersAdded(stats, 1); }
 
+/// A singleton granule's mode from its lane modes: the weakest S/X part
+/// every lane holds, joined with the intentions the lanes imply.  An S or X
+/// held on only some lanes is still waiting at a later lane, or was left
+/// on one lane by a failed conversion; either way it is not held on the
+/// granule and shows as its intention mode.
+LockMode FoldLanes(const std::array<LockMode, kLanes>& modes) {
+  auto strength = [](LockMode m) {
+    return m == LockMode::kX ? 2 : m == LockMode::kS || m == LockMode::kSIX;
+  };
+  int common = 2;
+  LockMode intention = LockMode::kNL;
+  for (LockMode m : modes) {
+    common = std::min(common, static_cast<int>(strength(m)));
+    if (m != LockMode::kNL) intention = Supremum(intention, IntentionFor(m));
+  }
+  const LockMode held = common == 2   ? LockMode::kX
+                        : common == 1 ? LockMode::kS
+                                      : LockMode::kNL;
+  return Supremum(held, intention);
+}
+
 }  // namespace
 
 std::string_view DeadlockPolicyName(DeadlockPolicy policy) {
@@ -61,11 +83,12 @@ size_t LockManager::DerivedNumShards(unsigned hardware_concurrency) {
 
 LockManager::LockManager(Options options)
     : options_(options),
-      shards_(options.num_shards > 0
-                  ? std::bit_ceil(static_cast<size_t>(options.num_shards))
-                  : DerivedNumShards(std::thread::hardware_concurrency())),
-      shard_mask_(shards_.size() - 1),
-      shard_bits_(std::countr_zero(shards_.size())) {}
+      shards_((options.num_shards > 0
+                   ? std::bit_ceil(static_cast<size_t>(options.num_shards))
+                   : DerivedNumShards(std::thread::hardware_concurrency())) +
+              kLanes),
+      shard_mask_(shards_.size() - kLanes - 1),
+      shard_bits_(std::countr_zero(shard_mask_ + 1)) {}
 
 LockManager::~LockManager() {
   // Standard lifetime contract: no concurrent users at destruction.  Take
@@ -280,6 +303,10 @@ void LockManager::EraseWaiter(Shard& shard, Entry& entry,
 
 Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
                             const AcquireOptions& options, TxnLocks* locks) {
+  // A singleton granule is split into lanes; the batched path expands it.
+  if (resource.singleton()) {
+    return AcquirePath(txn, {&resource, 1}, mode, options, locks);
+  }
   if (txn == kInvalidTxn) {
     return Status::InvalidArgument("invalid transaction id");
   }
@@ -346,80 +373,109 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   const bool want_long = options.duration == LockDuration::kLong;
   const size_t n = path.size();
   auto mode_of = [&](size_t i) { return i + 1 == n ? leaf_mode : prefix_mode; };
-  // A failure rolls back every acquisition *this call* made (the positions
-  // \p made selects), leaf-to-root, so the failed path leaves no new
-  // intention locks behind for the retry loop to trip over.  Count-paired:
-  // a re-entrant acquisition merely drops back to its previous count; a
-  // fresh grant disappears.  Mode upgrades from conversions persist (safe —
-  // strictly stronger).
-  auto roll_back = [&](Status status, auto made) {
-    for (size_t i = n; i-- > 0;) {
-      if (made(i)) Release(txn, path[i], locks);
-    }
-    return status;
-  };
 
-  // Batched processing tracks path positions in 64-bit masks on the stack;
-  // paths longer than that (never produced by the protocols — hierarchies
-  // are ~4–13 levels) fall back to per-resource acquisition.
+  // Batched processing tracks requests in 64-bit masks on the stack.  A
+  // singleton element expands to its lanes: one for an intention mode,
+  // all kLanes for S/SIX/X, which only the leaf can ask for.  Longer paths
+  // (never produced by the protocols — hierarchies are ~4–13 levels) fall
+  // back to per-resource acquisition, rolled back leaf-to-root on failure.
   constexpr size_t kMaxBatch = 64;
-  if (n > kMaxBatch) {
+  const bool leaf_intention = IsIntention(leaf_mode);
+  const bool leaf_on_lanes = path[n - 1].singleton() && !leaf_intention;
+  if (n + (leaf_on_lanes ? kLanes - 1 : 0) > kMaxBatch) {
     for (size_t i = 0; i < n; ++i) {
       Status status = Acquire(txn, path[i], mode_of(i), options, locks);
       if (!status.ok()) {
-        return roll_back(std::move(status), [i](size_t j) { return j < i; });
+        for (size_t j = i; j-- > 0;) Release(txn, path[j], locks);
+        return status;
       }
     }
     return Status::OK();
   }
 
-  // Pass 1: answer covered re-acquisitions from the cache (no mutex).
+  // Pass 1: answer covered re-acquisitions from the cache (no mutex), and
+  // expand the rest into lane-level requests.
+
+  // Plain fields, so the array is not zeroed on every call.
+  struct Request {
+    uint32_t node;
+    uint64_t instance;
+    LockMode mode;
+    ResourceId res() const { return {node, instance}; }
+  };
+  Request req[kMaxBatch];
   uint32_t shard_of[kMaxBatch];
-  uint64_t todo_mask = 0;
+  size_t m = 0;
+  auto add = [&](ResourceId res, LockMode mode) {
+    shard_of[m] = static_cast<uint32_t>(ShardIndexFor(res));
+    req[m++] = {res.node, res.instance, mode};
+  };
   uint64_t hit_mask = 0;
+  uint64_t singleton_mask = 0;  // singleton elements the cache missed
   for (size_t i = 0; i < n; ++i) {
-    if (locks != nullptr && locks->TryHit(path[i], mode_of(i), want_long)) {
+    const ResourceId& r = path[i];
+    const LockMode mode = mode_of(i);
+    if (locks != nullptr && locks->TryHit(r, mode, want_long)) {
       hit_mask |= uint64_t{1} << i;
-      continue;
+    } else if (!r.singleton()) {
+      add(r, mode);
+    } else {
+      singleton_mask |= uint64_t{1} << i;
+      // Prefix modes are intentions: only an S/X leaf takes every lane.
+      if (i + 1 < n || leaf_intention) {
+        add(r.Lane(LaneOf(txn)), mode);
+      } else {
+        for (uint64_t k = 0; k < kLanes; ++k) add(r.Lane(k), mode);
+      }
     }
-    shard_of[i] = static_cast<uint32_t>(ShardIndexFor(path[i]));
-    todo_mask |= uint64_t{1} << i;
   }
   // Total requests = requests + cache_hits (see metrics.h): one batched
   // RMW per counter for the whole path.
   const uint64_t hits = static_cast<uint64_t>(std::popcount(hit_mask));
   if (hits != 0) stats_.cache_hits.Add(hits);
-  if (n - hits != 0) stats_.requests.Add(n - hits);
-  if (todo_mask == 0) return Status::OK();
+  if (m != 0) stats_.requests.Add(m);
+  if (m == 0) return Status::OK();
 
   // Pass 2: group by shard and visit each shard mutex once.  Immediate
   // grants may land out of path order; that is invisible to other
   // transactions (each grant only *adds* to this transaction's hold set)
   // and the root-to-leaf order is restored for anything that must wait.
+  // Lanes of an S/X leaf are the exception: each is tried only after the
+  // lanes before it are granted, so two S/X requests on one granule take
+  // its lanes in the same order and cannot deadlock on them.
   LockMode granted_of[kMaxBatch];
   ResourceId newly_held[kMaxBatch];
   size_t num_newly_held = 0;
   uint64_t granted_mask = 0;
   uint64_t deferred_mask = 0;
-  for (uint64_t rest = todo_mask; rest != 0;) {
+  const size_t first_leaf_lane =
+      leaf_on_lanes && ((hit_mask >> (n - 1)) & 1) == 0 ? m - kLanes : m;
+  size_t next_leaf_lane = first_leaf_lane;
+  for (uint64_t rest = (m == 64 ? ~uint64_t{0} : (uint64_t{1} << m) - 1);
+       rest != 0;) {
     const size_t first = static_cast<size_t>(std::countr_zero(rest));
     const uint32_t shard_idx = shard_of[first];
     Shard& shard = shards_[shard_idx];
     MutexLock lk(shard.mu);
     for (uint64_t scan = rest; scan != 0; scan &= scan - 1) {
-      const size_t i = static_cast<size_t>(std::countr_zero(scan));
-      if (shard_of[i] != shard_idx) continue;
-      rest &= ~(uint64_t{1} << i);
-      Entry& entry = EntryFor(shard, path[i]);
+      const size_t j = static_cast<size_t>(std::countr_zero(scan));
+      if (shard_of[j] != shard_idx) continue;
+      rest &= ~(uint64_t{1} << j);
+      if (j >= first_leaf_lane && j != next_leaf_lane) {
+        deferred_mask |= uint64_t{1} << j;
+        continue;
+      }
+      Entry& entry = EntryFor(shard, req[j].res());
       bool record_held = false;
       LockMode granted = LockMode::kNL;
-      if (TryGrantLocked(shard, entry, txn, mode_of(i), options, granted,
+      if (TryGrantLocked(shard, entry, txn, req[j].mode, options, granted,
                          record_held)) {
-        granted_of[i] = granted;
-        granted_mask |= uint64_t{1} << i;
-        if (record_held) newly_held[num_newly_held++] = path[i];
+        granted_of[j] = granted;
+        granted_mask |= uint64_t{1} << j;
+        if (record_held) newly_held[num_newly_held++] = req[j].res();
+        if (j == next_leaf_lane) ++next_leaf_lane;
       } else {
-        deferred_mask |= uint64_t{1} << i;
+        deferred_mask |= uint64_t{1} << j;
       }
     }
   }
@@ -437,31 +493,56 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   AddHeld(*t, std::span<const ResourceId>(newly_held, num_newly_held));
   if (locks != nullptr) {
     for (uint64_t scan = granted_mask; scan != 0; scan &= scan - 1) {
-      const size_t i = static_cast<size_t>(std::countr_zero(scan));
-      locks->Note(path[i], granted_of[i], want_long);
+      const size_t j = static_cast<size_t>(std::countr_zero(scan));
+      if (!req[j].res().is_lane()) {
+        locks->Note(req[j].res(), granted_of[j], want_long);
+      }
     }
   }
 
   // Pass 3: whatever conflicted is acquired blocking, in path order
-  // (rule 5 root-to-leaf waiting semantics; ascending bits = path order).
-  // A mid-path failure (timeout, deadlock, shed, injected fault) rolls
-  // back the cache hits, immediate grants and blocking grants.
+  // (rule 5 root-to-leaf waiting semantics; ascending bits = path order,
+  // and lane order within the leaf).  A mid-path failure (timeout,
+  // deadlock, shed, injected fault) rolls back the cache hits, immediate
+  // grants and blocking grants.
   Status status;
   uint64_t blocking_done = 0;
   for (uint64_t scan = deferred_mask; scan != 0; scan &= scan - 1) {
-    const size_t i = static_cast<size_t>(std::countr_zero(scan));
+    const size_t j = static_cast<size_t>(std::countr_zero(scan));
     if (fault::FireResult f = g_fault_acquire_path.Fire()) {
       status = fault::StatusFor(f, g_fault_acquire_path.name());
       break;
     }
-    status = AcquireSlow(*t, locks != nullptr, path[i], mode_of(i), options);
+    status = AcquireSlow(*t, locks != nullptr && !req[j].res().is_lane(),
+                         req[j].res(), req[j].mode, options);
     if (!status.ok()) break;
-    blocking_done |= uint64_t{1} << i;
+    blocking_done |= uint64_t{1} << j;
   }
-  if (status.ok()) return Status::OK();
-  const uint64_t undo = hit_mask | granted_mask | blocking_done;
-  return roll_back(std::move(status),
-                   [undo](size_t i) { return ((undo >> i) & 1) != 0; });
+  if (!status.ok()) {
+    // Count-paired, leaf-to-root: a re-entrant acquisition merely drops
+    // back to its previous count; a fresh grant disappears, so the failed
+    // path leaves no new intention locks behind for the retry loop to trip
+    // over.  Mode upgrades from conversions persist (safe — strictly
+    // stronger).  Lanes are released exactly, not as their granule.
+    const uint64_t made = granted_mask | blocking_done;
+    for (size_t j = m; j-- > 0;) {
+      if (((made >> j) & 1) != 0) ReleaseHold(txn, req[j].res(), locks);
+    }
+    for (size_t i = n; i-- > 0;) {
+      if (((hit_mask >> i) & 1) != 0) Release(txn, path[i], locks);
+    }
+    return status;
+  }
+  // A singleton's slot records the modes asked of the granule, now that
+  // every lane of them is held; the lanes' own modes may carry an S or X
+  // that a failed call left on one lane.
+  if (locks != nullptr) {
+    for (uint64_t scan = singleton_mask; scan != 0; scan &= scan - 1) {
+      const size_t i = static_cast<size_t>(std::countr_zero(scan));
+      locks->Note(path[i], mode_of(i), want_long);
+    }
+  }
+  return Status::OK();
 }
 
 // ---- Locked grant/wait machinery -----------------------------------------
@@ -716,6 +797,40 @@ void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
 
 Status LockManager::Release(TxnId txn, ResourceId resource,
                             TxnLocks* locks) {
+  if (!resource.singleton()) return ReleaseHold(txn, resource, locks);
+  // Undo one acquisition of the granule.  A cache-granted one is counted
+  // on the transaction's lane.  Otherwise release one count on each lane
+  // at the highest count: an intention's extra count on the transaction's
+  // lane goes first, and an S/X taken on every lane goes from every lane
+  // at once, never leaving some of its lanes behind.
+  if (locks != nullptr && locks->ConsumeRelease(resource)) {
+    stats_.releases.Add();
+    return Status::OK();
+  }
+  std::array<uint32_t, kLanes> counts{};
+  for (uint64_t k = 0; k < kLanes; ++k) {
+    const ResourceId lane = resource.Lane(k);
+    Shard& shard = ShardFor(lane);
+    MutexLock lk(shard.mu);
+    if (Entry* e = FindEntry(shard, lane)) {
+      if (const Holder* h = FindHolder(*e, txn)) counts[k] = h->count;
+    }
+  }
+  const uint32_t top = *std::max_element(counts.begin(), counts.end());
+  if (top == 0) {
+    return Status::NotFound("transaction " + std::to_string(txn) +
+                            " holds no lock on " + resource.ToString());
+  }
+  for (uint64_t k = 0; k < kLanes; ++k) {
+    if (counts[k] == top) {
+      CODLOCK_RETURN_IF_ERROR(ReleaseHold(txn, resource.Lane(k), locks));
+    }
+  }
+  return Status::OK();
+}
+
+Status LockManager::ReleaseHold(TxnId txn, ResourceId resource,
+                                TxnLocks* locks) {
   // The matching acquisition was a cache hit and never reached the shard
   // either.
   if (locks != nullptr && locks->ConsumeRelease(resource)) {
@@ -781,23 +896,38 @@ size_t LockManager::ReleaseAll(TxnId txn) {
   }
   std::sort(keyed.begin(), keyed.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Lane rows sort last (lane shards follow the hashed ones).  The count
+  // reports granules: a lane row counts unless an earlier released lane
+  // row named its granule; a row released by nobody is cleared.
+  const auto lanes_begin = std::partition_point(
+      keyed.begin(), keyed.end(),
+      [](const auto& k) { return !k.second.is_lane(); });
   size_t released = 0;
+  size_t granules = 0;
   for (size_t i = 0; i < keyed.size();) {
     const uint32_t shard_idx = keyed[i].first;
     Shard& shard = shards_[shard_idx];
     MutexLock lk(shard.mu);
     for (; i < keyed.size() && keyed[i].first == shard_idx; ++i) {
-      Entry* e = FindEntry(shard, keyed[i].second);
-      if (e == nullptr) continue;
-      Entry& entry = *e;
-      for (size_t h = 0; h < entry.holders.size(); ++h) {
-        if (entry.holders[h].txn != txn) continue;
-        entry.holders.erase(entry.holders.begin() + static_cast<long>(h));
-        ++released;
-        GrantWaiters(shard, entry);
-        MaybeRetireEntry(shard, entry);
-        break;
+      ResourceId& res = keyed[i].second;
+      Entry* e = FindEntry(shard, res);
+      Holder* h = e == nullptr ? nullptr : FindHolder(*e, txn);
+      if (h == nullptr) {
+        res = ResourceId{};
+        continue;
       }
+      e->holders.erase(e->holders.begin() + (h - e->holders.data()));
+      ++released;
+      if (!res.is_lane() ||
+          std::none_of(lanes_begin, keyed.begin() + static_cast<long>(i),
+                       [&res](const auto& k) {
+                         return k.second.node == res.node &&
+                                k.second.is_lane();
+                       })) {
+        ++granules;
+      }
+      GrantWaiters(shard, *e);
+      MaybeRetireEntry(shard, *e);
     }
   }
   // One RMW per counter for the whole transaction.
@@ -806,7 +936,7 @@ size_t LockManager::ReleaseAll(TxnId txn) {
                                 wm::relaxed);
     stats_.releases.Add(released);
   }
-  return released;
+  return granules;
 }
 
 size_t LockManager::DrainForShutdown() {
@@ -843,29 +973,57 @@ size_t LockManager::DrainForShutdown() {
 
 Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
                               TxnLocks* locks) {
-  Shard& shard = ShardFor(resource);
-  Status status = [&]() -> Status {
-    MutexLock lk(shard.mu);
-    Entry* e = FindEntry(shard, resource);
-    if (e == nullptr) {
-      return Status::NotFound("no lock entry for " + resource.ToString());
-    }
-    Entry& entry = *e;
-    for (Holder& h : entry.holders) {
-      if (h.txn != txn) continue;
-      if (!Covers(h.mode, mode)) {
-        return Status::InvalidArgument(
-            "cannot downgrade " + std::string(LockModeName(h.mode)) + " to " +
-            std::string(LockModeName(mode)));
+  Status status;
+  if (resource.singleton()) {
+    // Every lane the transaction holds drops to the new mode: for an
+    // intention mode the extra lanes then add nothing an S/X request would
+    // not meet on the transaction's own lane anyway.
+    const LockMode held = HeldMode(txn, resource);
+    if (held == LockMode::kNL) {
+      status = Status::NotFound("transaction " + std::to_string(txn) +
+                                " holds no lock on " + resource.ToString());
+    } else if (!Covers(held, mode)) {
+      status = Status::InvalidArgument(
+          "cannot downgrade " + std::string(LockModeName(held)) + " to " +
+          std::string(LockModeName(mode)));
+    } else {
+      for (uint64_t k = 0; k < kLanes; ++k) {
+        const ResourceId lane = resource.Lane(k);
+        Shard& shard = ShardFor(lane);
+        MutexLock lk(shard.mu);
+        Entry* e = FindEntry(shard, lane);
+        if (e == nullptr) continue;
+        if (Holder* h = FindHolder(*e, txn)) {
+          h->mode = mode;
+          GrantWaiters(shard, *e);
+        }
       }
-      h.mode = mode;
-      // The narrower mode may unblock queued waiters.
-      GrantWaiters(shard, entry);
-      return Status::OK();
     }
-    return Status::NotFound("transaction " + std::to_string(txn) +
-                            " holds no lock on " + resource.ToString());
-  }();
+  } else {
+    Shard& shard = ShardFor(resource);
+    status = [&]() -> Status {
+      MutexLock lk(shard.mu);
+      Entry* e = FindEntry(shard, resource);
+      if (e == nullptr) {
+        return Status::NotFound("no lock entry for " + resource.ToString());
+      }
+      Entry& entry = *e;
+      for (Holder& h : entry.holders) {
+        if (h.txn != txn) continue;
+        if (!Covers(h.mode, mode)) {
+          return Status::InvalidArgument(
+              "cannot downgrade " + std::string(LockModeName(h.mode)) +
+              " to " + std::string(LockModeName(mode)));
+        }
+        h.mode = mode;
+        // The narrower mode may unblock queued waiters.
+        GrantWaiters(shard, entry);
+        return Status::OK();
+      }
+      return Status::NotFound("transaction " + std::to_string(txn) +
+                              " holds no lock on " + resource.ToString());
+    }();
+  }
   if (status.ok()) {
     // The held mode shrank: a cached (stronger) mode must not survive.
     if (locks != nullptr) {
@@ -895,7 +1053,37 @@ HeldLock LockManager::HoldOf(Entry& entry, TxnId txn) {
   return held;
 }
 
+std::vector<LockManager::LaneHold> LockManager::LaneHolds() const {
+  std::map<std::pair<TxnId, uint32_t>, LaneHold> by_granule;
+  for (uint64_t k = 0; k < kLanes; ++k) {
+    const Shard& shard = shards_[shard_mask_ + 1 + k];
+    MutexLock lk(shard.mu);
+    for (const Entry* head : shard.buckets) {
+      for (const Entry* e = head; e != nullptr; e = e->next) {
+        for (const Holder& h : e->holders) {
+          LaneHold& l = by_granule[{h.txn, e->res.node}];
+          l.txn = h.txn;
+          l.granule = ResourceId{e->res.node, 0};
+          l.modes[k] = h.mode;
+          l.is_long |= h.duration == LockDuration::kLong;
+        }
+      }
+    }
+  }
+  std::vector<LaneHold> out;
+  out.reserve(by_granule.size());
+  for (auto& [key, l] : by_granule) out.push_back(l);
+  return out;
+}
+
 LockMode LockManager::HeldMode(TxnId txn, ResourceId resource) const {
+  if (resource.singleton()) {
+    std::array<LockMode, kLanes> modes;
+    for (uint64_t k = 0; k < kLanes; ++k) {
+      modes[k] = HeldMode(txn, resource.Lane(k));
+    }
+    return FoldLanes(modes);
+  }
   Shard& shard = ShardFor(resource);
   MutexLock lk(shard.mu);
   Entry* e = FindEntry(shard, resource);
@@ -903,11 +1091,17 @@ LockMode LockManager::HeldMode(TxnId txn, ResourceId resource) const {
 }
 
 LockMode LockManager::GroupMode(ResourceId resource) const {
+  LockMode m = LockMode::kNL;
+  if (resource.singleton()) {
+    for (const LaneHold& l : LaneHolds()) {
+      if (l.granule == resource) m = Supremum(m, FoldLanes(l.modes));
+    }
+    return m;
+  }
   Shard& shard = ShardFor(resource);
   MutexLock lk(shard.mu);
   Entry* e = FindEntry(shard, resource);
   if (e == nullptr) return LockMode::kNL;
-  LockMode m = LockMode::kNL;
   for (const Holder& h : e->holders) m = Supremum(m, h.mode);
   return m;
 }
@@ -926,6 +1120,32 @@ std::vector<HeldLock> LockManager::LocksOf(TxnId txn) const {
     const HeldLock h = HoldOf(*e, txn);
     if (h.mode != LockMode::kNL) out.push_back(h);
   }
+  // A singleton granule's lane rows fold into one row, at its first lane's
+  // place (the held list names every lane the transaction holds).
+  size_t kept = 0;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const ResourceId r = out[i].resource;
+    if (!r.is_lane()) {
+      out[kept++] = out[i];
+      continue;
+    }
+    const ResourceId granule{r.node, 0};
+    if (std::any_of(out.begin(), out.begin() + static_cast<long>(kept),
+                    [&](const HeldLock& h) { return h.resource == granule; })) {
+      continue;
+    }
+    std::array<LockMode, kLanes> modes{};
+    bool is_long = false;
+    for (size_t j = i; j < out.size(); ++j) {
+      if (out[j].resource.is_lane() && out[j].resource.node == r.node) {
+        modes[out[j].resource.lane()] = out[j].mode;
+        is_long |= out[j].duration == LockDuration::kLong;
+      }
+    }
+    out[kept++] = HeldLock{granule, FoldLanes(modes),
+                           is_long ? LockDuration::kLong : LockDuration::kShort};
+  }
+  out.resize(kept);
   return out;
 }
 
@@ -933,44 +1153,57 @@ size_t LockManager::NumTxns() const { return txns_.Size(); }
 
 size_t LockManager::NumEntries() const {
   size_t n = 0;
-  for (const Shard& shard : shards_) {
+  std::vector<uint32_t> lane_nodes;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const Shard& shard = shards_[i];
     MutexLock lk(shard.mu);
     for (const Entry* head : shard.buckets) {
       for (const Entry* e = head; e != nullptr; e = e->next) {
-        if (!e->holders.empty() || !e->waiters.empty()) ++n;
+        if (e->holders.empty() && e->waiters.empty()) continue;
+        if (e->res.is_lane()) {
+          lane_nodes.push_back(e->res.node);
+        } else {
+          ++n;
+        }
       }
     }
   }
-  return n;
+  // A singleton granule counts once, however many of its lanes are used.
+  std::sort(lane_nodes.begin(), lane_nodes.end());
+  return n + static_cast<size_t>(
+                 std::unique(lane_nodes.begin(), lane_nodes.end()) -
+                 lane_nodes.begin());
 }
 
 std::vector<LongLockRecord> LockManager::SnapshotLongLocks() const {
+  return Snapshot(/*long_only=*/true);
+}
+
+std::vector<LongLockRecord> LockManager::SnapshotAllLocks() const {
+  return Snapshot(/*long_only=*/false);
+}
+
+std::vector<LongLockRecord> LockManager::Snapshot(bool long_only) const {
   std::vector<LongLockRecord> out;
-  for (const Shard& shard : shards_) {
+  for (size_t i = 0; i <= shard_mask_; ++i) {
+    const Shard& shard = shards_[i];
     MutexLock lk(shard.mu);
     for (const Entry* head : shard.buckets) {
       for (const Entry* e = head; e != nullptr; e = e->next) {
         for (const Holder& h : e->holders) {
-          if (h.duration == LockDuration::kLong) {
+          if (!long_only || h.duration == LockDuration::kLong) {
             out.push_back(LongLockRecord{h.txn, e->res, h.mode});
           }
         }
       }
     }
   }
-  return out;
-}
-
-std::vector<LongLockRecord> LockManager::SnapshotAllLocks() const {
-  std::vector<LongLockRecord> out;
-  for (const Shard& shard : shards_) {
-    MutexLock lk(shard.mu);
-    for (const Entry* head : shard.buckets) {
-      for (const Entry* e = head; e != nullptr; e = e->next) {
-        for (const Holder& h : e->holders) {
-          out.push_back(LongLockRecord{h.txn, e->res, h.mode});
-        }
-      }
+  // A granule's hold is long when any of its lanes is, as one entry's
+  // holder would be after any long acquisition.
+  for (const LaneHold& l : LaneHolds()) {
+    const LockMode mode = FoldLanes(l.modes);
+    if ((!long_only || l.is_long) && mode != LockMode::kNL) {
+      out.push_back(LongLockRecord{l.txn, l.granule, mode});
     }
   }
   return out;
@@ -978,15 +1211,41 @@ std::vector<LongLockRecord> LockManager::SnapshotAllLocks() const {
 
 Status LockManager::RestoreLongLocks(
     const std::vector<LongLockRecord>& records) {
+  // Each record names a granule; a singleton's goes onto lanes as a
+  // request would: an intention mode onto the transaction's lane, any
+  // other mode onto every lane.
+  std::vector<LongLockRecord> expanded;
+  expanded.reserve(records.size());
+  for (const LongLockRecord& rec : records) {
+    if (rec.txn == kInvalidTxn) {
+      return Status::InvalidArgument("long-lock record with invalid txn");
+    }
+    if (rec.resource.is_lane()) {
+      return Status::InvalidArgument(
+          "long-lock record for txn " + std::to_string(rec.txn) +
+          " names instance " + std::to_string(rec.resource.instance) +
+          ", which has the reserved lane bit set");
+    }
+    if (!rec.resource.singleton()) {
+      expanded.push_back(rec);
+    } else if (IsIntention(rec.mode)) {
+      expanded.push_back(
+          LongLockRecord{rec.txn, rec.resource.Lane(LaneOf(rec.txn)),
+                         rec.mode});
+    } else {
+      for (uint64_t k = 0; k < kLanes; ++k) {
+        expanded.push_back(
+            LongLockRecord{rec.txn, rec.resource.Lane(k), rec.mode});
+      }
+    }
+  }
+
   // Pass 1 — validate without mutating: a record conflicts when any
   // *other* transaction already holds an incompatible mode (e.g. a short
   // lock taken before recovery ran).  All-or-nothing: one conflict and
   // nothing is installed, so a failed restore never leaves a half-adopted
   // lock table behind.
-  for (const LongLockRecord& rec : records) {
-    if (rec.txn == kInvalidTxn) {
-      return Status::InvalidArgument("long-lock record with invalid txn");
-    }
+  for (const LongLockRecord& rec : expanded) {
     Shard& shard = ShardFor(rec.resource);
     MutexLock lk(shard.mu);
     Entry* e = FindEntry(shard, rec.resource);
@@ -1003,7 +1262,7 @@ Status LockManager::RestoreLongLocks(
   // Pass 2 — install.  Duplicate records for one (txn, resource) merge to
   // the supremum mode.  Runs during recovery quiescence, so the validated
   // facts still hold.
-  for (const LongLockRecord& rec : records) {
+  for (const LongLockRecord& rec : expanded) {
     Shard& shard = ShardFor(rec.resource);
     bool record_held = false;
     {

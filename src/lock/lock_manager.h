@@ -36,6 +36,46 @@
 /// only under that mutex.  An entry that empties is unlinked and its node
 /// goes back to a small per-shard pool (LIFO, `kEntryPoolSize`), where the
 /// next new entry of the shard reuses it at once, vector capacity and all.
+///
+/// ## Lanes
+///
+/// Rules 1–2 of §4.4.2 make every transaction IS/IX-lock the database,
+/// segment and relation above whatever it touches.  So that concurrent
+/// transactions do not all meet in those few entries, every *singleton
+/// granule* (instance 0, resource.h) is split into `kLanes` lane entries,
+/// `ResourceId::Lane(k)`.  IS and IX take only the requester's lane,
+/// `LaneOf(txn)`; S, SIX and X take every lane, in lane order, and a
+/// failure rolls back the lanes the call took.  An intention request and
+/// an S/SIX/X request on one granule always meet on the intention's lane,
+/// and two intention requests are always compatible, so every grant
+/// decision is the one a single entry would make.  Lane k of every granule
+/// lives in shard `NumShards() + k`, after the hashed shards: a
+/// transaction's whole database–segment–relation chain is granted in one
+/// shard visit and released in one.
+///
+///  * **FIFO is per lane.**  An S/X queued at lane k does not hold back
+///    intention requests on lanes after k; those may be granted before it
+///    gets there, and it then queues behind them.  Once queued at a lane,
+///    it is granted in that lane's order.  A transaction that holds IX on
+///    its lane and asks for S while an X waits at that lane holding the
+///    lanes before it waits for that X, where one entry would have let its
+///    conversion jump the queue: under `kDetect` the cycle ends with a
+///    victim.
+///  * **Deadlock detection** sees real holders on every lane: a request
+///    waits at one lane at a time, blocked by that lane's holders.
+///  * **Inspection folds the lanes back into the granule.**  `HeldMode`,
+///    `GroupMode`, `LocksOf`, the snapshots, `NumEntries` and
+///    `ReleaseAll`'s count report one granule; an S/X held on only some
+///    lanes (still waiting at a later one) shows as its intention mode.
+///    `HeldMode` of a lane itself answers for that lane entry alone (the
+///    mode cache's slots name lanes, txn_locks.h).
+///  * **`LockStats` counts lane requests**: an S on a relation counts 8
+///    requests and 8 grants; a cache hit counts once.
+///  * `Release` of a granule undoes one acquisition: it releases one count
+///    on each lane that holds the transaction's highest count, so an S
+///    taken on every lane stays on every lane until its last count goes.
+///  * The durable long-lock format names granules, never lanes:
+///    `RestoreLongLocks` expands each record onto lanes again.
 
 #ifndef CODLOCK_LOCK_LOCK_MANAGER_H_
 #define CODLOCK_LOCK_LOCK_MANAGER_H_
@@ -195,18 +235,20 @@ class LockManager {
   /// disappears when the count reaches zero).  The held *mode* is not
   /// recomputed on partial release; use `Downgrade` for de-escalation.
   /// With \p locks, a release pairing a cache-granted acquisition is
-  /// absorbed locally.
+  /// absorbed locally.  For a singleton granule see "Lanes" above.
   Status Release(TxnId txn, ResourceId resource, TxnLocks* locks = nullptr);
 
   /// Releases every lock of \p txn and ends its lock state (EOT; see
-  /// txn_locks.h).  Returns the number released.  Shards are visited once
-  /// each; the transaction's cache is invalidated first.
+  /// txn_locks.h).  Returns the number of granules released (a singleton's
+  /// lanes count once).  Shards are visited once each; the transaction's
+  /// cache is invalidated first.
   size_t ReleaseAll(TxnId txn);
 
   /// Reduces the held mode of \p txn on \p resource to \p mode
   /// (de-escalation; mode must be weaker than or equal to the held mode).
   /// Waiters that the narrower mode no longer blocks are granted
-  /// immediately.
+  /// immediately.  On a singleton granule every lane the transaction holds
+  /// drops to \p mode.
   Status Downgrade(TxnId txn, ResourceId resource, LockMode mode,
                    TxnLocks* locks = nullptr);
 
@@ -214,7 +256,8 @@ class LockManager {
   /// shared by every later call until `ReleaseAll` ends it.
   std::shared_ptr<TxnLocks> Begin(TxnId txn);
 
-  /// Mode currently held by \p txn on \p resource (kNL if none).
+  /// Mode currently held by \p txn on \p resource (kNL if none); a
+  /// singleton granule's lanes folded, a lane's own entry for a lane.
   LockMode HeldMode(TxnId txn, ResourceId resource) const;
 
   /// Effective *granted group* mode of \p resource: supremum over all
@@ -224,14 +267,16 @@ class LockManager {
   /// All locks currently held by \p txn.
   std::vector<HeldLock> LocksOf(TxnId txn) const;
 
-  /// Number of resources with at least one holder or waiter.
+  /// Number of resources with at least one holder or waiter (a singleton
+  /// granule counts once, whichever of its lanes are used).
   size_t NumEntries() const;
 
   /// Number of transactions begun and not yet ended (inspection).
   size_t NumTxns() const;
 
-  /// Number of shards after clamping/rounding (inspection).
-  size_t NumShards() const { return shards_.size(); }
+  /// Number of hashed shards after clamping/rounding (inspection); the
+  /// `kLanes` lane shards come on top.
+  size_t NumShards() const { return shard_mask_ + 1; }
 
   /// All long locks currently held (for the `LongLockStore`).
   std::vector<LongLockRecord> SnapshotLongLocks() const;
@@ -243,7 +288,8 @@ class LockManager {
   /// Re-installs long locks after a crash.  All-or-nothing: the records
   /// are first validated against the locks currently held (conflicting
   /// short locks of adopted transactions, for example) and nothing is
-  /// installed when any record conflicts.  Duplicate records for the same
+  /// installed when any record conflicts.  A record whose instance has the
+  /// lane bit set (resource.h) is refused with kInvalidArgument.  Duplicate records for the same
   /// (txn, resource) merge to the supremum mode.  Intended to run during
   /// recovery quiescence (no concurrent acquires).
   Status RestoreLongLocks(const std::vector<LongLockRecord>& records);
@@ -353,7 +399,9 @@ class LockManager {
     std::unordered_map<TxnId, WaitRec> waiting_ CODLOCK_GUARDED_BY(mu_);
   };
 
+  /// Lane k lives in lane shard k, after the hashed shards.
   size_t ShardIndexFor(ResourceId r) const {
+    if (r.is_lane()) return shard_mask_ + 1 + r.lane();
     return ResourceIdHash{}(r) & shard_mask_;
   }
 
@@ -406,6 +454,24 @@ class LockManager {
   Status AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
                      LockMode mode, const AcquireOptions& options);
 
+  /// Releases one count of \p txn's hold on the entry of \p resource (a
+  /// lane, for a singleton granule), a cache-granted one first.
+  Status ReleaseHold(TxnId txn, ResourceId resource, TxnLocks* locks);
+
+  /// One transaction's holds on the lanes of one singleton granule.
+  struct LaneHold {
+    TxnId txn = kInvalidTxn;
+    ResourceId granule;
+    std::array<LockMode, kLanes> modes{};
+    bool is_long = false;
+  };
+
+  /// Every transaction's lane holds, one row per (txn, granule).
+  std::vector<LaneHold> LaneHolds() const;
+
+  /// Every hold (only long ones with \p long_only), lanes folded.
+  std::vector<LongLockRecord> Snapshot(bool long_only) const;
+
   /// Unwinds a failed wait: dequeues the waiter, deregisters it from the
   /// waits-for graph, promotes unblocked waiters and drops an empty entry.
   void CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
@@ -456,9 +522,10 @@ class LockManager {
   void Wound(TxnId txn);
 
   Options options_;
+  /// The hashed shards, then the `kLanes` lane shards.
   mutable std::vector<Shard> shards_;
-  size_t shard_mask_ = 0;   ///< shards_.size() - 1 (power of two)
-  int shard_bits_ = 0;      ///< log2(shards_.size())
+  size_t shard_mask_ = 0;   ///< hashed shards - 1 (power of two)
+  int shard_bits_ = 0;      ///< log2(hashed shards)
   WaitsForGraph wfg_;
   LockStats stats_;
 

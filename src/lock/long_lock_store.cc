@@ -138,7 +138,9 @@ size_t DecodeBlock(const std::string& data, size_t off, uint32_t magic,
     r.resource.node = GetU32(q);
     r.resource.instance = GetU64(q + 4);
     const uint8_t mode = static_cast<uint8_t>(q[12]);
-    if (mode >= kNumModes) return 0;  // CRC collision / version skew
+    // CRC collision / version skew; bit 63 of an instance is the lock
+    // manager's lane tag (resource.h), never a stored granule.
+    if (mode >= kNumModes || r.resource.is_lane()) return 0;
     r.mode = static_cast<LockMode>(mode);
     b.records.push_back(r);
     q += kLockSize;

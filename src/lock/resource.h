@@ -8,6 +8,12 @@
 /// node.  A shared complex object (inner unit) is identified by its root
 /// tuple's instance id, which is path-independent — the property that makes
 /// "from-the-side" accesses collide on the same lock-table entry.
+///
+/// Bit 63 of the instance id is reserved for the lock manager's *lanes*:
+/// it splits every singleton granule into `kLanes` lane entries
+/// (lock_manager.h), tagged `kLaneBit | lane`.  Instance ids from outside
+/// the lock manager stay below 2^63; the long-lock decoder and
+/// `RestoreLongLocks` refuse one with the bit set.
 
 #ifndef CODLOCK_LOCK_RESOURCE_H_
 #define CODLOCK_LOCK_RESOURCE_H_
@@ -24,6 +30,12 @@ using TxnId = uint64_t;
 
 inline constexpr TxnId kInvalidTxn = 0;
 
+/// Number of lanes a singleton granule is split into (lock_manager.h).
+inline constexpr uint64_t kLanes = 8;
+
+/// Instance bit marking a lane of a singleton granule.
+inline constexpr uint64_t kLaneBit = uint64_t{1} << 63;
+
 /// \brief A lockable resource: lock-graph node instance.
 struct ResourceId {
   /// Lock-graph node (see logra::LockGraph); identifies the granule kind.
@@ -33,10 +45,29 @@ struct ResourceId {
 
   friend bool operator==(const ResourceId&, const ResourceId&) = default;
 
+  /// True for a singleton granule (instance 0).
+  constexpr bool singleton() const { return instance == 0; }
+
+  /// True for a lane of a singleton granule.
+  constexpr bool is_lane() const { return (instance & kLaneBit) != 0; }
+
+  /// Lane index of a lane resource.
+  constexpr uint64_t lane() const { return instance & ~kLaneBit; }
+
+  /// Lane \p k of this singleton granule.
+  constexpr ResourceId Lane(uint64_t k) const { return {node, kLaneBit | k}; }
+
+  /// "n3/i17"; a lane prints as its granule and lane, "n3/i0@lane5".
   std::string ToString() const {
+    if (is_lane()) {
+      return "n" + std::to_string(node) + "/i0@lane" + std::to_string(lane());
+    }
     return "n" + std::to_string(node) + "/i" + std::to_string(instance);
   }
 };
+
+/// The lane a transaction's intention locks on singleton granules use.
+inline constexpr uint64_t LaneOf(TxnId txn) { return txn % kLanes; }
 
 struct ResourceIdHash {
   size_t operator()(const ResourceId& r) const {

@@ -48,6 +48,12 @@
 ///     consumes one first, so shard-side counts pair with slow-path grants.
 ///  5. A wound invalidates the whole cache, so a wounded transaction's next
 ///     acquisition reaches the slow path and fails with kAborted.
+///
+/// **Lanes.**  A singleton granule's slot is keyed by the transaction's
+/// own lane (lock_manager.h), the one lane every hold of it includes; the
+/// manager notes there the modes requested of the granule, not the lane's
+/// mode, so the slot never claims an S or X that some lane lacks.  Held
+/// rows name lanes too: one row per lane entry held.
 
 #ifndef CODLOCK_LOCK_TXN_LOCKS_H_
 #define CODLOCK_LOCK_TXN_LOCKS_H_
@@ -104,7 +110,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   LockMode CachedMode(const ResourceId& r) {
     AssertOwner();
     if (!Fresh()) return LockMode::kNL;
-    const Slot* s = Find(r);
+    const Slot* s = Find(Key(r));
     return s == nullptr ? LockMode::kNL : s->mode;
   }
 
@@ -137,7 +143,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   bool TryHit(const ResourceId& r, LockMode mode, bool want_long) {
     AssertOwner();
     if (!Fresh()) return false;
-    Slot* s = Find(r);
+    Slot* s = Find(Key(r));
     if (s == nullptr || !Covers(s->mode, mode)) return false;
     if (want_long && s->duration == 0) return false;
     ++s->pending;
@@ -148,7 +154,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   void Note(const ResourceId& r, LockMode mode, bool is_long) {
     AssertOwner();
     Fresh();  // start a fresh array if an invalidation raced the grant
-    Slot* s = FindOrCreate(r);
+    Slot* s = FindOrCreate(Key(r));
     if (s == nullptr) return;  // full: stay uncached
     s->mode = Supremum(s->mode, mode);
     if (is_long) s->duration = 1;
@@ -159,7 +165,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   bool ConsumeRelease(const ResourceId& r) {
     AssertOwner();
     if (!Fresh()) return false;
-    Slot* s = Find(r);
+    Slot* s = Find(Key(r));
     if (s == nullptr || s->pending == 0) return false;
     --s->pending;
     return true;
@@ -169,7 +175,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   void Erase(const ResourceId& r) {
     AssertOwner();
     if (!Fresh()) return;
-    Slot* s = Find(r);
+    Slot* s = Find(Key(r));
     if (s == nullptr) return;
     *s = slots_.back();
     slots_.pop_back();
@@ -183,6 +189,12 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     // and the cache-coherence oracle must see the divergence.
     if (mutation::Enabled(mutation::Mutant::kDropCacheInvalidation)) return;
     epoch_.fetch_add(1, wm::release);
+  }
+
+  /// The slot key of \p r: a singleton granule's is this transaction's
+  /// lane of it.
+  ResourceId Key(const ResourceId& r) const {
+    return r.singleton() ? r.Lane(LaneOf(id_)) : r;
   }
 
   /// Zero-cost capability assertion: calling any owner-thread method *is*

@@ -1,5 +1,7 @@
 #include "nf2/store.h"
 
+#include <cassert>
+
 namespace codlock::nf2 {
 
 InstanceStore::RelationStore& InstanceStore::StoreFor(RelationId rel) const {
@@ -15,7 +17,10 @@ InstanceStore::RelationStore& InstanceStore::StoreFor(RelationId rel) const {
 }
 
 void InstanceStore::AssignIids(Value* v) {
-  v->set_iid(next_iid_.fetch_add(1, std::memory_order_relaxed));
+  const Iid iid = next_iid_.fetch_add(1, std::memory_order_relaxed);
+  // Bit 63 is the lock manager's lane tag (lock/resource.h).
+  assert(iid < (Iid{1} << 63));
+  v->set_iid(iid);
   if (!v->is_atomic() && !v->is_ref()) {
     for (Value& child : v->children()) AssignIids(&child);
   }

@@ -205,6 +205,9 @@ class InstanceStore {
   const Catalog* catalog_;
   std::atomic<uint64_t> mutation_epoch_{1};
   std::atomic<ObjectId> next_object_{1};
+  /// Iids count up from 1 and stay below 2^63: bit 63 of a lock
+  /// resource's instance is reserved for the lock manager's lanes
+  /// (lock/resource.h), and `AssignIids` asserts it in debug builds.
   std::atomic<Iid> next_iid_{1};
   mutable std::shared_mutex stores_mu_;
   mutable std::unordered_map<RelationId, std::unique_ptr<RelationStore>>
