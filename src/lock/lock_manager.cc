@@ -330,24 +330,23 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   std::shared_ptr<TxnLocks> by_id;
   TxnLocks* t = locks;
   CODLOCK_RETURN_IF_ERROR(Resolve(txn, t, by_id));
-  return AcquireSlow(*t, locks != nullptr, resource, mode, options);
+  Grant g;
+  return AcquireSlow(*t, locks != nullptr, resource, mode, options, g);
 }
 
 Status LockManager::AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
-                                LockMode mode, const AcquireOptions& options) {
+                                LockMode mode, const AcquireOptions& options,
+                                Grant& g) {
   Shard& shard = ShardFor(resource);
-  bool record_held = false;
-  LockMode granted = LockMode::kNL;
   Status status;
   {
     MutexLock lk(shard.mu);
-    status = AcquireLocked(shard, t, resource, mode, options, record_held,
-                           granted);
+    status = AcquireLocked(shard, t, resource, mode, options, g);
   }
   if (status.ok()) {
-    if (record_held) AddHeld(t, {&resource, 1});
+    if (g.before == LockMode::kNL) AddHeld(t, {&resource, 1});
     if (cached) {
-      t.Note(resource, granted, options.duration == LockDuration::kLong);
+      t.Note(resource, g.mode, options.duration == LockDuration::kLong);
     }
   }
   return status;
@@ -443,7 +442,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   // Lanes of an S/X leaf are the exception: each is tried only after the
   // lanes before it are granted, so two S/X requests on one granule take
   // its lanes in the same order and cannot deadlock on them.
-  LockMode granted_of[kMaxBatch];
+  Grant grant_of[kMaxBatch];
   ResourceId newly_held[kMaxBatch];
   size_t num_newly_held = 0;
   uint64_t granted_mask = 0;
@@ -466,13 +465,12 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
         continue;
       }
       Entry& entry = EntryFor(shard, req[j].res());
-      bool record_held = false;
-      LockMode granted = LockMode::kNL;
-      if (TryGrantLocked(shard, entry, txn, req[j].mode, options, granted,
-                         record_held)) {
-        granted_of[j] = granted;
+      if (TryGrantLocked(shard, entry, txn, req[j].mode, options,
+                         grant_of[j])) {
         granted_mask |= uint64_t{1} << j;
-        if (record_held) newly_held[num_newly_held++] = req[j].res();
+        if (grant_of[j].before == LockMode::kNL) {
+          newly_held[num_newly_held++] = req[j].res();
+        }
         if (j == next_leaf_lane) ++next_leaf_lane;
       } else {
         deferred_mask |= uint64_t{1} << j;
@@ -495,7 +493,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     for (uint64_t scan = granted_mask; scan != 0; scan &= scan - 1) {
       const size_t j = static_cast<size_t>(std::countr_zero(scan));
       if (!req[j].res().is_lane()) {
-        locks->Note(req[j].res(), granted_of[j], want_long);
+        locks->Note(req[j].res(), grant_of[j].mode, want_long);
       }
     }
   }
@@ -514,7 +512,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       break;
     }
     status = AcquireSlow(*t, locks != nullptr && !req[j].res().is_lane(),
-                         req[j].res(), req[j].mode, options);
+                         req[j].res(), req[j].mode, options, grant_of[j]);
     if (!status.ok()) break;
     blocking_done |= uint64_t{1} << j;
   }
@@ -522,11 +520,15 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     // Count-paired, leaf-to-root: a re-entrant acquisition merely drops
     // back to its previous count; a fresh grant disappears, so the failed
     // path leaves no new intention locks behind for the retry loop to trip
-    // over.  Mode upgrades from conversions persist (safe — strictly
-    // stronger).  Lanes are released exactly, not as their granule.
+    // over.  A conversion on an instance resource keeps its mode (safe —
+    // strictly stronger — and the grant one entry makes).  A lane goes
+    // back exactly as it was: one entry would have refused the whole S/X
+    // that a conversion on some of its lanes belongs to.
     const uint64_t made = granted_mask | blocking_done;
     for (size_t j = m; j-- > 0;) {
-      if (((made >> j) & 1) != 0) ReleaseHold(txn, req[j].res(), locks);
+      if (((made >> j) & 1) != 0) {
+        UndoGrant(*t, locks != nullptr, req[j].res(), grant_of[j]);
+      }
     }
     for (size_t i = n; i-- > 0;) {
       if (((hit_mask >> i) & 1) != 0) Release(txn, path[i], locks);
@@ -549,8 +551,11 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
 
 bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
                                  LockMode mode, const AcquireOptions& options,
-                                 LockMode& granted, bool& record_held) {
+                                 Grant& g) {
   Holder* mine = FindHolder(entry, txn);
+  g.before = mine != nullptr ? mine->mode : LockMode::kNL;
+  g.was_long = mine != nullptr && mine->duration == LockDuration::kLong;
+  g.is_long = g.was_long || options.duration == LockDuration::kLong;
 
   // Re-entrant acquisition of a covered mode: bump the count.  The caller
   // accounts grants/immediate_grants (batched in AcquirePath).
@@ -559,7 +564,7 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
     if (options.duration == LockDuration::kLong) {
       mine->duration = LockDuration::kLong;
     }
-    granted = mine->mode;
+    g.mode = mine->mode;
     return true;
   }
 
@@ -585,10 +590,10 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
         mine->duration = LockDuration::kLong;
       }
     } else {
+      // A new holder: the caller bumps the held-locks gauge.
       entry.holders.push_back(Holder{txn, target, 1, options.duration});
-      record_held = true;  // caller bumps the held-locks gauge
     }
-    granted = target;
+    g.mode = target;
     return true;
   }
   return false;
@@ -596,15 +601,13 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
 
 Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
                                   ResourceId resource, LockMode mode,
-                                  const AcquireOptions& options,
-                                  bool& record_held, LockMode& granted) {
+                                  const AcquireOptions& options, Grant& g) {
   const TxnId txn = t.id();
   Entry& entry = EntryFor(shard, resource);
-  if (TryGrantLocked(shard, entry, txn, mode, options, granted,
-                     record_held)) {
+  if (TryGrantLocked(shard, entry, txn, mode, options, g)) {
     stats_.grants.Add();
     stats_.immediate_grants.Add();
-    if (record_held) NoteHolderAdded(stats_);
+    if (g.before == LockMode::kNL) NoteHolderAdded(stats_);
     return Status::OK();
   }
 
@@ -748,8 +751,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
       blocked_waiters_.fetch_sub(1, wm::acq_rel);
       stats_.grants.Add();
       stats_.wait_ns.Record(waited.ElapsedNanos());
-      if (!is_conversion) record_held = true;
-      granted = target;
+      g.mode = target;  // TryGrantLocked set the rest before the wait
       return Status::OK();
     }
     KillReason reason = waiter->killed.load(wm::relaxed);
@@ -779,6 +781,36 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
                              " exceeded " + std::to_string(timeout_ms) + "ms");
     }
     // Spurious wake-up or waits-for refresh: loop.
+  }
+}
+
+void LockManager::UndoGrant(TxnLocks& t, bool cached, ResourceId res,
+                            const Grant& g) {
+  Shard& shard = ShardFor(res);
+  bool gone = false;
+  {
+    MutexLock lk(shard.mu);
+    Entry* e = FindEntry(shard, res);
+    Holder* h = e == nullptr ? nullptr : FindHolder(*e, t.id());
+    if (h == nullptr) return;  // a foreign ReleaseAll took it meanwhile
+    stats_.releases.Add();
+    if (g.before == LockMode::kNL) {
+      e->holders.erase(e->holders.begin() + (h - e->holders.data()));
+      stats_.held_locks.fetch_sub(1, wm::relaxed);
+      gone = true;
+    } else {
+      --h->count;
+      if (res.is_lane()) {
+        h->mode = g.before;
+        h->duration = g.was_long ? LockDuration::kLong : LockDuration::kShort;
+      }
+    }
+    GrantWaiters(shard, *e);
+    MaybeRetireEntry(shard, *e);
+  }
+  if (gone) {
+    t.Forget(res);
+    if (cached) t.Erase(res);
   }
 }
 

@@ -223,9 +223,11 @@ class LockManager {
   /// (root-to-leaf), preserving the protocol's waiting behavior.  On
   /// failure the *acquisitions this call made* are rolled back
   /// (leaf-to-root), so a failed path leaves no newly-taken intention
-  /// locks behind; mode upgrades a conversion applied to a previously
-  /// held lock are not undone (the count is re-paired, the stronger mode
-  /// stays until the caller aborts — safe, merely conservative).
+  /// locks behind.  A conversion of an instance resource held before is
+  /// not undone (the count is re-paired; the stronger mode and duration
+  /// stay until the caller aborts — safe, merely conservative, and what
+  /// one entry would have granted).  A singleton granule is left exactly
+  /// as it was: its lanes get back their modes and durations.
   Status AcquirePath(TxnId txn, std::span<const ResourceId> path,
                      LockMode leaf_mode,
                      const AcquireOptions& options = AcquireOptions(),
@@ -432,31 +434,44 @@ class LockManager {
   /// held).
   static HeldLock HoldOf(Entry& entry, TxnId txn);
 
+  /// What one grant did to the requester's holder on one entry.  Plain (no
+  /// default member initializers), so `AcquirePath`'s batch array is not
+  /// zeroed on every call.
+  struct Grant {
+    LockMode mode;    ///< the holder's mode now
+    LockMode before;  ///< its mode before the grant (kNL: a new holder)
+    bool is_long;     ///< the holder is long now
+    bool was_long;    ///< it was long before the grant
+  };
+
   /// Attempts an immediate grant of \p mode (no waiting): re-entrant
   /// covered acquisition, in-place conversion or fresh grant when the
   /// queue is clear and all holders are compatible.  On success sets
-  /// \p granted to the mode now held and \p record_held when the caller
-  /// must append a held-list row (a new holder).
+  /// \p g; a new holder (`g.before == kNL`) needs a held-list row.
   bool TryGrantLocked(Shard& shard, Entry& entry, TxnId txn, LockMode mode,
-                      const AcquireOptions& options, LockMode& granted,
-                      bool& record_held) CODLOCK_REQUIRES(shard.mu);
+                      const AcquireOptions& options, Grant& g)
+      CODLOCK_REQUIRES(shard.mu);
 
-  /// Body of `Acquire` once the shard is locked.  Sets \p record_held when
-  /// the caller must append a held-list row after dropping the shard
-  /// mutex, and \p granted to the mode held on success (for the cache).
+  /// Body of `Acquire` once the shard is locked; sets \p g on success.
   Status AcquireLocked(Shard& shard, const TxnLocks& t, ResourceId resource,
-                       LockMode mode, const AcquireOptions& options,
-                       bool& record_held, LockMode& granted)
+                       LockMode mode, const AcquireOptions& options, Grant& g)
       CODLOCK_REQUIRES(shard.mu);
 
   /// `Acquire` after a cache miss: the shard, the held list and — when
-  /// \p cached — the cache bookkeeping.
+  /// \p cached — the cache bookkeeping.  Sets \p g on success.
   Status AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
-                     LockMode mode, const AcquireOptions& options);
+                     LockMode mode, const AcquireOptions& options, Grant& g);
 
   /// Releases one count of \p txn's hold on the entry of \p resource (a
   /// lane, for a singleton granule), a cache-granted one first.
   Status ReleaseHold(TxnId txn, ResourceId resource, TxnLocks* locks);
+
+  /// Undoes \p g, a grant a failed `AcquirePath` made on \p res: its count
+  /// goes, a new holder goes altogether, and on a lane the holder gets back
+  /// the mode and duration it had.  \p cached: the call came through the
+  /// handle \p t, whose cache then forgets a hold that went.  Nothing else
+  /// is invalidated: nothing can be cached of a hold the call created.
+  void UndoGrant(TxnLocks& t, bool cached, ResourceId res, const Grant& g);
 
   /// One transaction's holds on the lanes of one singleton granule.
   struct LaneHold {

@@ -171,12 +171,19 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     return true;
   }
 
-  /// Drops the slot for \p r (owner-thread release/downgrade).
+  /// Drops the cached mode of \p r (owner-thread release/downgrade).  A
+  /// slot whose cache grants are not all released yet keeps them, without
+  /// a mode, so the releases that pair with them are still absorbed here.
   void Erase(const ResourceId& r) {
     AssertOwner();
     if (!Fresh()) return;
     Slot* s = Find(Key(r));
     if (s == nullptr) return;
+    if (s->pending != 0) {
+      s->mode = LockMode::kNL;
+      s->duration = 0;
+      return;
+    }
     *s = slots_.back();
     slots_.pop_back();
   }

@@ -169,6 +169,62 @@ TEST(LockManagerLanesTest, BlockedShareShowsItsIntentionAndRollsBack) {
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 
+TEST(LockManagerLanesTest, FailedExclusiveLeavesNoLaneConversion) {
+  LockManager lm;
+  // Txn 3 (lane 3) holds IS and txn 5 (lane 5) IX.  Txn 3's X converts
+  // lane 3 before it fails at lane 5; one entry would have refused it
+  // whole, so lane 3 goes back to IS.
+  ASSERT_TRUE(lm.Acquire(3, kRel, LockMode::kIS).ok());
+  ASSERT_TRUE(lm.Acquire(5, kRel, LockMode::kIX).ok());
+  EXPECT_TRUE(lm.Acquire(3, kRel, LockMode::kX, NoWait()).IsConflict());
+  std::vector<LockMode> is(kLanes, LockMode::kNL);
+  is[3] = LockMode::kIS;
+  EXPECT_EQ(LaneModes(lm, 3, kRel), is);
+  EXPECT_EQ(lm.HeldMode(3, kRel), LockMode::kIS);
+  EXPECT_EQ(lm.GroupMode(kRel), LockMode::kIX);
+  // Txn 11 shares lane 3: its IS meets txn 3's IS there.
+  EXPECT_TRUE(lm.Acquire(11, kRel, LockMode::kIS, NoWait()).ok());
+  EXPECT_EQ(lm.ReleaseAll(3), 1u);
+}
+
+TEST(LockManagerLanesTest, FailedUpgradeLeavesTheShareOnEveryLane) {
+  LockManager lm;
+  // Txn 1 holds S and txn 5 IS: txn 1's X converts lanes 0-4 and fails
+  // at lane 5.  Every lane goes back to S.
+  ASSERT_TRUE(lm.Acquire(1, kRel, LockMode::kS).ok());
+  ASSERT_TRUE(lm.Acquire(5, kRel, LockMode::kIS).ok());
+  EXPECT_TRUE(lm.Acquire(1, kRel, LockMode::kX, NoWait()).IsConflict());
+  EXPECT_EQ(LaneModes(lm, 1, kRel),
+            std::vector<LockMode>(kLanes, LockMode::kS));
+  EXPECT_EQ(lm.HeldMode(1, kRel), LockMode::kS);
+  EXPECT_EQ(lm.GroupMode(kRel), LockMode::kS);
+  const std::vector<HeldLock> held = lm.LocksOf(1);
+  ASSERT_EQ(held.size(), 1u);
+  EXPECT_EQ(held[0].mode, LockMode::kS);
+  // Txn 9 (lane 1) reads beside the S.
+  EXPECT_TRUE(lm.Acquire(9, kRel, LockMode::kIS, NoWait()).ok());
+  // The undone conversion leaves one count: one release frees every lane.
+  ASSERT_TRUE(lm.Release(1, kRel).ok());
+  EXPECT_EQ(LaneModes(lm, 1, kRel),
+            std::vector<LockMode>(kLanes, LockMode::kNL));
+}
+
+TEST(LockManagerLanesTest, TimedOutUpgradeLeavesTheShareOnEveryLane) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, kRel, LockMode::kS).ok());
+  ASSERT_TRUE(lm.Acquire(5, kRel, LockMode::kIS).ok());
+  // The X converts lanes 0-4 and waits at lane 5 until its deadline.
+  EXPECT_TRUE(lm.Acquire(1, kRel, LockMode::kX, Timeout(50)).IsTimeout());
+  EXPECT_EQ(LaneModes(lm, 1, kRel),
+            std::vector<LockMode>(kLanes, LockMode::kS));
+  EXPECT_EQ(lm.HeldMode(1, kRel), LockMode::kS);
+  EXPECT_TRUE(lm.Acquire(9, kRel, LockMode::kIS, NoWait()).ok());
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.ReleaseAll(5), 1u);
+  EXPECT_EQ(lm.ReleaseAll(9), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
 TEST(LockManagerLanesTest, ShareAgainstAnIntentionHolderEndsWithAVictim) {
   for (DeadlockPolicy policy : {DeadlockPolicy::kDetect,
                                 DeadlockPolicy::kWaitDie,
