@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -36,27 +35,6 @@ void NoteHoldersAdded(LockStats& stats, int64_t n) {
 }
 
 void NoteHolderAdded(LockStats& stats) { NoteHoldersAdded(stats, 1); }
-
-/// A singleton granule's mode from its lane modes: the weakest S/X part
-/// every lane holds, joined with the intentions the lanes imply.  An S or X
-/// held on only some lanes is still waiting at a later lane, or was left
-/// on one lane by a failed conversion; either way it is not held on the
-/// granule and shows as its intention mode.
-LockMode FoldLanes(const std::array<LockMode, kLanes>& modes) {
-  auto strength = [](LockMode m) {
-    return m == LockMode::kX ? 2 : m == LockMode::kS || m == LockMode::kSIX;
-  };
-  int common = 2;
-  LockMode intention = LockMode::kNL;
-  for (LockMode m : modes) {
-    common = std::min(common, static_cast<int>(strength(m)));
-    if (m != LockMode::kNL) intention = Supremum(intention, IntentionFor(m));
-  }
-  const LockMode held = common == 2   ? LockMode::kX
-                        : common == 1 ? LockMode::kS
-                                      : LockMode::kNL;
-  return Supremum(held, intention);
-}
 
 }  // namespace
 
@@ -137,18 +115,18 @@ Status LockManager::Resolve(TxnId txn, TxnLocks*& t,
   return Status::OK();
 }
 
-void LockManager::AddHeld(TxnLocks& t, std::span<const ResourceId> resources) {
-  if (resources.empty() || t.Record(resources)) return;
+void LockManager::RecordGrants(TxnLocks& t, std::span<const Grant> grants) {
+  if (grants.empty() || t.Record(grants)) return;
   // A foreign ReleaseAll ended the transaction after this call resolved
   // it; the grant landed anyway and must stay visible to a ReleaseAll.
-  Rebegin(t, resources);
+  Rebegin(t, grants);
 }
 
-bool LockManager::Rebegin(TxnLocks& t, std::span<const ResourceId> resources) {
-  return txns_.With(t.id(), [&t, resources](auto& map) {
+bool LockManager::Rebegin(TxnLocks& t, std::span<const Grant> grants) {
+  return txns_.With(t.id(), [&t, grants](auto& map) {
     std::shared_ptr<TxnLocks>& live = map[t.id()];
     if (live == nullptr) live = t.shared_from_this();
-    live->Record(resources, /*revive=*/true);
+    live->Record(grants, /*revive=*/true);
     return live.get() == &t;
   });
 }
@@ -344,7 +322,7 @@ Status LockManager::AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
     status = AcquireLocked(shard, t, resource, mode, options, g);
   }
   if (status.ok()) {
-    if (g.before == LockMode::kNL) AddHeld(t, {&resource, 1});
+    if (g.changed()) RecordGrants(t, {&g, 1});
     if (cached) {
       t.Note(resource, g.mode, options.duration == LockDuration::kLong);
     }
@@ -443,8 +421,9 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   // lanes before it are granted, so two S/X requests on one granule take
   // its lanes in the same order and cannot deadlock on them.
   Grant grant_of[kMaxBatch];
-  ResourceId newly_held[kMaxBatch];
-  size_t num_newly_held = 0;
+  Grant changed[kMaxBatch];  // the grants the rows must see
+  size_t num_changed = 0;
+  int64_t num_new = 0;
   uint64_t granted_mask = 0;
   uint64_t deferred_mask = 0;
   const size_t first_leaf_lane =
@@ -468,9 +447,8 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       if (TryGrantLocked(shard, entry, txn, req[j].mode, options,
                          grant_of[j])) {
         granted_mask |= uint64_t{1} << j;
-        if (grant_of[j].before == LockMode::kNL) {
-          newly_held[num_newly_held++] = req[j].res();
-        }
+        if (grant_of[j].changed()) changed[num_changed++] = grant_of[j];
+        if (grant_of[j].before == LockMode::kNL) ++num_new;
         if (j == next_leaf_lane) ++next_leaf_lane;
       } else {
         deferred_mask |= uint64_t{1} << j;
@@ -483,12 +461,10 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     stats_.grants.Add(immediate);
     stats_.immediate_grants.Add(immediate);
   }
-  if (num_newly_held != 0) {
-    NoteHoldersAdded(stats_, static_cast<int64_t>(num_newly_held));
-  }
+  if (num_new != 0) NoteHoldersAdded(stats_, num_new);
 
-  // One held-list append for the whole batch.
-  AddHeld(*t, std::span<const ResourceId>(newly_held, num_newly_held));
+  // One merge into the held rows for the whole batch.
+  RecordGrants(*t, std::span<const Grant>(changed, num_changed));
   if (locks != nullptr) {
     for (uint64_t scan = granted_mask; scan != 0; scan &= scan - 1) {
       const size_t j = static_cast<size_t>(std::countr_zero(scan));
@@ -526,18 +502,36 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     // that a conversion on some of its lanes belongs to.
     const uint64_t made = granted_mask | blocking_done;
     for (size_t j = m; j-- > 0;) {
-      if (((made >> j) & 1) != 0) {
-        UndoGrant(*t, locks != nullptr, req[j].res(), grant_of[j]);
-      }
+      if (((made >> j) & 1) != 0) UndoGrant(*t, locks != nullptr, grant_of[j]);
     }
     for (size_t i = n; i-- > 0;) {
       if (((hit_mask >> i) & 1) != 0) Release(txn, path[i], locks);
     }
+    // A singleton's row goes back with its lanes: between calls it is the
+    // hold on the transaction's own lane, which every request takes.
+    for (uint64_t scan = singleton_mask; scan != 0; scan &= scan - 1) {
+      const ResourceId granule = path[std::countr_zero(scan)];
+      const ResourceId lane = granule.Lane(LaneOf(txn));
+      Shard& shard = ShardFor(lane);
+      MutexLock lk(shard.mu);
+      Entry* e = FindEntry(shard, lane);
+      const HeldLock h = e == nullptr ? HeldLock{} : HoldOf(*e, txn);
+      if (h.mode == LockMode::kNL) continue;
+      t->EditRow(granule, [&h](TxnLocks::Row& row) {
+        row.mode = h.mode;
+        row.is_long = h.duration == LockDuration::kLong;
+      });
+    }
     return status;
   }
+  // An S/SIX/X on every lane of a singleton is now held on the granule.
+  if (leaf_on_lanes && ((hit_mask >> (n - 1)) & 1) == 0) {
+    t->EditRow(path[n - 1], [leaf_mode](TxnLocks::Row& row) {
+      row.mode = Supremum(row.mode, leaf_mode);
+    });
+  }
   // A singleton's slot records the modes asked of the granule, now that
-  // every lane of them is held; the lanes' own modes may carry an S or X
-  // that a failed call left on one lane.
+  // every lane of them is held.
   if (locks != nullptr) {
     for (uint64_t scan = singleton_mask; scan != 0; scan &= scan - 1) {
       const size_t i = static_cast<size_t>(std::countr_zero(scan));
@@ -553,6 +547,8 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
                                  LockMode mode, const AcquireOptions& options,
                                  Grant& g) {
   Holder* mine = FindHolder(entry, txn);
+  g.node = entry.res.node;
+  g.instance = entry.res.instance;
   g.before = mine != nullptr ? mine->mode : LockMode::kNL;
   g.was_long = mine != nullptr && mine->duration == LockDuration::kLong;
   g.is_long = g.was_long || options.duration == LockDuration::kLong;
@@ -784,8 +780,8 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
   }
 }
 
-void LockManager::UndoGrant(TxnLocks& t, bool cached, ResourceId res,
-                            const Grant& g) {
+void LockManager::UndoGrant(TxnLocks& t, bool cached, const Grant& g) {
+  const ResourceId res = g.res();
   Shard& shard = ShardFor(res);
   bool gone = false;
   {
@@ -839,14 +835,18 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
     stats_.releases.Add();
     return Status::OK();
   }
+  const std::shared_ptr<TxnLocks> by_id =
+      locks != nullptr ? nullptr : Registered(txn);
+  const TxnLocks* t = locks != nullptr ? locks : by_id.get();
   std::array<uint32_t, kLanes> counts{};
-  for (uint64_t k = 0; k < kLanes; ++k) {
-    const ResourceId lane = resource.Lane(k);
-    Shard& shard = ShardFor(lane);
-    MutexLock lk(shard.mu);
-    if (Entry* e = FindEntry(shard, lane)) {
-      if (const Holder* h = FindHolder(*e, txn)) counts[k] = h->count;
-    }
+  if (t != nullptr) {
+    t->RowOf(resource).ForEachEntry([&](ResourceId lane) {
+      Shard& shard = ShardFor(lane);
+      MutexLock lk(shard.mu);
+      if (Entry* e = FindEntry(shard, lane)) {
+        if (const Holder* h = FindHolder(*e, txn)) counts[lane.lane()] = h->count;
+      }
+    });
   }
   const uint32_t top = *std::max_element(counts.begin(), counts.end());
   if (top == 0) {
@@ -910,52 +910,49 @@ Status LockManager::ReleaseHold(TxnId txn, ResourceId resource,
 
 size_t LockManager::ReleaseAll(TxnId txn) {
   // EOT: End() invalidates the cache before the locks disappear and hands
-  // over the held list; a later acquire through the handle re-begins it.
-  const std::vector<ResourceId> held = txns_.With(txn, [txn](auto& map) {
-    std::vector<ResourceId> out;
+  // over the rows; a later acquire through the handle re-begins it.
+  std::vector<TxnLocks::Row> rows = txns_.With(txn, [txn](auto& map) {
+    std::vector<TxnLocks::Row> out;
     auto it = map.find(txn);
     if (it == map.end()) return out;
     out = it->second->End();
     map.erase(it);
     return out;
   });
-  // Visit each shard once: group the held set by shard index, hashing each
-  // resource a single time.
-  std::vector<std::pair<uint32_t, ResourceId>> keyed;
-  keyed.reserve(held.size());
-  for (const ResourceId& r : held) {
-    keyed.emplace_back(static_cast<uint32_t>(ShardIndexFor(r)), r);
+  // One key per table entry of each row; visit each shard once, hashing
+  // each resource a single time.  A row's mode is not needed any more:
+  // until one of its entries is released it reads X.
+  struct Key {
+    uint32_t shard;
+    uint32_t row;
+    ResourceId res;
+  };
+  std::vector<Key> keyed;
+  keyed.reserve(rows.size());
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    rows[i].ForEachEntry([&](ResourceId r) {
+      keyed.push_back({static_cast<uint32_t>(ShardIndexFor(r)), i, r});
+    });
+    rows[i].mode = LockMode::kX;
   }
   std::sort(keyed.begin(), keyed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  // Lane rows sort last (lane shards follow the hashed ones).  The count
-  // reports granules: a lane row counts unless an earlier released lane
-  // row named its granule; a row released by nobody is cleared.
-  const auto lanes_begin = std::partition_point(
-      keyed.begin(), keyed.end(),
-      [](const auto& k) { return !k.second.is_lane(); });
+            [](const Key& a, const Key& b) { return a.shard < b.shard; });
+  // A row counts once, when the first of its entries still had the
+  // holder.
   size_t released = 0;
   size_t granules = 0;
   for (size_t i = 0; i < keyed.size();) {
-    const uint32_t shard_idx = keyed[i].first;
+    const uint32_t shard_idx = keyed[i].shard;
     Shard& shard = shards_[shard_idx];
     MutexLock lk(shard.mu);
-    for (; i < keyed.size() && keyed[i].first == shard_idx; ++i) {
-      ResourceId& res = keyed[i].second;
-      Entry* e = FindEntry(shard, res);
+    for (; i < keyed.size() && keyed[i].shard == shard_idx; ++i) {
+      Entry* e = FindEntry(shard, keyed[i].res);
       Holder* h = e == nullptr ? nullptr : FindHolder(*e, txn);
-      if (h == nullptr) {
-        res = ResourceId{};
-        continue;
-      }
+      if (h == nullptr) continue;
       e->holders.erase(e->holders.begin() + (h - e->holders.data()));
       ++released;
-      if (!res.is_lane() ||
-          std::none_of(lanes_begin, keyed.begin() + static_cast<long>(i),
-                       [&res](const auto& k) {
-                         return k.second.node == res.node &&
-                                k.second.is_lane();
-                       })) {
+      if (std::exchange(rows[keyed[i].row].mode, LockMode::kNL) !=
+          LockMode::kNL) {
         ++granules;
       }
       GrantWaiters(shard, *e);
@@ -1005,66 +1002,41 @@ size_t LockManager::DrainForShutdown() {
 
 Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
                               TxnLocks* locks) {
-  Status status;
-  if (resource.singleton()) {
-    // Every lane the transaction holds drops to the new mode: for an
-    // intention mode the extra lanes then add nothing an S/X request would
-    // not meet on the transaction's own lane anyway.
-    const LockMode held = HeldMode(txn, resource);
-    if (held == LockMode::kNL) {
-      status = Status::NotFound("transaction " + std::to_string(txn) +
-                                " holds no lock on " + resource.ToString());
-    } else if (!Covers(held, mode)) {
-      status = Status::InvalidArgument(
-          "cannot downgrade " + std::string(LockModeName(held)) + " to " +
-          std::string(LockModeName(mode)));
-    } else {
-      for (uint64_t k = 0; k < kLanes; ++k) {
-        const ResourceId lane = resource.Lane(k);
-        Shard& shard = ShardFor(lane);
-        MutexLock lk(shard.mu);
-        Entry* e = FindEntry(shard, lane);
-        if (e == nullptr) continue;
-        if (Holder* h = FindHolder(*e, txn)) {
-          h->mode = mode;
-          GrantWaiters(shard, *e);
-        }
-      }
-    }
+  const std::shared_ptr<TxnLocks> by_id =
+      locks != nullptr ? nullptr : Registered(txn);
+  TxnLocks* t = locks != nullptr ? locks : by_id.get();
+  const TxnLocks::Row row =
+      t == nullptr ? TxnLocks::Row{resource} : t->RowOf(resource);
+  if (row.mode == LockMode::kNL) {
+    return Status::NotFound("transaction " + std::to_string(txn) +
+                            " holds no lock on " + resource.ToString());
+  }
+  if (!Covers(row.mode, mode)) {
+    return Status::InvalidArgument("cannot downgrade " +
+                                   std::string(LockModeName(row.mode)) +
+                                   " to " + std::string(LockModeName(mode)));
+  }
+  // Every entry of the hold drops to the new mode, on a singleton every
+  // lane the transaction holds: for an intention mode the extra lanes then
+  // add nothing an S/X request would not meet on the transaction's own
+  // lane anyway.  The narrower mode may unblock queued waiters.
+  row.ForEachEntry([&](ResourceId r) {
+    Shard& shard = ShardFor(r);
+    MutexLock lk(shard.mu);
+    Entry* e = FindEntry(shard, r);
+    Holder* h = e == nullptr ? nullptr : FindHolder(*e, txn);
+    if (h == nullptr) return;
+    h->mode = mode;
+    GrantWaiters(shard, *e);
+  });
+  t->EditRow(resource, [mode](TxnLocks::Row& held) { held.mode = mode; });
+  // The held mode shrank: a cached (stronger) mode must not survive.
+  if (locks != nullptr) {
+    locks->Erase(resource);
   } else {
-    Shard& shard = ShardFor(resource);
-    status = [&]() -> Status {
-      MutexLock lk(shard.mu);
-      Entry* e = FindEntry(shard, resource);
-      if (e == nullptr) {
-        return Status::NotFound("no lock entry for " + resource.ToString());
-      }
-      Entry& entry = *e;
-      for (Holder& h : entry.holders) {
-        if (h.txn != txn) continue;
-        if (!Covers(h.mode, mode)) {
-          return Status::InvalidArgument(
-              "cannot downgrade " + std::string(LockModeName(h.mode)) +
-              " to " + std::string(LockModeName(mode)));
-        }
-        h.mode = mode;
-        // The narrower mode may unblock queued waiters.
-        GrantWaiters(shard, entry);
-        return Status::OK();
-      }
-      return Status::NotFound("transaction " + std::to_string(txn) +
-                              " holds no lock on " + resource.ToString());
-    }();
+    t->Invalidate();
   }
-  if (status.ok()) {
-    // The held mode shrank: a cached (stronger) mode must not survive.
-    if (locks != nullptr) {
-      locks->Erase(resource);
-    } else if (std::shared_ptr<TxnLocks> t = Registered(txn)) {
-      t->Invalidate();
-    }
-  }
-  return status;
+  return Status::OK();
 }
 
 // ---- Inspection & snapshots ----------------------------------------------
@@ -1085,36 +1057,10 @@ HeldLock LockManager::HoldOf(Entry& entry, TxnId txn) {
   return held;
 }
 
-std::vector<LockManager::LaneHold> LockManager::LaneHolds() const {
-  std::map<std::pair<TxnId, uint32_t>, LaneHold> by_granule;
-  for (uint64_t k = 0; k < kLanes; ++k) {
-    const Shard& shard = shards_[shard_mask_ + 1 + k];
-    MutexLock lk(shard.mu);
-    for (const Entry* head : shard.buckets) {
-      for (const Entry* e = head; e != nullptr; e = e->next) {
-        for (const Holder& h : e->holders) {
-          LaneHold& l = by_granule[{h.txn, e->res.node}];
-          l.txn = h.txn;
-          l.granule = ResourceId{e->res.node, 0};
-          l.modes[k] = h.mode;
-          l.is_long |= h.duration == LockDuration::kLong;
-        }
-      }
-    }
-  }
-  std::vector<LaneHold> out;
-  out.reserve(by_granule.size());
-  for (auto& [key, l] : by_granule) out.push_back(l);
-  return out;
-}
-
 LockMode LockManager::HeldMode(TxnId txn, ResourceId resource) const {
   if (resource.singleton()) {
-    std::array<LockMode, kLanes> modes;
-    for (uint64_t k = 0; k < kLanes; ++k) {
-      modes[k] = HeldMode(txn, resource.Lane(k));
-    }
-    return FoldLanes(modes);
+    const std::shared_ptr<TxnLocks> t = Registered(txn);
+    return t == nullptr ? LockMode::kNL : t->RowOf(resource).mode;
   }
   Shard& shard = ShardFor(resource);
   MutexLock lk(shard.mu);
@@ -1125,9 +1071,17 @@ LockMode LockManager::HeldMode(TxnId txn, ResourceId resource) const {
 LockMode LockManager::GroupMode(ResourceId resource) const {
   LockMode m = LockMode::kNL;
   if (resource.singleton()) {
-    for (const LaneHold& l : LaneHolds()) {
-      if (l.granule == resource) m = Supremum(m, FoldLanes(l.modes));
+    // Each holder of a lane adds its row's mode of the granule.
+    std::vector<TxnId> holders;
+    for (uint64_t k = 0; k < kLanes; ++k) {
+      const ResourceId lane = resource.Lane(k);
+      const Shard& shard = ShardFor(lane);
+      MutexLock lk(shard.mu);
+      if (const Entry* e = FindEntry(shard, lane)) {
+        for (const Holder& h : e->holders) holders.push_back(h.txn);
+      }
     }
+    for (TxnId txn : holders) m = Supremum(m, HeldMode(txn, resource));
     return m;
   }
   Shard& shard = ShardFor(resource);
@@ -1141,43 +1095,12 @@ LockMode LockManager::GroupMode(ResourceId resource) const {
 std::vector<HeldLock> LockManager::LocksOf(TxnId txn) const {
   const std::shared_ptr<TxnLocks> t = Registered(txn);
   if (t == nullptr) return {};
-  std::vector<ResourceId> held = t->Held();
   std::vector<HeldLock> out;
-  out.reserve(held.size());
-  for (const ResourceId& resource : held) {
-    Shard& shard = ShardFor(resource);
-    MutexLock lk(shard.mu);
-    Entry* e = FindEntry(shard, resource);
-    if (e == nullptr) continue;
-    const HeldLock h = HoldOf(*e, txn);
-    if (h.mode != LockMode::kNL) out.push_back(h);
-  }
-  // A singleton granule's lane rows fold into one row, at its first lane's
-  // place (the held list names every lane the transaction holds).
-  size_t kept = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const ResourceId r = out[i].resource;
-    if (!r.is_lane()) {
-      out[kept++] = out[i];
-      continue;
-    }
-    const ResourceId granule{r.node, 0};
-    if (std::any_of(out.begin(), out.begin() + static_cast<long>(kept),
-                    [&](const HeldLock& h) { return h.resource == granule; })) {
-      continue;
-    }
-    std::array<LockMode, kLanes> modes{};
-    bool is_long = false;
-    for (size_t j = i; j < out.size(); ++j) {
-      if (out[j].resource.is_lane() && out[j].resource.node == r.node) {
-        modes[out[j].resource.lane()] = out[j].mode;
-        is_long |= out[j].duration == LockDuration::kLong;
-      }
-    }
-    out[kept++] = HeldLock{granule, FoldLanes(modes),
-                           is_long ? LockDuration::kLong : LockDuration::kShort};
-  }
-  out.resize(kept);
+  t->ForEachRow([&out](const TxnLocks::Row& row) {
+    out.push_back(HeldLock{
+        row.res, row.mode,
+        row.is_long ? LockDuration::kLong : LockDuration::kShort});
+  });
   return out;
 }
 
@@ -1230,14 +1153,14 @@ std::vector<LongLockRecord> LockManager::Snapshot(bool long_only) const {
       }
     }
   }
-  // A granule's hold is long when any of its lanes is, as one entry's
-  // holder would be after any long acquisition.
-  for (const LaneHold& l : LaneHolds()) {
-    const LockMode mode = FoldLanes(l.modes);
-    if ((!long_only || l.is_long) && mode != LockMode::kNL) {
-      out.push_back(LongLockRecord{l.txn, l.granule, mode});
-    }
-  }
+  txns_.ForEach([&out, long_only](TxnId txn,
+                                  const std::shared_ptr<TxnLocks>& t) {
+    t->ForEachRow([&](const TxnLocks::Row& row) {
+      if (row.res.singleton() && (!long_only || row.is_long)) {
+        out.push_back(LongLockRecord{txn, row.res, row.mode});
+      }
+    });
+  });
   return out;
 }
 
@@ -1296,21 +1219,30 @@ Status LockManager::RestoreLongLocks(
   // facts still hold.
   for (const LongLockRecord& rec : expanded) {
     Shard& shard = ShardFor(rec.resource);
-    bool record_held = false;
+    Grant g{rec.resource.node, rec.resource.instance, rec.mode, LockMode::kNL,
+            true, false};
     {
       MutexLock lk(shard.mu);
       Entry& entry = EntryFor(shard, rec.resource);
       if (Holder* mine = FindHolder(entry, rec.txn)) {
-        mine->mode = Supremum(mine->mode, rec.mode);
+        g.before = mine->mode;
+        g.was_long = mine->duration == LockDuration::kLong;
+        g.mode = mine->mode = Supremum(mine->mode, rec.mode);
         mine->duration = LockDuration::kLong;
       } else {
         entry.holders.push_back(
             Holder{rec.txn, rec.mode, 1, LockDuration::kLong});
         NoteHolderAdded(stats_);
-        record_held = true;
       }
     }
-    if (record_held) AddHeld(*Begin(rec.txn), {&rec.resource, 1});
+    if (g.changed()) RecordGrants(*Begin(rec.txn), {&g, 1});
+  }
+  // A singleton's row takes the record's mode once all its lanes hold it.
+  for (const LongLockRecord& rec : records) {
+    if (!rec.resource.singleton()) continue;
+    Begin(rec.txn)->EditRow(rec.resource, [&rec](TxnLocks::Row& row) {
+      row.mode = Supremum(row.mode, rec.mode);
+    });
   }
   return Status::OK();
 }

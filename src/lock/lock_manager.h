@@ -25,7 +25,7 @@
 ///    cache absorbs re-entrant acquisitions of covered modes without
 ///    touching any mutex,
 ///  * `AcquirePath` locks a root-to-leaf chain in one call, visiting each
-///    shard mutex once and appending to the held list in one batch,
+///    shard mutex once and merging into the held rows in one batch,
 ///  * waiters carry their own condition variable, so a grant wakes exactly
 ///    the transactions it unblocked instead of broadcasting to the shard.
 ///
@@ -63,17 +63,25 @@
 ///    victim.
 ///  * **Deadlock detection** sees real holders on every lane: a request
 ///    waits at one lane at a time, blocked by that lane's holders.
-///  * **Inspection folds the lanes back into the granule.**  `HeldMode`,
-///    `GroupMode`, `LocksOf`, the snapshots, `NumEntries` and
-///    `ReleaseAll`'s count report one granule; an S/X held on only some
-///    lanes (still waiting at a later one) shows as its intention mode.
+///  * **Inspection reads rows.**  A transaction's row of a granule
+///    (txn_locks.h) holds its mode, duration and lane mask, updated where a
+///    grant, release or downgrade changes them.  `HeldMode`, `LocksOf`, the
+///    snapshots and `ReleaseAll`'s count read it; `GroupMode` takes each
+///    lane holder's mode from its row; `NumEntries` counts a granule once.
+///    An S/X held on only some lanes (still waiting at a later one) shows
+///    as its intention mode.  A waiter writes its row on its own thread
+///    after it wakes, so a grant shows there once the granted thread runs.
 ///    `HeldMode` of a lane itself answers for that lane entry alone (the
 ///    mode cache's slots name lanes, txn_locks.h).
+///  * **A failed S/SIX/X leaves no lane conversion.**  Each lane the call
+///    granted gets back its holder's mode and duration, as one entry that
+///    refused the request would have kept them.
 ///  * **`LockStats` counts lane requests**: an S on a relation counts 8
 ///    requests and 8 grants; a cache hit counts once.
 ///  * `Release` of a granule undoes one acquisition: it releases one count
-///    on each lane that holds the transaction's highest count, so an S
-///    taken on every lane stays on every lane until its last count goes.
+///    on each lane of its row that holds the transaction's highest count,
+///    so an S taken on every lane stays on every lane until its last count
+///    goes.  `Release` and `Downgrade` visit only the row's lanes.
 ///  * The durable long-lock format names granules, never lanes:
 ///    `RestoreLongLocks` expands each record onto lanes again.
 
@@ -258,8 +266,9 @@ class LockManager {
   /// shared by every later call until `ReleaseAll` ends it.
   std::shared_ptr<TxnLocks> Begin(TxnId txn);
 
-  /// Mode currently held by \p txn on \p resource (kNL if none); a
-  /// singleton granule's lanes folded, a lane's own entry for a lane.
+  /// Mode currently held by \p txn on \p resource (kNL if none): a
+  /// singleton granule's from \p txn's row, any other resource's (a lane
+  /// too) from its lock-table entry.
   LockMode HeldMode(TxnId txn, ResourceId resource) const;
 
   /// Effective *granted group* mode of \p resource: supremum over all
@@ -434,20 +443,12 @@ class LockManager {
   /// held).
   static HeldLock HoldOf(Entry& entry, TxnId txn);
 
-  /// What one grant did to the requester's holder on one entry.  Plain (no
-  /// default member initializers), so `AcquirePath`'s batch array is not
-  /// zeroed on every call.
-  struct Grant {
-    LockMode mode;    ///< the holder's mode now
-    LockMode before;  ///< its mode before the grant (kNL: a new holder)
-    bool is_long;     ///< the holder is long now
-    bool was_long;    ///< it was long before the grant
-  };
+  using Grant = TxnLocks::Grant;
 
   /// Attempts an immediate grant of \p mode (no waiting): re-entrant
   /// covered acquisition, in-place conversion or fresh grant when the
   /// queue is clear and all holders are compatible.  On success sets
-  /// \p g; a new holder (`g.before == kNL`) needs a held-list row.
+  /// \p g, for the held rows.
   bool TryGrantLocked(Shard& shard, Entry& entry, TxnId txn, LockMode mode,
                       const AcquireOptions& options, Grant& g)
       CODLOCK_REQUIRES(shard.mu);
@@ -457,7 +458,7 @@ class LockManager {
                        LockMode mode, const AcquireOptions& options, Grant& g)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// `Acquire` after a cache miss: the shard, the held list and — when
+  /// `Acquire` after a cache miss: the shard, the held rows and — when
   /// \p cached — the cache bookkeeping.  Sets \p g on success.
   Status AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
                      LockMode mode, const AcquireOptions& options, Grant& g);
@@ -466,25 +467,15 @@ class LockManager {
   /// lane, for a singleton granule), a cache-granted one first.
   Status ReleaseHold(TxnId txn, ResourceId resource, TxnLocks* locks);
 
-  /// Undoes \p g, a grant a failed `AcquirePath` made on \p res: its count
-  /// goes, a new holder goes altogether, and on a lane the holder gets back
-  /// the mode and duration it had.  \p cached: the call came through the
+  /// Undoes \p g, a grant a failed `AcquirePath` made: its count goes, a
+  /// new holder goes altogether, and on a lane the holder gets back the
+  /// mode and duration it had.  \p cached: the call came through the
   /// handle \p t, whose cache then forgets a hold that went.  Nothing else
   /// is invalidated: nothing can be cached of a hold the call created.
-  void UndoGrant(TxnLocks& t, bool cached, ResourceId res, const Grant& g);
+  void UndoGrant(TxnLocks& t, bool cached, const Grant& g);
 
-  /// One transaction's holds on the lanes of one singleton granule.
-  struct LaneHold {
-    TxnId txn = kInvalidTxn;
-    ResourceId granule;
-    std::array<LockMode, kLanes> modes{};
-    bool is_long = false;
-  };
-
-  /// Every transaction's lane holds, one row per (txn, granule).
-  std::vector<LaneHold> LaneHolds() const;
-
-  /// Every hold (only long ones with \p long_only), lanes folded.
+  /// Every hold (only long ones with \p long_only): instance resources from
+  /// the table, singleton granules from the rows.
   std::vector<LongLockRecord> Snapshot(bool long_only) const;
 
   /// Unwinds a failed wait: dequeues the waiter, deregisters it from the
@@ -521,14 +512,14 @@ class LockManager {
   /// \p txn, pinned in \p by_id.  kAborted when \p txn was wounded.
   Status Resolve(TxnId txn, TxnLocks*& t, std::shared_ptr<TxnLocks>& by_id);
 
-  /// Appends held-list rows for new holds; if a foreign `ReleaseAll` ended
+  /// Merges \p grants into \p t's rows; if a foreign `ReleaseAll` ended
   /// \p t after the call resolved it, the id is begun again first.
-  void AddHeld(TxnLocks& t, std::span<const ResourceId> resources);
+  void RecordGrants(TxnLocks& t, std::span<const Grant> grants);
 
   /// Puts the ended \p t back under its id unless another object holds it
-  /// by now (then returns false) and appends \p resources to the object
-  /// the map holds.
-  bool Rebegin(TxnLocks& t, std::span<const ResourceId> resources);
+  /// by now (then returns false) and merges \p grants into the object the
+  /// map holds.
+  bool Rebegin(TxnLocks& t, std::span<const Grant> grants);
 
   /// The live lock state of \p txn, or null.
   std::shared_ptr<TxnLocks> Registered(TxnId txn) const;

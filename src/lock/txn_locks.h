@@ -22,12 +22,17 @@
 /// under that id meanwhile — no grant is recorded where `ReleaseAll` is
 /// blind.
 ///
-/// **Held list.**  One row per hold (the transaction's holder row on one
-/// lock-table entry), added when it appears and removed when it goes, so a
-/// grant appends without searching.  The owner writes it; other threads read it (`LocksOf`) or
-/// take it (a foreign `ReleaseAll`) under a mutex per object — no two
-/// transactions share one.  Lock order: shard mutex, the id's registry
-/// stripe, this one.
+/// **Held list.**  One row per granule held: the resource, its mode,
+/// whether it is long and, for a singleton granule, the mask of its lanes
+/// that hold it.  The lock manager merges each grant that makes a holder
+/// or changes its mode or duration into the row (`Record`), so a
+/// granule's mode is decided once, when a grant, release or downgrade
+/// changes it, and inspection (`LocksOf`, `HeldMode` of a singleton, the
+/// snapshots, `ReleaseAll`'s count) reads rows.  A new holder on an
+/// instance resource appends its row without searching.  The owner writes
+/// the rows; other threads read them (`LocksOf`) or take them (a foreign
+/// `ReleaseAll`) under a mutex per object — no two transactions share one.
+/// Lock order: shard mutex, the id's registry stripe, this one.
 ///
 /// **Mode cache: ownership and threading.**  Propagation re-acquires the
 /// same intention locks over and over; the cache remembers (resource →
@@ -52,13 +57,17 @@
 /// **Lanes.**  A singleton granule's slot is keyed by the transaction's
 /// own lane (lock_manager.h), the one lane every hold of it includes; the
 /// manager notes there the modes requested of the granule, not the lane's
-/// mode, so the slot never claims an S or X that some lane lacks.  Held
-/// rows name lanes too: one row per lane entry held.
+/// mode, so the slot never claims an S or X that some lane lacks.  Its
+/// row names the granule, never a lane.  A lane grant sets the lane's bit
+/// and raises the row to the grant's intention part; a successful S, SIX
+/// or X raises it to that mode, so an S/X still waiting at a later lane
+/// shows as its intention mode.  The row goes with its last lane.
 
 #ifndef CODLOCK_LOCK_TXN_LOCKS_H_
 #define CODLOCK_LOCK_TXN_LOCKS_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -236,37 +245,107 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
 
   // ---- Held list and lifecycle (any thread) ------------------------------
 
-  /// Appends one row per resource; returns false (appending nothing) when
+  /// One granule held: an instance resource, or a singleton granule with
+  /// the mask of its lanes that hold it.
+  struct Row {
+    ResourceId res;  ///< never a lane
+    LockMode mode = LockMode::kNL;
+    bool is_long = false;
+    uint8_t lanes = 0;  ///< singleton: bit k while lane k holds it
+
+    /// Runs \p fn on each lock-table entry of the hold: the instance
+    /// resource, or the lanes in the mask.
+    template <typename Fn>
+    void ForEachEntry(Fn&& fn) const {
+      if (!res.singleton()) return fn(res);
+      for (unsigned m = lanes; m != 0; m &= m - 1) {
+        fn(res.Lane(static_cast<uint64_t>(std::countr_zero(m))));
+      }
+    }
+  };
+  static_assert(kLanes <= 8, "Row::lanes has a bit per lane");
+
+  /// What one grant did to the requester's holder on one lock-table entry
+  /// (an instance resource or a lane).  Plain, so `AcquirePath`'s batch
+  /// arrays are not zeroed on every call.
+  struct Grant {
+    uint32_t node;
+    uint64_t instance;
+    LockMode mode;    ///< the holder's mode now
+    LockMode before;  ///< its mode before the grant (kNL: a new holder)
+    bool is_long;     ///< the holder is long now
+    bool was_long;    ///< it was long before the grant
+
+    ResourceId res() const { return {node, instance}; }
+    /// The grant made a holder or changed its mode or duration.
+    bool changed() const { return mode != before || is_long != was_long; }
+  };
+
+  /// Merges \p grants into the rows; returns false (merging nothing) when
   /// the transaction has ended, unless \p revive marks it live again (the
   /// caller holds the id's registry stripe and has put it back under its
   /// id).
-  bool Record(std::span<const ResourceId> resources, bool revive = false)
+  bool Record(std::span<const Grant> grants, bool revive = false)
       CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
     if (!revive && ended_.load(wm::relaxed)) return false;
     if (revive) ended_.store(false, wm::release);
-    held_.insert(held_.end(), resources.begin(), resources.end());
+    if (held_.size() + grants.size() > held_.capacity()) {
+      held_.reserve(std::max(2 * held_.capacity(),
+                             held_.size() + grants.size()));
+    }
+    for (const Grant& g : grants) {
+      const ResourceId r = g.res();
+      const bool lane = r.is_lane();
+      const ResourceId key = lane ? ResourceId{r.node, 0} : r;
+      // A new holder of an instance resource has no row yet.
+      Row* row = lane || g.before != LockMode::kNL ? FindRow(key) : nullptr;
+      if (row == nullptr) row = &held_.emplace_back(Row{key});
+      row->mode = Supremum(row->mode, lane ? IntentionFor(g.mode) : g.mode);
+      row->is_long = row->is_long || g.is_long;
+      if (lane) row->lanes |= static_cast<uint8_t>(1u << r.lane());
+    }
     return true;
   }
 
-  /// Removes the row of \p r (the hold is gone).
+  /// Runs \p fn on the row of \p r, if there is one.
+  template <typename Fn>
+  void EditRow(const ResourceId& r, Fn&& fn) CODLOCK_EXCLUDES(mu_) {
+    MutexLock lk(mu_);
+    if (Row* row = FindRow(r)) fn(*row);
+  }
+
+  /// The row of \p r; mode kNL and no lanes when there is none.
+  Row RowOf(const ResourceId& r) const CODLOCK_EXCLUDES(mu_) {
+    MutexLock lk(mu_);
+    for (const Row& row : held_) {
+      if (row.res == r) return row;
+    }
+    return Row{r};
+  }
+
+  /// The hold on \p r (an instance resource or a lane) is gone: drops its
+  /// row, or the lane's bit and the row with its last lane.
   void Forget(const ResourceId& r) CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
-    auto it = std::find(held_.begin(), held_.end(), r);
-    if (it == held_.end()) return;
-    *it = held_.back();
+    Row* row = FindRow(r.is_lane() ? ResourceId{r.node, 0} : r);
+    if (row == nullptr) return;
+    if (r.is_lane()) row->lanes &= static_cast<uint8_t>(~(1u << r.lane()));
+    if (row->lanes != 0) return;
+    *row = held_.back();
     held_.pop_back();
   }
 
-  /// Copy of the held list.
-  std::vector<ResourceId> Held() const CODLOCK_EXCLUDES(mu_) {
+  /// Runs \p fn on every row, under the mutex.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
-    return held_;
+    for (const Row& row : held_) fn(row);
   }
 
   /// Ends the transaction: invalidates the cache, drops the wound flag and
-  /// hands over the held list.  The caller holds the id's registry stripe.
-  std::vector<ResourceId> End() CODLOCK_EXCLUDES(mu_) {
+  /// hands over the rows.  The caller holds the id's registry stripe.
+  std::vector<Row> End() CODLOCK_EXCLUDES(mu_) {
     Invalidate();
     wounded_.store(false, wm::release);
     MutexLock lk(mu_);
@@ -285,6 +364,13 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
 
   bool wounded() const { return wounded_.load(wm::acquire); }
 
+  Row* FindRow(const ResourceId& r) CODLOCK_REQUIRES(mu_) {
+    for (Row& row : held_) {
+      if (row.res == r) return &row;
+    }
+    return nullptr;
+  }
+
   const TxnId id_;
 
   OwnerThreadCap owner_;
@@ -295,7 +381,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   wm::Atomic<bool> wounded_{false};
 
   mutable Mutex mu_;
-  std::vector<ResourceId> held_ CODLOCK_GUARDED_BY(mu_);
+  std::vector<Row> held_ CODLOCK_GUARDED_BY(mu_);
   /// Written under `mu_` (and the id's registry stripe); read lock-free by
   /// the owner at the start of a call.
   wm::Atomic<bool> ended_{false};
