@@ -24,11 +24,8 @@ namespace {
 fault::FaultPoint g_fault_futex_wait{"util.futex.wait",
                                      fault::FaultKind::kError};
 
-constexpr uint32_t kWaitBlockMagic = 0x57a17b10;  // "wait blo(ck)"
-
 // The 32-bit words we wait on are std::atomic<uint32_t> living in shared
-// memory; both the syscall and the pthread fallback need them to be plain
-// lock-free words.
+// memory; the syscall needs them to be plain lock-free words.
 static_assert(std::atomic<uint32_t>::is_always_lock_free,
               "futex words must be address-free lock-free atomics");
 static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t),
@@ -79,76 +76,6 @@ void WakeInProcess(const std::atomic<uint32_t>& word) {
 }
 
 // ---------------------------------------------------------------------
-// kSharedCond: PTHREAD_PROCESS_SHARED pair in the caller's segment.  The
-// mutex is robust: a waiter SIGKILLed inside the (tiny) critical section
-// leaves EOWNERDEAD behind, which the next party repairs with
-// pthread_mutex_consistent instead of wedging the whole ring.
-
-Status LockShared(SharedWaitBlock* shared) {
-  int rc = pthread_mutex_lock(&shared->mu);
-  if (rc == EOWNERDEAD) {
-    pthread_mutex_consistent(&shared->mu);
-    rc = 0;
-  }
-  if (rc != 0) return ErrnoStatus("pthread_mutex_lock(shared)", rc);
-  return Status::OK();
-}
-
-Status WaitSharedCond(const std::atomic<uint32_t>& word, uint32_t expected,
-                      SteadyClock::time_point deadline,
-                      SharedWaitBlock* shared) {
-  if (shared == nullptr || !shared->IsInitialized()) {
-    return Status::FailedPrecondition(
-        "kSharedCond futex wait without an initialized SharedWaitBlock");
-  }
-  CODLOCK_RETURN_IF_ERROR(LockShared(shared));
-  Status result;
-  for (;;) {
-    if (word.load(std::memory_order_acquire) != expected) break;
-    const auto now = SteadyClock::now();
-    if (now >= deadline) {
-      result = Status::Timeout("futex wait timed out");
-      break;
-    }
-    // The condvar clock is CLOCK_MONOTONIC (set at Init), so the absolute
-    // deadline converts through clock_gettime, immune to wall-clock jumps.
-    const auto remaining = deadline - now;
-    struct timespec abs;
-    clock_gettime(CLOCK_MONOTONIC, &abs);
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(remaining)
-            .count();
-    abs.tv_sec += ns / 1000000000;
-    abs.tv_nsec += ns % 1000000000;
-    if (abs.tv_nsec >= 1000000000) {
-      abs.tv_sec += 1;
-      abs.tv_nsec -= 1000000000;
-    }
-    int rc = pthread_cond_timedwait(&shared->cv, &shared->mu, &abs);
-    if (rc == EOWNERDEAD) {
-      pthread_mutex_consistent(&shared->mu);
-      rc = 0;
-    }
-    if (rc == ETIMEDOUT || rc == EINTR || rc == 0) continue;  // re-check
-    result = ErrnoStatus("pthread_cond_timedwait", rc);
-    break;
-  }
-  pthread_mutex_unlock(&shared->mu);
-  return result;
-}
-
-Status WakeSharedCond(SharedWaitBlock* shared) {
-  if (shared == nullptr || !shared->IsInitialized()) {
-    return Status::FailedPrecondition(
-        "kSharedCond futex wake without an initialized SharedWaitBlock");
-  }
-  CODLOCK_RETURN_IF_ERROR(LockShared(shared));
-  pthread_cond_broadcast(&shared->cv);
-  pthread_mutex_unlock(&shared->mu);
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------
 // kSyscall: futex(2), no FUTEX_PRIVATE_FLAG so the wait matches wakers in
 // other processes mapping the same physical page.
 
@@ -188,41 +115,16 @@ Status WakeSyscall(const std::atomic<uint32_t>& word) {
   return Status::OK();
 }
 
+#else
+
+Status NoSyscall() {
+  return Status::FailedPrecondition(
+      "futex(2) is not available on this host (Linux only)");
+}
+
 #endif  // __linux__
 
 }  // namespace
-
-Status SharedWaitBlock::Init() {
-  pthread_mutexattr_t ma;
-  int rc = pthread_mutexattr_init(&ma);
-  if (rc != 0) return ErrnoStatus("pthread_mutexattr_init", rc);
-  pthread_mutexattr_setpshared(&ma, PTHREAD_PROCESS_SHARED);
-  pthread_mutexattr_setrobust(&ma, PTHREAD_MUTEX_ROBUST);
-  rc = pthread_mutex_init(&mu, &ma);
-  pthread_mutexattr_destroy(&ma);
-  if (rc != 0) return ErrnoStatus("pthread_mutex_init(shared)", rc);
-
-  pthread_condattr_t ca;
-  rc = pthread_condattr_init(&ca);
-  if (rc != 0) {
-    pthread_mutex_destroy(&mu);
-    return ErrnoStatus("pthread_condattr_init", rc);
-  }
-  pthread_condattr_setpshared(&ca, PTHREAD_PROCESS_SHARED);
-  pthread_condattr_setclock(&ca, CLOCK_MONOTONIC);
-  rc = pthread_cond_init(&cv, &ca);
-  pthread_condattr_destroy(&ca);
-  if (rc != 0) {
-    pthread_mutex_destroy(&mu);
-    return ErrnoStatus("pthread_cond_init(shared)", rc);
-  }
-  initialized = kWaitBlockMagic;
-  return Status::OK();
-}
-
-bool SharedWaitBlock::IsInitialized() const {
-  return initialized == kWaitBlockMagic;
-}
 
 bool SyscallSupported() {
 #if defined(__linux__)
@@ -233,7 +135,7 @@ bool SyscallSupported() {
 }
 
 Status Wait(Backend backend, const std::atomic<uint32_t>& word,
-            uint32_t expected, uint64_t timeout_us, SharedWaitBlock* shared) {
+            uint32_t expected, uint64_t timeout_us) {
   const auto deadline =
       SteadyClock::now() + std::chrono::microseconds(timeout_us);
   for (;;) {
@@ -259,18 +161,15 @@ Status Wait(Backend backend, const std::atomic<uint32_t>& word,
         // the word and the deadline.
         continue;
 #else
-        return WaitSharedCond(word, expected, deadline, shared);
+        return NoSyscall();
 #endif
       }
-      case Backend::kSharedCond:
-        return WaitSharedCond(word, expected, deadline, shared);
     }
     return Status::Internal("unknown futex backend");
   }
 }
 
-Status WakeAll(Backend backend, const std::atomic<uint32_t>& word,
-               SharedWaitBlock* shared) {
+Status WakeAll(Backend backend, const std::atomic<uint32_t>& word) {
   switch (backend) {
     case Backend::kInProcess:
       WakeInProcess(word);
@@ -279,10 +178,8 @@ Status WakeAll(Backend backend, const std::atomic<uint32_t>& word,
 #if defined(__linux__)
       return WakeSyscall(word);
 #else
-      return WakeSharedCond(shared);
+      return NoSyscall();
 #endif
-    case Backend::kSharedCond:
-      return WakeSharedCond(shared);
   }
   return Status::Internal("unknown futex backend");
 }

@@ -4,7 +4,7 @@
 /// The shared-memory job ring (ws/shm_ring.h) parks waiters on its slot
 /// state words and doorbell counters.  When the ring memory is a real
 /// `shm_open` segment those words are visible to several *processes*, so
-/// the wait primitive must be process-shared too.  Three backends sit
+/// the wait primitive must be process-shared too.  Two backends sit
 /// behind one API:
 ///
 ///  * `kInProcess` — an address-hashed table of annotated `Mutex`/`CondVar`
@@ -14,13 +14,10 @@
 ///    TSAN all see it exactly as before.
 ///  * `kSyscall` — `futex(2)` `FUTEX_WAIT`/`FUTEX_WAKE` on the word itself
 ///    (no `FUTEX_PRIVATE_FLAG`, so waits cross process boundaries).  Linux
-///    only; selecting it elsewhere falls back to `kSharedCond`.
-///  * `kSharedCond` — a `PTHREAD_PROCESS_SHARED` mutex + condvar pair
-///    (`SharedWaitBlock`) placed in the shared segment by the caller.  The
-///    portable fallback, and a second implementation to cross-check the
-///    syscall path in tests.
+///    only: elsewhere it fails with kFailedPrecondition, and a shared-memory
+///    ring refuses to start (`SyscallSupported`).
 ///
-/// Wait contract (all backends): block while `word == expected`, up to
+/// Wait contract (both backends): block while `word == expected`, up to
 /// `timeout_us`.  Returns OK when woken or when the value already differs
 /// (the caller re-checks its predicate in a loop — spurious wakeups are
 /// expected), `Status::Timeout` when the deadline passes, and an
@@ -32,8 +29,6 @@
 #ifndef CODLOCK_UTIL_FUTEX_H_
 #define CODLOCK_UTIL_FUTEX_H_
 
-#include <pthread.h>
-
 #include <atomic>
 #include <cstdint>
 
@@ -44,37 +39,19 @@ namespace codlock::futex {
 enum class Backend : uint8_t {
   kInProcess = 0,  ///< hashed Mutex/CondVar buckets (TSA/mc/TSAN visible)
   kSyscall,        ///< futex(2) without FUTEX_PRIVATE_FLAG (Linux)
-  kSharedCond,     ///< PTHREAD_PROCESS_SHARED mutex+cond in shared memory
 };
 
-/// \brief A process-shared mutex+condvar pair for the `kSharedCond`
-/// backend.  POD layout so it can live inside an mmap'd segment; exactly
-/// one party (the segment creator) calls `Init()` before anyone waits.
-struct SharedWaitBlock {
-  pthread_mutex_t mu;
-  pthread_cond_t cv;
-  uint32_t initialized;  ///< magic sentinel written by Init()
-
-  /// Initializes with PTHREAD_PROCESS_SHARED attributes.  Returns an
-  /// errno-context Status on failure (no partial init is left behind).
-  Status Init();
-  bool IsInitialized() const;
-};
-
-/// Blocks while `word == expected` (process-shared where the backend
-/// supports it).  See the file comment for the full contract.
-/// `shared` is required for `kSharedCond` and ignored otherwise.
+/// Blocks while `word == expected` (process-shared with `kSyscall`).  See
+/// the file comment for the full contract.
 Status Wait(Backend backend, const std::atomic<uint32_t>& word,
-            uint32_t expected, uint64_t timeout_us,
-            SharedWaitBlock* shared = nullptr);
+            uint32_t expected, uint64_t timeout_us);
 
-/// Wakes every waiter parked on `word`.  Never blocks (beyond the shared
-/// mutex hand-off in the fallback backends).
-Status WakeAll(Backend backend, const std::atomic<uint32_t>& word,
-               SharedWaitBlock* shared = nullptr);
+/// Wakes every waiter parked on `word`.  Never blocks (beyond the bucket
+/// mutex hand-off of `kInProcess`).
+Status WakeAll(Backend backend, const std::atomic<uint32_t>& word);
 
-/// True when futex(2) is available on this build (Linux).  `kSyscall`
-/// silently degrades to `kSharedCond` when false.
+/// True when futex(2) is available on this build (Linux); `kSyscall`
+/// fails without it.
 bool SyscallSupported();
 
 }  // namespace codlock::futex

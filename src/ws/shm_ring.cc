@@ -58,8 +58,7 @@ std::string_view SlotStateName(SlotState state) {
 }
 
 /// Shared control block at the start of the ring image.  Everything in it
-/// is either a lock-free atomic word or the PTHREAD_PROCESS_SHARED wait
-/// block — no pointers, no process-local state.
+/// is a lock-free atomic word — no pointers, no process-local state.
 struct ShmRing::RingCtrl {
   /// Doorbell sequence for WaitForPublished: bumped (and futex-woken) on
   /// every publish, so waiters never miss a frame (read seq → re-check →
@@ -68,11 +67,9 @@ struct ShmRing::RingCtrl {
   /// Cross-process run gate (see ShmRing::run_state).
   std::atomic<uint32_t> run_state{0};
   std::atomic<uint64_t> counters[kNumCounters];
-  futex::SharedWaitBlock wait;
 
   RingCtrl() {
     for (auto& c : counters) c.store(0, std::memory_order_relaxed);
-    wait.initialized = 0;
   }
 };
 
@@ -86,24 +83,14 @@ ShmRing::ShmRing(RingOptions options) : options_(std::move(options)) {
                 "slot head must fit its stride");
   static_assert(sizeof(RingCtrl) <= kCtrlStride,
                 "control block must fit its stride");
-  switch (options_.wait) {
-    case RingWait::kAuto:
-      wait_backend_ = options_.backend == RingBackend::kInProcess
-                          ? futex::Backend::kInProcess
-                          : (futex::SyscallSupported()
-                                 ? futex::Backend::kSyscall
-                                 : futex::Backend::kSharedCond);
-      break;
-    case RingWait::kInProcess:
-      wait_backend_ = futex::Backend::kInProcess;
-      break;
-    case RingWait::kFutex:
-      wait_backend_ = futex::SyscallSupported() ? futex::Backend::kSyscall
-                                                : futex::Backend::kSharedCond;
-      break;
-    case RingWait::kSharedCond:
-      wait_backend_ = futex::Backend::kSharedCond;
-      break;
+  if (options_.backend != RingBackend::kInProcess) {
+    if (!futex::SyscallSupported()) {
+      init_status_ = Status::FailedPrecondition(
+          "a shared-memory ring waits with futex(2), which this host lacks "
+          "(Linux only)");
+      return;
+    }
+    wait_backend_ = futex::Backend::kSyscall;
   }
   switch (options_.backend) {
     case RingBackend::kInProcess:
@@ -180,10 +167,6 @@ Status ShmRing::InitShmAttach() {
 
 void ShmRing::InitImage() {
   new (base_) RingCtrl;
-  // The shared wait block is initialized unconditionally: an attaching
-  // process may resolve its wait mode to kSharedCond even when the
-  // creator runs on raw futexes.
-  ctrl()->wait.Init();
   for (size_t i = 0; i < options_.slots; ++i) {
     new (&HeadOf(i)) SlotHead;
   }
@@ -219,12 +202,12 @@ void ShmRing::FreeSlot(SlotHead& s) {
 }
 
 void ShmRing::WakeSlot(SlotHead& s) {
-  futex::WakeAll(wait_backend_, s.state, &ctrl()->wait);
+  futex::WakeAll(wait_backend_, s.state);
 }
 
 void ShmRing::RingDoorbell() {
   ctrl()->published_seq.fetch_add(1, std::memory_order_release);
-  futex::WakeAll(wait_backend_, ctrl()->published_seq, &ctrl()->wait);
+  futex::WakeAll(wait_backend_, ctrl()->published_seq);
 }
 
 void ShmRing::Bump(CounterIdx idx) {
@@ -386,7 +369,7 @@ bool ShmRing::WaitDone(size_t slot, uint64_t job_id, uint64_t timeout_us) {
     // The slot state word is the futex word: Complete / FreeSlot /
     // reclaim wake it on every transition out of `state`.
     futex::Wait(wait_backend_, s.state, state,
-                static_cast<uint64_t>(remaining_us), &ctrl()->wait);
+                static_cast<uint64_t>(remaining_us));
   }
 }
 
@@ -483,7 +466,7 @@ bool ShmRing::WaitForPublished(uint64_t timeout_us,
         std::chrono::duration_cast<std::chrono::microseconds>(deadline - now)
             .count();
     futex::Wait(wait_backend_, ctrl()->published_seq, seq,
-                static_cast<uint64_t>(remaining_us), &ctrl()->wait);
+                static_cast<uint64_t>(remaining_us));
   }
 }
 
@@ -584,7 +567,7 @@ uint32_t ShmRing::run_state() const {
 void ShmRing::SetRunState(uint32_t value) {
   if (base_ == nullptr) return;
   ctrl()->run_state.store(value, std::memory_order_release);
-  futex::WakeAll(wait_backend_, ctrl()->run_state, &ctrl()->wait);
+  futex::WakeAll(wait_backend_, ctrl()->run_state);
 }
 
 uint32_t ShmRing::WaitRunStateAtLeast(uint32_t value, uint64_t timeout_us) {
@@ -600,7 +583,7 @@ uint32_t ShmRing::WaitRunStateAtLeast(uint32_t value, uint64_t timeout_us) {
         std::chrono::duration_cast<std::chrono::microseconds>(deadline - now)
             .count();
     futex::Wait(wait_backend_, ctrl()->run_state, seen,
-                static_cast<uint64_t>(remaining_us), &ctrl()->wait);
+                static_cast<uint64_t>(remaining_us));
   }
 }
 

@@ -29,9 +29,8 @@
 ///    (read the sequence, re-check the predicate, wait on the old value —
 ///    no lost wakeups).  In-process rings park on annotated
 ///    `Mutex`/`CondVar` buckets so thread-safety analysis and the model
-///    checker still see the blocking; shm rings use `futex(2)` (or the
-///    `PTHREAD_PROCESS_SHARED` fallback) so waits cross process
-///    boundaries.
+///    checker still see the blocking; shm rings use `futex(2)` so waits
+///    cross process boundaries (shm rings are Linux only).
 ///
 /// The ring is transport only: admission control (who may publish) and
 /// job execution live in `ws::Host`; serialization of requests/responses
@@ -75,21 +74,15 @@ enum class RingBackend : uint8_t {
   kShmAttach,      ///< attach to an existing segment (client process)
 };
 
-/// Which wait primitive parks blocked parties (see util/futex.h).
-enum class RingWait : uint8_t {
-  kAuto = 0,    ///< in-process → CondVar buckets; shm → futex(2)
-  kInProcess,   ///< force the Mutex/CondVar buckets (TSA/mc visible)
-  kFutex,       ///< force futex(2)
-  kSharedCond,  ///< force the PTHREAD_PROCESS_SHARED fallback
-};
-
 struct RingOptions {
   size_t slots = 64;
   /// Maximum frame payload (request or response) in bytes; oversized
   /// publishes fail with kInvalidArgument, they never truncate.
   size_t payload_capacity = 4096;
+  /// Also picks the wait primitive (util/futex.h): an in-process ring
+  /// parks on the CondVar buckets (TSA/mc/TSAN visible), a shm ring on
+  /// futex(2), so a shm ring needs Linux.
   RingBackend backend = RingBackend::kInProcess;
-  RingWait wait = RingWait::kAuto;
   /// Segment name for the shm backends ("/codlock-...").
   std::string shm_name;
   /// kShmCreate: incarnation stamped into the superblock.

@@ -323,32 +323,6 @@ TEST(ShmRingTest, ShmAttachMissingSegmentIsNotFound) {
   EXPECT_TRUE(ring.init_status().IsNotFound()) << ring.init_status().ToString();
 }
 
-TEST(ShmRingTest, SharedCondWaitBackendServesWaits) {
-  // Force the PTHREAD_PROCESS_SHARED fallback (the non-Linux path) and
-  // run a real blocking round trip through it.
-  RingOptions o = Opts(2, 64);
-  o.wait = RingWait::kSharedCond;
-  ShmRing ring(o);
-  FrameHeader h;
-  h.handle_id = 1;
-  h.job_id = 1;
-  std::atomic<bool> stop{false};
-  std::thread worker([&] {
-    while (!stop.load()) {
-      if (!ring.WaitForPublished(50'000, &stop)) continue;
-      Result<ShmRing::Job> job = ring.Consume();
-      if (job.ok()) ring.Complete(job->slot, "ok");
-    }
-  });
-  Result<size_t> slot = ring.Publish(h, "ping");
-  ASSERT_TRUE(slot.ok());
-  EXPECT_TRUE(ring.WaitDone(*slot, 1, 2'000'000));
-  stop.store(true);
-  ring.WakeAll();
-  worker.join();
-  EXPECT_TRUE(ring.TakeResponse(*slot, 1).ok());
-}
-
 TEST(ShmRingTest, ExecutingReclaimNeedsScopeAndCompleteLosesCleanly) {
   ShmRing ring(Opts(2, 64));
   FrameHeader h;
