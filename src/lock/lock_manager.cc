@@ -843,9 +843,9 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
     t->RowOf(resource).ForEachEntry([&](ResourceId lane) {
       Shard& shard = ShardFor(lane);
       MutexLock lk(shard.mu);
-      if (Entry* e = FindEntry(shard, lane)) {
-        if (const Holder* h = FindHolder(*e, txn)) counts[lane.lane()] = h->count;
-      }
+      Entry* e = FindEntry(shard, lane);
+      const Holder* h = e == nullptr ? nullptr : FindHolder(*e, txn);
+      if (h != nullptr) counts[lane.lane()] = h->count;
     });
   }
   const uint32_t top = *std::max_element(counts.begin(), counts.end());

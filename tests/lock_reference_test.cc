@@ -241,9 +241,10 @@ constexpr LockMode kModes[] = {LockMode::kIS, LockMode::kIX, LockMode::kS,
 
 std::string Name(LockMode m) { return std::string(LockModeName(m)); }
 
-/// One live transaction: its calls go through \p handle, or by id when
-/// it is null.  A handle transaction releases and downgrades only through
-/// its handle, as its owner thread would.
+/// One live transaction, with or without a \p handle.  A transaction with
+/// one acquires through it or by id, and releases and downgrades only
+/// through it, as its owner thread would: a release by id of a
+/// cache-granted count is outside the handle's contract.
 struct LiveTxn {
   TxnId id = kInvalidTxn;
   std::shared_ptr<TxnLocks> handle;
@@ -447,11 +448,12 @@ class Driver {
       }
     }
     for (bool long_only : {false, true}) {
-      const std::vector<Hold> got =
-          Sorted(long_only ? lm_->SnapshotLongLocks() : lm_->SnapshotAllLocks());
+      const std::vector<Hold> got = Sorted(
+          long_only ? lm_->SnapshotLongLocks() : lm_->SnapshotAllLocks());
       const std::vector<Hold> want = Sorted(ref_.Snapshot(long_only));
       if (got != want) {
-        return std::string(long_only ? "SnapshotLongLocks" : "SnapshotAllLocks") +
+        return std::string(long_only ? "SnapshotLongLocks"
+                                     : "SnapshotAllLocks") +
                Show(got) + "; reference" + Show(want);
       }
     }
