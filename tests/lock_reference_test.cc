@@ -1,6 +1,6 @@
 /// \file lock_reference_test.cc
-/// \brief An executable reference of the lock table, and a seeded driver
-/// that checks `LockManager` against it after every step.
+/// \brief An executable reference of the lock table, and seeded scripts
+/// that check `LockManager` against it after every step.
 ///
 /// `RefTable` is lock_manager.h's contract for requests that never wait,
 /// written as plainly as it can be: one entry per granule, holds counted
@@ -22,7 +22,7 @@
 ///    then installs all or nothing, merging into a hold by supremum (count
 ///    unchanged) or adding a hold with count 1.
 ///
-/// The driver runs seeded scripts of 3–6 live transactions over singleton
+/// `ScriptRunner` runs seeded scripts of 3–6 live transactions over singleton
 /// granules and instance resources: single requests and paths, short and
 /// long, through a transaction's handle or by id, plus restores and
 /// crashes.  After every step it compares the status and every inspection.
@@ -221,7 +221,7 @@ class RefTable {
   std::map<GranuleKey, std::map<TxnId, RefHold>> table_;
 };
 
-// ---- The driver -----------------------------------------------------------
+// ---- The scripts ----------------------------------------------------------
 
 constexpr ResourceId kDb{1, 0};
 constexpr ResourceId kSeg{2, 0};
@@ -281,9 +281,9 @@ std::vector<Hold> Sorted(const std::vector<LongLockRecord>& recs) {
   return out;
 }
 
-class Driver {
+class ScriptRunner {
  public:
-  explicit Driver(uint64_t seed) : rng_(seed), all_(Universe()) {}
+  explicit ScriptRunner(uint64_t seed) : rng_(seed), all_(Universe()) {}
 
   /// Runs \p steps steps; returns "" or the first difference, after the
   /// script that led to it.
@@ -473,7 +473,7 @@ TEST(LockReferenceTest, LockManagerMatchesTheReference) {
   constexpr uint64_t kSeeds = 400;
   constexpr int kSteps = 40;
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const std::string diff = Driver(seed).Run(kSteps);
+    const std::string diff = ScriptRunner(seed).Run(kSteps);
     ASSERT_TRUE(diff.empty()) << "seed " << seed << ":\n" << diff;
   }
 }
