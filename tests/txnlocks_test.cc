@@ -352,6 +352,37 @@ TEST(TxnLocksTest, ForeignDowngradeInvalidatesCache) {
   lm.ReleaseAll(1);
 }
 
+TEST(TxnLocksTest, IdKeyedDowngradeKeepsAHitsCount) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_EQ(lm.stats().cache_hits.value(), 1u);
+
+  // The release pairs the hit, so the acquisition before it still holds
+  // the downgraded mode.
+  ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kIS).ok());
+  ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
+  EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kIS);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(TxnLocksTest, IdKeyedReleaseKeepsAnotherResourcesHit) {
+  LockManager lm;
+  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
+  ASSERT_TRUE(lm.Acquire(1, kR2, LockMode::kIX, {}, locks.get()).ok());
+  ASSERT_EQ(lm.stats().cache_hits.value(), 1u);
+
+  ASSERT_TRUE(lm.Release(1, kR2).ok());
+  ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
+  EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kS);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
 TEST(TxnLocksTest, AuditSnapshotTrustsNothingAfterAForeignEvent) {
   LockManager lm;
   std::shared_ptr<TxnLocks> locks = lm.Begin(1);
