@@ -4,8 +4,8 @@
 // Measures how the lock manager scales as real threads pile onto it:
 //
 //  (a) contended_s          — N threads hammer a small shared keyset
-//      with compatible S/IS acquire→release cycles, per-txn caches
-//      attached, next to a standing group of IS holders.  Every cycle
+//      with compatible S/IS acquire→release cycles through each
+//      transaction's handle, next to a standing group of IS holders.  Every cycle
 //      takes the key's shard mutex twice.
 //  (b) partitioned_x        — N threads, disjoint per-thread keysets,
 //      exclusive X cycles.  No logical contention; isolates raw shard

@@ -95,7 +95,7 @@ ParkedCycles MeasureParkedCycles(const sim::CellsFixture& f, size_t parked,
   for (int c = 2; server.stable_storage().size() < parked; ++c) {
     if (!server
              .CheckOut(static_cast<authz::UserId>(c),
-                       CellQuery(f, "c" + std::to_string(c)),
+                       CellQuery(f, sim::Numbered("c", c)),
                        ws::CheckOutMode::kExclusive)
              .ok()) {
       std::cerr << "parking check-out of c" << c << " failed\n";
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   for (int c = 2; c <= 33; ++c) {
     Result<ws::CheckOutTicket> t =
         server.CheckOut(static_cast<authz::UserId>(c),
-                        CellQuery(f, "c" + std::to_string(c)),
+                        CellQuery(f, sim::Numbered("c", c)),
                         ws::CheckOutMode::kExclusive);
     if (!t.ok()) {
       std::cerr << "fleet check-out failed: " << t.status().ToString()

@@ -65,8 +65,8 @@ BENCHMARK(BM_HierarchicalPathAcquire)->Arg(3)->Arg(6)->Arg(12);
 
 void BM_HierarchicalPathReacquire(benchmark::State& state) {
   // Re-traversal of an already-locked path (a transaction revisiting its
-  // working set): every resource is covered by the held-lock cache, so the
-  // whole request is answered without touching a shard.
+  // working set): every resource is covered by the transaction's held
+  // rows, so the whole request is answered without touching a shard.
   const int depth = static_cast<int>(state.range(0));
   LockManager lm;
   std::shared_ptr<TxnLocks> locks = lm.Begin(1);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "fault/fault_injector.h"
@@ -291,28 +292,23 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   if (mode == LockMode::kNL) {
     return Status::InvalidArgument("cannot acquire mode NL");
   }
-  // A covered re-acquisition is answered from the transaction's own cache
-  // without touching any mutex.  A wound invalidates the cache
-  // (see Wound), so a wounded transaction always falls through to the
-  // slow path and fails there.
-  // A hit pays exactly one atomic RMW: cache_hits.  Total requests =
-  // requests + cache_hits and total grants = grants + cache_hits (see
-  // metrics.h).
-  if (locks != nullptr &&
-      locks->TryHit(resource, mode, options.duration == LockDuration::kLong)) {
+  std::shared_ptr<TxnLocks> by_id;
+  TxnLocks* t = locks;
+  CODLOCK_RETURN_IF_ERROR(Resolve(txn, t, by_id));
+  // A covered re-acquisition is answered from the transaction's row
+  // without touching a shard (txn_locks.h).  A hit pays one atomic RMW:
+  // cache_hits.  Total requests = requests + cache_hits and total grants =
+  // grants + cache_hits (see metrics.h).
+  if (t->TryHit(resource, mode, options.duration == LockDuration::kLong)) {
     stats_.cache_hits.Add();
     return Status::OK();
   }
   stats_.requests.Add();
-
-  std::shared_ptr<TxnLocks> by_id;
-  TxnLocks* t = locks;
-  CODLOCK_RETURN_IF_ERROR(Resolve(txn, t, by_id));
   Grant g;
-  return AcquireSlow(*t, locks != nullptr, resource, mode, options, g);
+  return AcquireSlow(*t, resource, mode, options, g);
 }
 
-Status LockManager::AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
+Status LockManager::AcquireSlow(TxnLocks& t, ResourceId resource,
                                 LockMode mode, const AcquireOptions& options,
                                 Grant& g) {
   Shard& shard = ShardFor(resource);
@@ -321,12 +317,7 @@ Status LockManager::AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
     MutexLock lk(shard.mu);
     status = AcquireLocked(shard, t, resource, mode, options, g);
   }
-  if (status.ok()) {
-    if (g.changed()) RecordGrants(t, {&g, 1});
-    if (cached) {
-      t.Note(resource, g.mode, options.duration == LockDuration::kLong);
-    }
-  }
+  if (status.ok() && g.changed()) RecordGrants(t, {&g, 1});
   return status;
 }
 
@@ -361,17 +352,18 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
   const bool leaf_on_lanes = path[n - 1].singleton() && !leaf_intention;
   if (n + (leaf_on_lanes ? kLanes - 1 : 0) > kMaxBatch) {
     for (size_t i = 0; i < n; ++i) {
-      Status status = Acquire(txn, path[i], mode_of(i), options, locks);
+      Status status = Acquire(txn, path[i], mode_of(i), options, t);
       if (!status.ok()) {
-        for (size_t j = i; j-- > 0;) Release(txn, path[j], locks);
+        for (size_t j = i; j-- > 0;) Release(txn, path[j], t);
         return status;
       }
     }
     return Status::OK();
   }
 
-  // Pass 1: answer covered re-acquisitions from the cache (no mutex), and
-  // expand the rest into lane-level requests.
+  // Pass 1: answer covered re-acquisitions from the rows (one lock of the
+  // transaction's mutex, no shard), and expand the rest into lane-level
+  // requests.
 
   // Plain fields, so the array is not zeroed on every call.
   struct Request {
@@ -387,14 +379,13 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     shard_of[m] = static_cast<uint32_t>(ShardIndexFor(res));
     req[m++] = {res.node, res.instance, mode};
   };
-  uint64_t hit_mask = 0;
-  uint64_t singleton_mask = 0;  // singleton elements the cache missed
+  const uint64_t hit_mask = t->TryHits(path, prefix_mode, leaf_mode, want_long);
+  uint64_t singleton_mask = 0;  // singleton elements that missed
   for (size_t i = 0; i < n; ++i) {
+    if (((hit_mask >> i) & 1) != 0) continue;
     const ResourceId& r = path[i];
     const LockMode mode = mode_of(i);
-    if (locks != nullptr && locks->TryHit(r, mode, want_long)) {
-      hit_mask |= uint64_t{1} << i;
-    } else if (!r.singleton()) {
+    if (!r.singleton()) {
       add(r, mode);
     } else {
       singleton_mask |= uint64_t{1} << i;
@@ -465,20 +456,12 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
 
   // One merge into the held rows for the whole batch.
   RecordGrants(*t, std::span<const Grant>(changed, num_changed));
-  if (locks != nullptr) {
-    for (uint64_t scan = granted_mask; scan != 0; scan &= scan - 1) {
-      const size_t j = static_cast<size_t>(std::countr_zero(scan));
-      if (!req[j].res().is_lane()) {
-        locks->Note(req[j].res(), grant_of[j].mode, want_long);
-      }
-    }
-  }
 
   // Pass 3: whatever conflicted is acquired blocking, in path order
   // (rule 5 root-to-leaf waiting semantics; ascending bits = path order,
   // and lane order within the leaf).  A mid-path failure (timeout,
-  // deadlock, shed, injected fault) rolls back the cache hits, immediate
-  // grants and blocking grants.
+  // deadlock, shed, injected fault) rolls back the hits, immediate grants
+  // and blocking grants.
   Status status;
   uint64_t blocking_done = 0;
   for (uint64_t scan = deferred_mask; scan != 0; scan &= scan - 1) {
@@ -487,8 +470,7 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
       status = fault::StatusFor(f, g_fault_acquire_path.name());
       break;
     }
-    status = AcquireSlow(*t, locks != nullptr && !req[j].res().is_lane(),
-                         req[j].res(), req[j].mode, options, grant_of[j]);
+    status = AcquireSlow(*t, req[j].res(), req[j].mode, options, grant_of[j]);
     if (!status.ok()) break;
     blocking_done |= uint64_t{1} << j;
   }
@@ -502,10 +484,10 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     // that a conversion on some of its lanes belongs to.
     const uint64_t made = granted_mask | blocking_done;
     for (size_t j = m; j-- > 0;) {
-      if (((made >> j) & 1) != 0) UndoGrant(*t, locks != nullptr, grant_of[j]);
+      if (((made >> j) & 1) != 0) UndoGrant(*t, grant_of[j]);
     }
     for (size_t i = n; i-- > 0;) {
-      if (((hit_mask >> i) & 1) != 0) Release(txn, path[i], locks);
+      if (((hit_mask >> i) & 1) != 0) Release(txn, path[i], t);
     }
     // A singleton's row goes back with its lanes: between calls it is the
     // hold on the transaction's own lane, which every request takes.
@@ -529,14 +511,6 @@ Status LockManager::AcquirePath(TxnId txn, std::span<const ResourceId> path,
     t->EditRow(path[n - 1], [leaf_mode](TxnLocks::Row& row) {
       row.mode = Supremum(row.mode, leaf_mode);
     });
-  }
-  // A singleton's slot records the modes asked of the granule, now that
-  // every lane of them is held.
-  if (locks != nullptr) {
-    for (uint64_t scan = singleton_mask; scan != 0; scan &= scan - 1) {
-      const size_t i = static_cast<size_t>(std::countr_zero(scan));
-      locks->Note(path[i], mode_of(i), want_long);
-    }
   }
   return Status::OK();
 }
@@ -780,7 +754,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
   }
 }
 
-void LockManager::UndoGrant(TxnLocks& t, bool cached, const Grant& g) {
+void LockManager::UndoGrant(TxnLocks& t, const Grant& g) {
   const ResourceId res = g.res();
   Shard& shard = ShardFor(res);
   bool gone = false;
@@ -804,10 +778,7 @@ void LockManager::UndoGrant(TxnLocks& t, bool cached, const Grant& g) {
     GrantWaiters(shard, *e);
     MaybeRetireEntry(shard, *e);
   }
-  if (gone) {
-    t.Forget(res);
-    if (cached) t.Erase(res);
-  }
+  if (gone) t.Forget(res);
 }
 
 void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
@@ -825,29 +796,28 @@ void LockManager::CleanupFailedWait(Shard& shard, Entry& entry, TxnId txn,
 
 Status LockManager::Release(TxnId txn, ResourceId resource,
                             TxnLocks* locks) {
-  if (!resource.singleton()) return ReleaseHold(txn, resource, locks);
-  // Undo one acquisition of the granule.  A cache-granted one is counted
-  // on the transaction's lane.  Otherwise release one count on each lane
-  // at the highest count: an intention's extra count on the transaction's
-  // lane goes first, and an S/X taken on every lane goes from every lane
-  // at once, never leaving some of its lanes behind.
-  if (locks != nullptr && locks->ConsumeRelease(resource)) {
+  const std::shared_ptr<TxnLocks> by_id =
+      locks != nullptr ? nullptr : Registered(txn);
+  TxnLocks* t = locks != nullptr ? locks : by_id.get();
+  // A hit never reached the table; neither does its release.
+  TxnLocks::Row row{resource};
+  if (t != nullptr && t->ConsumeRelease(resource, row)) {
     stats_.releases.Add();
     return Status::OK();
   }
-  const std::shared_ptr<TxnLocks> by_id =
-      locks != nullptr ? nullptr : Registered(txn);
-  const TxnLocks* t = locks != nullptr ? locks : by_id.get();
+  if (!resource.singleton()) return ReleaseHold(txn, resource, t);
+  // Undo one acquisition of the granule: release one count on each lane
+  // at the highest count.  An intention's extra count on the transaction's
+  // lane goes first, and an S/X taken on every lane goes from every lane
+  // at once, never leaving some of its lanes behind.
   std::array<uint32_t, kLanes> counts{};
-  if (t != nullptr) {
-    t->RowOf(resource).ForEachEntry([&](ResourceId lane) {
-      Shard& shard = ShardFor(lane);
-      MutexLock lk(shard.mu);
-      Entry* e = FindEntry(shard, lane);
-      const Holder* h = e == nullptr ? nullptr : FindHolder(*e, txn);
-      if (h != nullptr) counts[lane.lane()] = h->count;
-    });
-  }
+  row.ForEachEntry([&](ResourceId lane) {
+    Shard& shard = ShardFor(lane);
+    MutexLock lk(shard.mu);
+    Entry* e = FindEntry(shard, lane);
+    const Holder* h = e == nullptr ? nullptr : FindHolder(*e, txn);
+    if (h != nullptr) counts[lane.lane()] = h->count;
+  });
   const uint32_t top = *std::max_element(counts.begin(), counts.end());
   if (top == 0) {
     return Status::NotFound("transaction " + std::to_string(txn) +
@@ -855,20 +825,14 @@ Status LockManager::Release(TxnId txn, ResourceId resource,
   }
   for (uint64_t k = 0; k < kLanes; ++k) {
     if (counts[k] == top) {
-      CODLOCK_RETURN_IF_ERROR(ReleaseHold(txn, resource.Lane(k), locks));
+      CODLOCK_RETURN_IF_ERROR(ReleaseHold(txn, resource.Lane(k), t));
     }
   }
   return Status::OK();
 }
 
 Status LockManager::ReleaseHold(TxnId txn, ResourceId resource,
-                                TxnLocks* locks) {
-  // The matching acquisition was a cache hit and never reached the shard
-  // either.
-  if (locks != nullptr && locks->ConsumeRelease(resource)) {
-    stats_.releases.Add();
-    return Status::OK();
-  }
+                                TxnLocks* t) {
   Shard& shard = ShardFor(resource);
   bool forget = false;
   Status status = [&]() -> Status {
@@ -894,23 +858,15 @@ Status LockManager::ReleaseHold(TxnId txn, ResourceId resource,
     return Status::NotFound("transaction " + std::to_string(txn) +
                             " holds no lock on " + resource.ToString());
   }();
-  if (forget) {
-    // The hold is gone: drop its held-list row, and no cached mode may
-    // survive it.
-    if (locks != nullptr) {
-      locks->Forget(resource);
-      locks->Erase(resource);
-    } else if (std::shared_ptr<TxnLocks> t = Registered(txn)) {
-      t->Forget(resource);
-      t->Invalidate();
-    }
-  }
+  // The hold is gone, and its row (or the lane's bit) with it.
+  if (forget && t != nullptr) t->Forget(resource);
   return status;
 }
 
 size_t LockManager::ReleaseAll(TxnId txn) {
-  // EOT: End() invalidates the cache before the locks disappear and hands
-  // over the rows; a later acquire through the handle re-begins it.
+  // EOT: End() hands over the rows before the locks disappear, and the
+  // ended transaction hits no more; a later acquire through the handle
+  // re-begins it.
   std::vector<TxnLocks::Row> rows = txns_.With(txn, [txn](auto& map) {
     std::vector<TxnLocks::Row> out;
     auto it = map.find(txn);
@@ -1030,12 +986,6 @@ Status LockManager::Downgrade(TxnId txn, ResourceId resource, LockMode mode,
     GrantWaiters(shard, *e);
   });
   t->EditRow(resource, [mode](TxnLocks::Row& held) { held.mode = mode; });
-  // The held mode shrank: a cached (stronger) mode must not survive.
-  if (locks != nullptr) {
-    locks->Erase(resource);
-  } else {
-    t->Invalidate();
-  }
   return Status::OK();
 }
 
@@ -1197,20 +1147,41 @@ Status LockManager::RestoreLongLocks(
 
   // Pass 1 — validate without mutating: a record conflicts when any
   // *other* transaction already holds an incompatible mode (e.g. a short
-  // lock taken before recovery ran).  All-or-nothing: one conflict and
-  // nothing is installed, so a failed restore never leaves a half-adopted
-  // lock table behind.
-  for (const LongLockRecord& rec : expanded) {
-    Shard& shard = ShardFor(rec.resource);
+  // lock taken before recovery ran) or asks for one in this batch.
+  // All-or-nothing: one conflict and nothing is installed.  Sorted by
+  // entry, each transaction's merged mode there is tested against the
+  // supremum of the batch's earlier transactions: a mode is compatible
+  // with a supremum exactly when it is compatible with each part.
+  std::vector<LongLockRecord> by_entry = expanded;
+  std::sort(by_entry.begin(), by_entry.end(),
+            [](const LongLockRecord& a, const LongLockRecord& b) {
+              return std::tie(a.resource.node, a.resource.instance, a.txn) <
+                     std::tie(b.resource.node, b.resource.instance, b.txn);
+            });
+  for (size_t i = 0; i < by_entry.size();) {
+    const ResourceId res = by_entry[i].resource;
+    Shard& shard = ShardFor(res);
     MutexLock lk(shard.mu);
-    Entry* e = FindEntry(shard, rec.resource);
-    if (e == nullptr) continue;
-    if (!CompatibleWithHolders(shard, *e, rec.txn, rec.mode)) {
-      return Status::Internal("long-lock restore conflict on " +
-                              rec.resource.ToString() + ": txn " +
-                              std::to_string(rec.txn) + " wants " +
-                              std::string(LockModeName(rec.mode)) +
-                              " against an incompatible holder");
+    Entry* e = FindEntry(shard, res);
+    LockMode batch = LockMode::kNL;  // earlier transactions' records here
+    while (i < by_entry.size() && by_entry[i].resource == res) {
+      const TxnId txn = by_entry[i].txn;
+      LockMode mode = LockMode::kNL;
+      for (; i < by_entry.size() && by_entry[i].resource == res &&
+             by_entry[i].txn == txn;
+           ++i) {
+        mode = Supremum(mode, by_entry[i].mode);
+      }
+      if (!Compatible(mode, batch) ||
+          (e != nullptr && !CompatibleWithHolders(shard, *e, txn, mode))) {
+        return Status::Internal("long-lock restore conflict on " +
+                                res.ToString() + ": txn " +
+                                std::to_string(txn) + " wants " +
+                                std::string(LockModeName(mode)) +
+                                " against an incompatible holder or "
+                                "record");
+      }
+      batch = Supremum(batch, mode);
     }
   }
 

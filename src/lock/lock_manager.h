@@ -21,11 +21,12 @@
 ///
 /// Hot-path machinery (the intention-lock tax of fine-granularity
 /// protocols — cf. Malta & Martinez — dominates §4.4.2 workloads):
-///  * an optional per-transaction `TxnLocks` (lock/txn_locks.h) whose mode
-///    cache absorbs re-entrant acquisitions of covered modes without
-///    touching any mutex,
-///  * `AcquirePath` locks a root-to-leaf chain in one call, visiting each
-///    shard mutex once and merging into the held rows in one batch,
+///  * each transaction's held rows (`TxnLocks`, lock/txn_locks.h) answer a
+///    re-acquisition they cover (a *hit*) under the transaction's own
+///    mutex, without touching a shard,
+///  * `AcquirePath` locks a root-to-leaf chain in one call, answering its
+///    hits under one lock of that mutex, visiting each shard mutex once
+///    and merging into the held rows in one batch,
 ///  * waiters carry their own condition variable, so a grant wakes exactly
 ///    the transactions it unblocked instead of broadcasting to the shard.
 ///
@@ -68,20 +69,22 @@
 ///    grant, release or downgrade changes them.  `HeldMode`, `LocksOf`, the
 ///    snapshots and `ReleaseAll`'s count read it; `GroupMode` takes each
 ///    lane holder's mode from its row; `NumEntries` counts a granule once.
-///    An S/X held on only some lanes (still waiting at a later one) shows
-///    as its intention mode.  A waiter writes its row on its own thread
-///    after it wakes, so a grant shows there once the granted thread runs.
-///    `HeldMode` of a lane itself answers for that lane entry alone (the
-///    mode cache's slots name lanes, txn_locks.h).
+///    An S/X held on only some lanes (still waiting at a later one) shows,
+///    and hits, as its intention mode.  A waiter writes its row on its own
+///    thread after it wakes, so a grant shows there once the granted thread
+///    runs.  `HeldMode` of a lane itself answers from that lane entry alone,
+///    the table's own answer that the held-row oracle checks rows against
+///    (mc/oracles.h).
 ///  * **A failed S/SIX/X leaves no lane conversion.**  Each lane the call
 ///    granted gets back its holder's mode and duration, as one entry that
 ///    refused the request would have kept them.
 ///  * **`LockStats` counts lane requests**: an S on a relation counts 8
-///    requests and 8 grants; a cache hit counts once.
-///  * `Release` of a granule undoes one acquisition: it releases one count
-///    on each lane of its row that holds the transaction's highest count,
-///    so an S taken on every lane stays on every lane until its last count
-///    goes.  `Release` and `Downgrade` visit only the row's lanes.
+///    requests and 8 grants; a hit counts once.
+///  * `Release` of a granule undoes one acquisition: a pending hit of its
+///    row first, otherwise one count on each lane of its row that holds the
+///    transaction's highest count, so an S taken on every lane stays on
+///    every lane until its last count goes.  `Release` and `Downgrade`
+///    visit only the row's lanes.
 ///  * The durable long-lock format names granules, never lanes:
 ///    `RestoreLongLocks` expands each record onto lanes again.
 
@@ -214,11 +217,11 @@ class LockManager {
   ///  * kDeadlock  — this request was chosen as deadlock victim,
   ///  * kTimeout   — deadline expired while waiting.
   ///
-  /// \p locks, when given, must be \p txn's lock state (`Begin`), used
-  /// from the transaction's own thread.  Covered re-acquisitions are then
-  /// answered from its cache, and no grant takes a manager-global mutex.
-  /// Without it the call resolves \p txn through `Begin` and uses no
-  /// cache.
+  /// A re-acquisition that \p txn's row of \p resource covers is a hit
+  /// (txn_locks.h): granted without touching a shard.  \p locks, when
+  /// given, must be \p txn's lock state (`Begin`); without it the call
+  /// resolves \p txn through `Begin` and then does exactly the same.  No
+  /// grant takes a manager-global mutex.
   Status Acquire(TxnId txn, ResourceId resource, LockMode mode,
                  const AcquireOptions& options = AcquireOptions(),
                  TxnLocks* locks = nullptr);
@@ -243,15 +246,16 @@ class LockManager {
 
   /// Releases one acquisition of \p resource (locks are counted; the entry
   /// disappears when the count reaches zero).  The held *mode* is not
-  /// recomputed on partial release; use `Downgrade` for de-escalation.
-  /// With \p locks, a release pairing a cache-granted acquisition is
-  /// absorbed locally.  For a singleton granule see "Lanes" above.
+  /// recomputed on partial release; use `Downgrade` for de-escalation.  A
+  /// pending hit of the row goes first and never reaches the table.
+  /// \p locks, when given, saves the id's lookup.  For a singleton granule
+  /// see "Lanes" above.
   Status Release(TxnId txn, ResourceId resource, TxnLocks* locks = nullptr);
 
   /// Releases every lock of \p txn and ends its lock state (EOT; see
-  /// txn_locks.h).  Returns the number of granules released (a singleton's
-  /// lanes count once).  Shards are visited once each; the transaction's
-  /// cache is invalidated first.
+  /// txn_locks.h), rows and pending hits with it.  Returns the number of
+  /// granules released (a singleton's lanes count once).  Shards are
+  /// visited once each.
   size_t ReleaseAll(TxnId txn);
 
   /// Reduces the held mode of \p txn on \p resource to \p mode
@@ -298,11 +302,13 @@ class LockManager {
 
   /// Re-installs long locks after a crash.  All-or-nothing: the records
   /// are first validated against the locks currently held (conflicting
-  /// short locks of adopted transactions, for example) and nothing is
-  /// installed when any record conflicts.  A record whose instance has the
-  /// lane bit set (resource.h) is refused with kInvalidArgument.  Duplicate records for the same
-  /// (txn, resource) merge to the supremum mode.  Intended to run during
-  /// recovery quiescence (no concurrent acquires).
+  /// short locks of adopted transactions, for example) and against the
+  /// other transactions' records of the batch, and nothing is installed
+  /// when any record conflicts (kInternal).  A record whose instance has
+  /// the lane bit set (resource.h) is refused with kInvalidArgument.
+  /// Duplicate records for the same (txn, resource) merge to the supremum
+  /// mode.  Intended to run during recovery quiescence (no concurrent
+  /// acquires).
   Status RestoreLongLocks(const std::vector<LongLockRecord>& records);
 
   /// Number of requests currently blocked waiting for a lock.
@@ -458,21 +464,20 @@ class LockManager {
                        LockMode mode, const AcquireOptions& options, Grant& g)
       CODLOCK_REQUIRES(shard.mu);
 
-  /// `Acquire` after a cache miss: the shard, the held rows and — when
-  /// \p cached — the cache bookkeeping.  Sets \p g on success.
-  Status AcquireSlow(TxnLocks& t, bool cached, ResourceId resource,
-                     LockMode mode, const AcquireOptions& options, Grant& g);
+  /// `Acquire` after a miss: the shard, then the held rows.  Sets \p g on
+  /// success.
+  Status AcquireSlow(TxnLocks& t, ResourceId resource, LockMode mode,
+                     const AcquireOptions& options, Grant& g);
 
   /// Releases one count of \p txn's hold on the entry of \p resource (a
-  /// lane, for a singleton granule), a cache-granted one first.
-  Status ReleaseHold(TxnId txn, ResourceId resource, TxnLocks* locks);
+  /// lane, for a singleton granule); \p t (null when \p txn is not
+  /// begun) forgets a hold that goes.
+  Status ReleaseHold(TxnId txn, ResourceId resource, TxnLocks* t);
 
   /// Undoes \p g, a grant a failed `AcquirePath` made: its count goes, a
-  /// new holder goes altogether, and on a lane the holder gets back the
-  /// mode and duration it had.  \p cached: the call came through the
-  /// handle \p t, whose cache then forgets a hold that went.  Nothing else
-  /// is invalidated: nothing can be cached of a hold the call created.
-  void UndoGrant(TxnLocks& t, bool cached, const Grant& g);
+  /// new holder goes altogether (and its row or lane bit with it), and on
+  /// a lane the holder gets back the mode and duration it had.
+  void UndoGrant(TxnLocks& t, const Grant& g);
 
   /// Every hold (only long ones with \p long_only): instance resources from
   /// the table, singleton granules from the rows.

@@ -1,5 +1,6 @@
 #include "mc/oracles.h"
 
+#include <sstream>
 #include <unordered_map>
 #include <utility>
 
@@ -26,7 +27,7 @@ void OracleSuite::AddViolation(std::string msg) {
 
 void OracleSuite::CheckStep(bool quiescent) {
   CheckCompatibility();
-  CheckCacheCoherence();
+  CheckHeldRows();
   if (quiescent) CheckVisibility();
 }
 
@@ -87,18 +88,29 @@ void OracleSuite::CheckVisibility() {
   }
 }
 
-void OracleSuite::CheckCacheCoherence() {
+void OracleSuite::CheckHeldRows() {
+  const lock::LockManager& lm = run_->lock_manager();
   for (int i = 0; i < run_->num_txns(); ++i) {
     txn::Transaction* t = run_->txn(i);
-    for (const lock::TxnLocks::Slot& s : t->locks().AuditSnapshot()) {
-      if (s.mode == LockMode::kNL) continue;
-      LockMode held = run_->lock_manager().HeldMode(t->id(), s.res);
-      if (!lock::Covers(held, s.mode)) {
-        AddViolation("cache: txn " + std::to_string(t->id()) +
-                     " cache claims " +
-                     std::string(lock::LockModeName(s.mode)) + " on " +
-                     s.res.ToString() + " but shard holds " +
-                     std::string(lock::LockModeName(held)));
+    // Copied first: the table is read without the transaction's mutex.
+    std::vector<lock::TxnLocks::Row> rows;
+    t->locks().ForEachRow(
+        [&rows](const lock::TxnLocks::Row& row) { rows.push_back(row); });
+    for (const lock::TxnLocks::Row& row : rows) {
+      LockMode held = LockMode::kNL;
+      std::ostringstream missing;
+      row.ForEachEntry([&](lock::ResourceId entry) {
+        const LockMode m = lm.HeldMode(t->id(), entry);
+        if (m == LockMode::kNL) missing << " " << entry.ToString();
+        held = lock::Supremum(held, m);
+      });
+      if (!missing.str().empty() || !lock::Covers(held, row.mode)) {
+        std::ostringstream msg;
+        msg << "rows: txn " << t->id() << " row claims "
+            << lock::LockModeName(row.mode) << " on " << row.res.ToString()
+            << " but the table holds " << lock::LockModeName(held);
+        if (!missing.str().empty()) msg << ", nothing on" << missing.str();
+        AddViolation(msg.str());
       }
     }
   }

@@ -17,9 +17,15 @@
 ///  (c) **conflict-serializability** — at the end of the execution, the
 ///      recorded history of committed transactions has an acyclic
 ///      precedence graph (what strict 2PL must deliver);
-///  (d) **cache coherence** — at every step, every slot a transaction's
-///      lock cache would trust is covered by the shard table's ground
-///      truth (catches dropped invalidations, e.g. after a commit);
+///  (d) **held-row coherence** — at every step, every entry of every held
+///      row of every transaction, committed ones included (the instance
+///      resource, or each lane in the row's mask), is held by that
+///      transaction in the lock table, and those holds together cover the
+///      row's mode.  A row answers hits, so a row that claims more than the
+///      table holds would grant what nobody holds (e.g. rows left behind
+///      at commit).  A singleton row is not compared with the
+///      transaction's own lane: while an S/X waits at lane k, the row
+///      already shows the intention part of the lanes before k;
 ///  (e) **termination / policy soundness** — every schedule terminates,
 ///      and under every policy except timeout-only it terminates without
 ///      the explorer having to inject a timeout (a needed injection means
@@ -67,7 +73,7 @@ class OracleSuite {
   void AddViolation(std::string msg);
   void CheckCompatibility();  // (a)
   void CheckVisibility();     // (b)
-  void CheckCacheCoherence(); // (d)
+  void CheckHeldRows();       // (d)
 
   WorkloadRun* run_;
   std::vector<std::string> violations_;

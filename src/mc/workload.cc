@@ -81,7 +81,6 @@ WorkloadRun::WorkloadRun(const WorkloadSpec& spec, const RunOptions& opts)
       tm_(&lm_) {
   proto::ComplexObjectProtocol::Options po;
   po.use_rule4_prime = opts.use_rule4_prime;
-  po.use_txn_cache = opts.use_txn_cache;
   proto_ = std::make_unique<proto::ComplexObjectProtocol>(
       &graph_, fixture_.store.get(), &lm_, &authz_, po);
   // Begin every transaction up front so ids (= ages, for wound-wait and

@@ -14,9 +14,9 @@
 /// `proto::HistoryOp` per successful lock call, in execution order — the
 /// cooperative scheduler makes that order well defined) so the oracles can
 /// decide conflict-serializability of the committed schedule, and keeps
-/// finished `Transaction` objects alive so the cache-coherence oracle can
-/// audit their lock caches *after* commit (the window where a dropped
-/// invalidation leaves stale slots behind).
+/// finished `Transaction` objects alive so the held-row oracle can audit
+/// their rows *after* commit (the window where rows left behind would
+/// claim holds `ReleaseAll` freed).
 
 #ifndef CODLOCK_MC_WORKLOAD_H_
 #define CODLOCK_MC_WORKLOAD_H_
@@ -98,7 +98,6 @@ std::vector<WorkloadSpec> AllWorkloads();
 /// \brief Per-execution knobs (the explorer crosses these).
 struct RunOptions {
   lock::DeadlockPolicy policy = lock::DeadlockPolicy::kDetect;
-  bool use_txn_cache = true;
   bool use_rule4_prime = true;
 };
 

@@ -114,10 +114,16 @@ std::string PathToString(const Path& path) {
   for (const PathStep& step : path) {
     if (!out.empty()) out += '.';
     out += step.attr_name;
+    // Appended piece by piece: GCC 12 at -O3 reports a false
+    // -Wrestrict overlap in the inlined temporaries of `"[" + s + "]"`.
     if (!step.elem_key.empty()) {
-      out += "['" + step.elem_key + "']";
+      out += "['";
+      out += step.elem_key;
+      out += "']";
     } else if (step.index >= 0) {
-      out += "[" + std::to_string(step.index) + "]";
+      out += '[';
+      out += std::to_string(step.index);
+      out += ']';
     }
   }
   return out;

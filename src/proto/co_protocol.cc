@@ -20,15 +20,15 @@ Status ComplexObjectProtocol::Lock(txn::Transaction& txn,
   // Rule 5: request root-to-leaf.  Rules 1–4 parent conditions: every
   // immediate parent along the path gets (at least) the matching intention
   // mode.  The root of the outer unit (database node) needs no prior locks.
-  // AcquirePath batches the whole path — resources the transaction's lock
-  // cache already covers are skipped, the rest are grouped per lock shard.
+  // AcquirePath batches the whole path — resources the transaction's held
+  // rows already cover are hits, the rest are grouped per lock shard.
   std::vector<lock::ResourceId> path;
   path.reserve(target.path.size());
   for (const auto& [node, iid] : target.path) {
     path.push_back(lock::ResourceId{node, iid});
   }
   CODLOCK_RETURN_IF_ERROR(
-      lm_->AcquirePath(txn.id(), path, mode, opts, LocksFor(txn)));
+      lm_->AcquirePath(txn.id(), path, mode, opts, &txn.locks()));
 
   // Rules 3/4/4′: implicit downward propagation for S and X.  Skipped when
   // the query's semantics guarantee the referenced common data is not
@@ -207,7 +207,7 @@ Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
   path[len++] = lock::ResourceId{ep_node, *root_iid};
   CODLOCK_RETURN_IF_ERROR(
       lm_->AcquirePath(txn.id(), std::span(path.data(), len), ep_mode, opts,
-                       LocksFor(txn)));
+                       &txn.locks()));
   lm_->stats().upward_propagations.Add(chain.size());
   lm_->stats().downward_propagations.Add();
 
@@ -298,11 +298,11 @@ Status ComplexObjectProtocol::Deescalate(txn::Transaction& txn,
     }
     CODLOCK_RETURN_IF_ERROR(
         lm_->Acquire(txn.id(), lock::ResourceId{elem_node, elems[idx].iid()},
-                     held, opts, LocksFor(txn)));
+                     held, opts, &txn.locks()));
   }
   CODLOCK_RETURN_IF_ERROR(lm_->Downgrade(txn.id(), res,
                                          lock::IntentionFor(held),
-                                         LocksFor(txn)));
+                                         &txn.locks()));
   lm_->stats().deescalations.Add();
   return Status::OK();
 }

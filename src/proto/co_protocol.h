@@ -55,11 +55,6 @@ class ComplexObjectProtocol : public LockProtocol {
     /// Acquire options forwarded to the lock manager.
     bool wait = true;
     uint64_t timeout_ms = 0;
-    /// Pass the transaction's `TxnLocks` to the lock manager (its cache is
-    /// the acquisition fast path); off, every call is id-keyed.  The model
-    /// checker explores every workload with the cache both on and off: the
-    /// observable schedules and verdicts must not differ.
-    bool use_txn_cache = true;
   };
 
   ComplexObjectProtocol(const logra::LockGraph* graph,
@@ -126,10 +121,6 @@ class ComplexObjectProtocol : public LockProtocol {
     x *= 0x94D049BB133111EBULL;
     x ^= x >> 31;
     return x;
-  }
-
-  lock::TxnLocks* LocksFor(txn::Transaction& txn) const {
-    return options_.use_txn_cache ? &txn.locks() : nullptr;
   }
 
   lock::AcquireOptions AcquireOpts(const txn::Transaction& txn) const {

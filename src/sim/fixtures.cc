@@ -1,8 +1,15 @@
 #include "sim/fixtures.h"
 
 #include <cassert>
+#include <cstdint>
+#include <string>
 
 namespace codlock::sim {
+
+std::string Numbered(std::string prefix, int64_t n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
 
 using nf2::AttrSpec;
 using nf2::Value;
@@ -57,8 +64,8 @@ CellsFixture BuildCellsEffectors(const CellsParams& params) {
   std::vector<nf2::ObjectId> effector_ids;
   for (int i = 1; i <= params.num_effectors; ++i) {
     Value eff = Value::OfTuple({
-        Value::OfString("e" + std::to_string(i)),
-        Value::OfString("tool-" + std::to_string(i)),
+        Value::OfString(Numbered("e", i)),
+        Value::OfString(Numbered("tool-", i)),
     });
     effector_ids.push_back(*f.store->Insert(f.effectors, std::move(eff)));
   }
@@ -71,9 +78,8 @@ CellsFixture BuildCellsEffectors(const CellsParams& params) {
     std::vector<Value> c_objects;
     for (int o = 1; o <= params.c_objects_per_cell; ++o) {
       c_objects.push_back(Value::OfTuple({
-          Value::OfString("o" + std::to_string(c) + "_" + std::to_string(o)),
-          Value::OfString("object " + std::to_string(o) + " of cell " +
-                          std::to_string(c)),
+          Value::OfString(Numbered(Numbered("o", c) + "_", o)),
+          Value::OfString(Numbered(Numbered("object ", o) + " of cell ", c)),
       }));
     }
     std::vector<Value> robots;
@@ -88,13 +94,13 @@ CellsFixture BuildCellsEffectors(const CellsParams& params) {
         }
       }
       robots.push_back(Value::OfTuple({
-          Value::OfString("r" + std::to_string(robot_counter)),
-          Value::OfString("trajectory-" + std::to_string(robot_counter)),
+          Value::OfString(Numbered("r", robot_counter)),
+          Value::OfString(Numbered("trajectory-", robot_counter)),
           Value::OfSet(std::move(refs)),
       }));
     }
     Value cell = Value::OfTuple({
-        Value::OfString("c" + std::to_string(c)),
+        Value::OfString(Numbered("c", c)),
         Value::OfSet(std::move(c_objects)),
         Value::OfList(std::move(robots)),
     });
@@ -114,8 +120,8 @@ CellsFixture BuildFigure7Instance() {
   std::vector<nf2::ObjectId> eff;
   for (int i = 1; i <= 3; ++i) {
     Value e = Value::OfTuple({
-        Value::OfString("e" + std::to_string(i)),
-        Value::OfString("tool-" + std::to_string(i)),
+        Value::OfString(Numbered("e", i)),
+        Value::OfString(Numbered("tool-", i)),
     });
     eff.push_back(*f.store->Insert(f.effectors, std::move(e)));
   }
@@ -123,8 +129,8 @@ CellsFixture BuildFigure7Instance() {
   std::vector<Value> c_objects;
   for (int o = 1; o <= 3; ++o) {
     c_objects.push_back(Value::OfTuple({
-        Value::OfString("o" + std::to_string(o)),
-        Value::OfString("object " + std::to_string(o)),
+        Value::OfString(Numbered("o", o)),
+        Value::OfString(Numbered("object ", o)),
     }));
   }
   Value r1 = Value::OfTuple({
@@ -156,7 +162,7 @@ namespace {
 /// level k (>0): tuple(key, payload, set(children)); level 0 ("leaf"):
 /// tuple(key, payload [, refs]).
 AttrSpec SyntheticLevelSpec(int level, int refs_per_leaf) {
-  std::string name = "n" + std::to_string(level);
+  std::string name = Numbered("n", level);
   std::vector<AttrSpec> fields;
   fields.push_back(AttrSpec::Key(name + "_id"));
   fields.push_back(AttrSpec::Int("payload"));
@@ -176,7 +182,7 @@ Value SyntheticLevelValue(int level, const SyntheticParams& params,
                           const std::vector<nf2::ObjectId>& shared_ids,
                           nf2::RelationId shared_rel, Rng* rng, int* counter) {
   std::vector<Value> fields;
-  fields.push_back(Value::OfString("k" + std::to_string(++*counter)));
+  fields.push_back(Value::OfString(Numbered("k", ++*counter)));
   fields.push_back(Value::OfInt(static_cast<int64_t>(rng->Uniform(1000))));
   if (level == 0) {
     if (params.refs_per_leaf > 0 && !shared_ids.empty()) {
@@ -229,7 +235,7 @@ SyntheticFixture BuildSynthetic(const SyntheticParams& params) {
   if (with_sharing) {
     for (int i = 1; i <= params.num_shared; ++i) {
       Value lib = Value::OfTuple({
-          Value::OfString("lib" + std::to_string(i)),
+          Value::OfString(Numbered("lib", i)),
           Value::OfInt(i),
       });
       shared_ids.push_back(*f.store->Insert(f.shared_relation, std::move(lib)));

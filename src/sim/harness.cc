@@ -55,7 +55,7 @@ WorkloadReport RunWorkload(Engine& engine, const WorkloadConfig& config,
   policy.max_attempts = config.max_retries + 1;
 
   LockStats& stats = engine.lock_manager().stats();
-  // Total lock requests include per-txn cache hits (see metrics.h).
+  // Total lock requests include row hits (see metrics.h).
   const uint64_t req0 = stats.requests.value() + stats.cache_hits.value();
   const uint64_t waits0 = stats.waits.value();
   const uint64_t conf0 = stats.conflicts.value();

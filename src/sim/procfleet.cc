@@ -170,9 +170,9 @@ enum ChildExit : int {
 
 query::Query ChildQuery(const CellsFixture& fx, size_t child_index) {
   query::Query q;
-  q.name = "procchaos-" + std::to_string(child_index);
+  q.name = Numbered("procchaos-", static_cast<int64_t>(child_index));
   q.relation = fx.cells;
-  q.object_key = "c" + std::to_string(child_index + 1);
+  q.object_key = Numbered("c", static_cast<int64_t>(child_index + 1));
   q.path = {nf2::PathStep::Field("c_objects")};
   q.kind = query::AccessKind::kUpdate;
   return q;
@@ -224,7 +224,9 @@ std::string ProcFleetReport::Json() const {
                     ",\"violations\":[";
   for (size_t i = 0; i < violations.size(); ++i) {
     if (i != 0) out += ",";
-    out += "\"" + JsonEscape(violations[i]) + "\"";
+    out += '"';
+    out += JsonEscape(violations[i]);
+    out += '"';
   }
   out += "]}";
   return out;

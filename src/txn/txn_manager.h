@@ -62,11 +62,10 @@ class Transaction {
                                    : lock::LockDuration::kShort;
   }
 
-  /// The transaction's lock state in the lock manager (held list, mode
-  /// cache, wound flag), begun by the `TxnManager` at Begin/Adopt.
-  /// Protocols pass it to `LockManager::Acquire`/`AcquirePath` so that no
-  /// grant takes a manager-global mutex.  Its cache is owner-thread only
-  /// (the thread driving this transaction's calls).
+  /// The transaction's lock state in the lock manager (held rows, wound
+  /// flag), begun by the `TxnManager` at Begin/Adopt.  Protocols pass it
+  /// to `LockManager::Acquire`/`AcquirePath`/`Downgrade`, which saves them
+  /// the id's lookup; a call by id takes the same path.
   lock::TxnLocks& locks() { return *locks_; }
 
  private:

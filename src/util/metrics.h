@@ -68,8 +68,9 @@ struct LockStats {
   Counter grants;             ///< Slow-path grants (immediate or after wait);
                               ///< total grants = grants + cache_hits.
   Counter immediate_grants;   ///< Slow-path grants that never blocked.
-  Counter cache_hits;         ///< Grants answered by a per-txn lock cache
-                              ///< (no shard mutex touched).
+  Counter cache_hits;         ///< Grants answered by a transaction's held
+                              ///< row, by handle or by id (no shard mutex
+                              ///< touched).
   Counter fastpath_grants;    ///< Always 0: the lock manager has one grant
                               ///< path, under the shard mutex.  Kept only
                               ///< because perfbench's lock.fastpath_share

@@ -21,9 +21,10 @@
 ///  * `kSkipDownwardPropagation` — S/X grants skip locking reachable entry
 ///    points (§4.4.2 rules 3/4).  A from-the-side writer of shared data
 ///    races an outer-unit holder: caught by the visibility oracle.
-///  * `kDropCacheInvalidation` — cross-thread cache invalidation (the
-///    epoch bump of a `TxnLocks` mode cache) is dropped.  Stale cached
-///    answers survive EOT: caught by the cache-coherence oracle.
+///  * `kKeepRowsAtEnd`       — `TxnLocks::End` hands the held rows over
+///    but leaves them in place, so they claim holds `ReleaseAll` has freed.
+///    Caught by the held-row oracle: a committed transaction's row names
+///    entries the lock table no longer gives it.
 ///  * `kSkipWaiterWakeup`    — a grant promotes the waiter but never
 ///    notifies it (lost wakeup).  The schedule wedges: caught by the
 ///    termination oracle.
@@ -45,7 +46,7 @@ enum class Mutant : uint32_t {
   kCompatSX = 0,
   kSkipUpwardPropagation,
   kSkipDownwardPropagation,
-  kDropCacheInvalidation,
+  kKeepRowsAtEnd,
   kSkipWaiterWakeup,
   kRingSkipReclaim,
   kNumMutants,
@@ -98,8 +99,8 @@ inline std::string_view MutantName(Mutant m) {
       return "skip-upward-propagation";
     case Mutant::kSkipDownwardPropagation:
       return "skip-downward-propagation";
-    case Mutant::kDropCacheInvalidation:
-      return "drop-cache-invalidation";
+    case Mutant::kKeepRowsAtEnd:
+      return "keep-rows-at-end";
     case Mutant::kSkipWaiterWakeup:
       return "skip-waiter-wakeup";
     case Mutant::kRingSkipReclaim:

@@ -46,9 +46,8 @@ Server::Server(const nf2::Catalog* catalog, nf2::InstanceStore* store,
 
 void Server::RebuildEngine() {
   // Destruction order matters on rebuild: every component below holds a
-  // raw pointer into the current lock manager (the TxnManager's
-  // destructor, for one, detaches its per-transaction lock caches from
-  // it), so the dependents must die before the manager they point into.
+  // raw pointer into the current lock manager, so the dependents must die
+  // before the manager they point into.
   executor_.reset();
   planner_.reset();
   protocol_.reset();

@@ -223,6 +223,37 @@ TEST(LockManagerTest, LongLocksSurviveCrashViaStore) {
   EXPECT_TRUE(recovered.Acquire(9, kR1, LockMode::kS, nw).IsConflict());
 }
 
+/// Restores S for txn 1 and IX for txn 2 on \p r in one batch: the two
+/// records conflict with each other, so nothing may be installed.
+void ExpectSelfConflictingRestoreRefused(ResourceId r) {
+  LockManager lm;
+  EXPECT_TRUE(lm.RestoreLongLocks({{1, r, LockMode::kS}, {2, r, LockMode::kIX}})
+                  .IsInternal());
+  EXPECT_EQ(lm.NumEntries(), 0u);
+  EXPECT_EQ(lm.NumTxns(), 0u);
+  EXPECT_EQ(lm.GroupMode(r), LockMode::kNL);
+
+  // Records of one transaction merge; other transactions' compatible
+  // records join them.
+  ASSERT_TRUE(lm.RestoreLongLocks({{1, r, LockMode::kIS},
+                                   {2, r, LockMode::kIS},
+                                   {1, r, LockMode::kS}})
+                  .ok());
+  EXPECT_EQ(lm.HeldMode(1, r), LockMode::kS);
+  EXPECT_EQ(lm.HeldMode(2, r), LockMode::kIS);
+  EXPECT_EQ(lm.ReleaseAll(1), 1u);
+  EXPECT_EQ(lm.ReleaseAll(2), 1u);
+  EXPECT_EQ(lm.NumEntries(), 0u);
+}
+
+TEST(LockManagerTest, RestoreRefusesASelfConflictingBatchOnASingleton) {
+  ExpectSelfConflictingRestoreRefused(ResourceId{3, 0});
+}
+
+TEST(LockManagerTest, RestoreRefusesASelfConflictingBatchOnAnInstance) {
+  ExpectSelfConflictingRestoreRefused(ResourceId{5, 42});
+}
+
 TEST(LongLockStoreTest, FileRoundTrip) {
   std::string path = ::testing::TempDir() + "/codlock_longlocks.txt";
   LongLockStore a;

@@ -5,7 +5,7 @@
 /// `RefTable` is lock_manager.h's contract for requests that never wait,
 /// written as plainly as it can be: one entry per granule, holds counted
 /// per transaction, every decision made by `Compatible` and `Supremum`.
-/// It has no lanes, no mode cache and no shards, so a difference from
+/// It has no lanes, no held rows and no shards, so a difference from
 /// `LockManager` is a defect in one of those mechanisms (or here).  The
 /// rules it fixes:
 ///  * a request is granted when the hold covers it (the count goes up) or
@@ -18,8 +18,9 @@
 ///  * `Release` takes one count and the hold goes with its last count;
 ///    `Downgrade` sets a covered mode; `ReleaseAll` returns the number of
 ///    granules the transaction held;
-///  * `RestoreLongLocks` checks every record against the current holders,
-///    then installs all or nothing, merging into a hold by supremum (count
+///  * `RestoreLongLocks` checks every record against the current holders
+///    and against the other transactions' records of its batch, then
+///    installs all or nothing, merging into a hold by supremum (count
 ///    unchanged) or adding a hold with count 1.
 ///
 /// `ScriptRunner` runs seeded scripts of 3–6 live transactions over singleton
@@ -113,7 +114,15 @@ class RefTable {
         return StatusCode::kInvalidArgument;
       }
     }
-    for (const LongLockRecord& rec : records) {
+    for (size_t i = 0; i < records.size(); ++i) {
+      const LongLockRecord& rec = records[i];
+      for (size_t j = 0; j < i; ++j) {
+        if (records[j].txn != rec.txn &&
+            Key(records[j].resource) == Key(rec.resource) &&
+            !Compatible(rec.mode, records[j].mode)) {
+          return StatusCode::kInternal;
+        }
+      }
       auto it = table_.find(Key(rec.resource));
       if (it == table_.end()) continue;
       for (const auto& [other, h] : it->second) {
@@ -242,9 +251,8 @@ constexpr LockMode kModes[] = {LockMode::kIS, LockMode::kIX, LockMode::kS,
 std::string Name(LockMode m) { return std::string(LockModeName(m)); }
 
 /// One live transaction, with or without a \p handle.  A transaction with
-/// one acquires through it or by id, and releases and downgrades only
-/// through it, as its owner thread would: a release by id of a
-/// cache-granted count is outside the handle's contract.
+/// one acquires, releases and downgrades through it or by id: both take
+/// the same path, the handle only saves the id's lookup.
 struct LiveTxn {
   TxnId id = kInvalidTxn;
   std::shared_ptr<TxnLocks> handle;
@@ -326,7 +334,10 @@ class ScriptRunner {
 
   static std::string ShowPath(const std::vector<ResourceId>& path) {
     std::string s;
-    for (const ResourceId& r : path) s += (s.empty() ? "" : ",") + r.ToString();
+    for (const ResourceId& r : path) {
+      if (!s.empty()) s += ',';
+      s += r.ToString();
+    }
     return s;
   }
 
@@ -364,17 +375,19 @@ class ScriptRunner {
     }
     if (op < 70) {
       const ResourceId r = HeldOrAny(t.id);
+      TxnLocks* via = rng_.Bernoulli(0.8) ? handle : nullptr;
       script_ << "  T" << t.id << " Release " << r.ToString()
-              << (handle != nullptr ? " (handle)" : "") << "\n";
-      return Compare(lm_->Release(t.id, r, handle).code(),
+              << (via != nullptr ? " (handle)" : "") << "\n";
+      return Compare(lm_->Release(t.id, r, via).code(),
                      ref_.Release(t.id, r));
     }
     if (op < 80) {
       const ResourceId r = HeldOrAny(t.id);
       const LockMode mode = AnyMode();
+      TxnLocks* via = rng_.Bernoulli(0.8) ? handle : nullptr;
       script_ << "  T" << t.id << " Downgrade " << r.ToString() << " "
-              << Name(mode) << (handle != nullptr ? " (handle)" : "") << "\n";
-      return Compare(lm_->Downgrade(t.id, r, mode, handle).code(),
+              << Name(mode) << (via != nullptr ? " (handle)" : "") << "\n";
+      return Compare(lm_->Downgrade(t.id, r, mode, via).code(),
                      ref_.Downgrade(t.id, r, mode));
     }
     if (op < 88) {
@@ -395,13 +408,6 @@ class ScriptRunner {
         LongLockRecord rec{txns_[rng_.Uniform(txns_.size())].id,
                            AnyResource(), AnyMode()};
         if (rng_.Bernoulli(0.05)) rec.resource = rec.resource.Lane(2);
-        // A store's records never conflict with each other.
-        if (std::any_of(recs.begin(), recs.end(), [&](const auto& r) {
-              return r.resource == rec.resource && r.txn != rec.txn &&
-                     !Compatible(r.mode, rec.mode);
-            })) {
-          continue;
-        }
         script_ << " T" << rec.txn << ":" << rec.resource.ToString() << "="
                 << Name(rec.mode);
         recs.push_back(rec);

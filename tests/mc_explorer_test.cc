@@ -5,7 +5,7 @@
 /// *determinism* (the same configuration always enumerates the same
 /// schedules — replayability is what makes a violating schedule a usable
 /// bug report), *soundness of the pruning* (sleep-set POR must not hide
-/// violations — checked indirectly: POR on/off and cache on/off agree),
+/// violations — checked indirectly: POR on and off agree),
 /// and *cleanliness of the real protocol* (every workload × policy
 /// configuration passes all five oracles; the mutation kill-suite in
 /// mc_mutation_test.cc establishes the oracles are not vacuous).
@@ -78,30 +78,6 @@ TEST(McExplorerTest, AllWorkloadsCleanUnderEveryPolicy) {
       EXPECT_FALSE(s.hit_execution_cap) << w.name;
       EXPECT_GT(s.executions, 0u) << w.name;
       EXPECT_GT(s.terminals, 0u) << w.name;
-    }
-  }
-}
-
-TEST(McExplorerTest, TxnCacheDoesNotChangeTheScheduleSpace) {
-  // The per-transaction lock cache is a pure fast path: absorbed
-  // re-acquisitions leave the shard tables untouched either way, so the
-  // explored schedule space must be identical with the cache on and off —
-  // and both must be clean.
-  for (const WorkloadSpec& w : AllWorkloads()) {
-    for (DeadlockPolicy policy :
-         {DeadlockPolicy::kDetect, DeadlockPolicy::kWaitDie}) {
-      ExploreOptions on;
-      on.run.policy = policy;
-      on.run.use_txn_cache = true;
-      ExploreOptions off = on;
-      off.run.use_txn_cache = false;
-      ExploreStats a = Explore(w, on);
-      ExploreStats b = Explore(w, off);
-      EXPECT_TRUE(a.clean()) << w.name << " cache=on: " << Describe(a);
-      EXPECT_TRUE(b.clean()) << w.name << " cache=off: " << Describe(b);
-      EXPECT_EQ(a.executions, b.executions) << w.name;
-      EXPECT_EQ(a.terminals, b.terminals) << w.name;
-      EXPECT_EQ(a.max_depth, b.max_depth) << w.name;
     }
   }
 }

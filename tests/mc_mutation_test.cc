@@ -15,8 +15,8 @@
 ///    relation-level X writer no longer sees inner-unit use)
 ///  * skip-downward-propagation → side-entry      → (b) visibility (the
 ///    from-the-side writer races the outer unit's implicit locks)
-///  * drop-cache-invalidation   → shared-effector → (d) cache coherence
-///    (stale cached modes survive commit)
+///  * keep-rows-at-end          → shared-effector → (d) held rows (a
+///    committed transaction's rows claim holds ReleaseAll freed)
 ///  * skip-waiter-wakeup        → side-entry      → (e) termination (a
 ///    granted-but-unnotified waiter wedges the schedule)
 
@@ -41,7 +41,7 @@ std::string Join(const std::vector<std::string>& msgs) {
 }
 
 ExploreStats ExploreDefault(const WorkloadSpec& w) {
-  ExploreOptions opts;  // kDetect, cache on, POR on
+  ExploreOptions opts;  // kDetect, POR on
   return Explore(w, opts);
 }
 
@@ -94,9 +94,9 @@ TEST(McMutationTest, KillsSkipDownwardPropagation) {
                SideEntryWorkload(), "visibility:");
 }
 
-TEST(McMutationTest, KillsDropCacheInvalidation) {
-  ExpectKilled(mutation::Mutant::kDropCacheInvalidation,
-               SharedEffectorWorkload(), "cache:");
+TEST(McMutationTest, KillsKeepRowsAtEnd) {
+  ExpectKilled(mutation::Mutant::kKeepRowsAtEnd, SharedEffectorWorkload(),
+               "rows:");
 }
 
 TEST(McMutationTest, KillsSkipWaiterWakeup) {

@@ -130,9 +130,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{3, 2, 1}, ShapeParam{4, 2, 0},
                       ShapeParam{4, 2, 3}),
     [](const ::testing::TestParamInfo<ShapeParam>& pinfo) {
-      return "d" + std::to_string(pinfo.param.depth) + "f" +
-             std::to_string(pinfo.param.fanout) + "r" +
-             std::to_string(pinfo.param.refs_per_leaf);
+      return Numbered(Numbered(Numbered("d", pinfo.param.depth) + "f",
+                               pinfo.param.fanout) +
+                          "r",
+                      pinfo.param.refs_per_leaf);
     });
 
 // ---------------------------------------------------------------------
@@ -275,7 +276,7 @@ TEST_P(CrashRecoveryTest, LongLockSetInvariantUnderCrash) {
   for (int i = 0; i < 6; ++i) {
     query::Query q;
     q.relation = f.cells;
-    q.object_key = "c" + std::to_string(1 + rng.Uniform(6));
+    q.object_key = sim::Numbered("c", 1 + rng.Uniform(6));
     q.kind = rng.Bernoulli(0.5) ? query::AccessKind::kUpdate
                                 : query::AccessKind::kRead;
     q.path = {nf2::PathStep::At("robots",

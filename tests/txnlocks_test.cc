@@ -1,13 +1,13 @@
-/// Coherence tests for the per-transaction lock state's mode cache and the
-/// batched path acquisition fast path (`LockManager::AcquirePath`).
+/// Tests for the per-transaction lock state's held rows, the hits they
+/// answer, and the batched path acquisition (`LockManager::AcquirePath`).
 ///
-/// The cache's safety argument (see txn_locks.h) rests on a short list of
-/// rules; each test below pins one of them:
+/// A hit is safe because of a short list of rules (see txn_locks.h); each
+/// test below pins one of them:
 ///   - a hit never touches a shard, and only answers covered requests;
-///   - Release / Downgrade / ReleaseAll / a wound all drop the cached mode
-///     before it could answer stale;
-///   - cache grants and releases balance against shard-side hold counts
-///     (rule 4).
+///   - Release / Downgrade / ReleaseAll change the row where they change
+///     the table, by handle and by id alike, and a wounded or ended
+///     transaction never hits;
+///   - hits and their releases balance against shard-side hold counts.
 
 #include <gtest/gtest.h>
 
@@ -39,14 +39,14 @@ TEST(TxnLocksTest, CoveredReacquisitionHitsWithoutShardTraffic) {
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   const uint64_t slow_before = lm.stats().requests.value();
 
-  // Equal and weaker re-acquisitions are served by the cache.
+  // Equal and weaker re-acquisitions are hits of the row.
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kIS, {}, locks.get()).ok());
   EXPECT_EQ(lm.stats().requests.value(), slow_before);
   EXPECT_EQ(lm.stats().cache_hits.value(), 2u);
 
-  // Rule 4: fast grants are consumed by releases before the shard-side
-  // hold count is touched, so the books balance exactly.
+  // Releases consume the hits before the shard-side hold count is
+  // touched, so the books balance exactly.
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
@@ -81,7 +81,7 @@ TEST(TxnLocksTest, ReleaseDropsCachedMode) {
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
   EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
 
-  // A stale entry would answer this hit while the shard holds nothing.
+  // A stale row would answer this hit while the shard holds nothing.
   const uint64_t slow_before = lm.stats().requests.value();
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   EXPECT_GT(lm.stats().requests.value(), slow_before);
@@ -95,10 +95,10 @@ TEST(TxnLocksTest, DowngradeDropsCachedMode) {
 
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX, {}, locks.get()).ok());
   ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kS, locks.get()).ok());
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kS);
 
-  // If the stale X survived, this IX would hit the cache and never raise
-  // the held mode; the slow path computes sup(S, IX) = SIX.
+  // If the X survived, this IX would hit and never raise the held mode;
+  // the slow path computes sup(S, IX) = SIX.
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kIX, {}, locks.get()).ok());
   EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kSIX);
   lm.ReleaseAll(1);
@@ -126,7 +126,7 @@ TEST(TxnLocksTest, ForeignReleasePathInvalidatesCache) {
 
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   // A release routed without the handle (e.g. from recovery or an
-  // administrative path) must still invalidate through the manager's map.
+  // administrative path) drops the row found through the manager's map.
   ASSERT_TRUE(lm.Release(1, kR1).ok());
   EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
 }
@@ -137,9 +137,9 @@ TEST(TxnLocksTest, WoundInvalidatesCacheAndFailsNextAcquire) {
   LockManager lm(o);
   std::shared_ptr<TxnLocks> locks = lm.Begin(5);
 
-  // Younger txn 5 holds S with a warm cache entry.
+  // Younger txn 5 holds S.
   ASSERT_TRUE(lm.Acquire(5, kR1, LockMode::kS, {}, locks.get()).ok());
-  // A cache hit.
+  // A hit.
   ASSERT_TRUE(lm.Acquire(5, kR1, LockMode::kS, {}, locks.get()).ok());
 
   // Older txn 2 requests X: wounds 5 and blocks until it releases.
@@ -152,8 +152,8 @@ TEST(TxnLocksTest, WoundInvalidatesCacheAndFailsNextAcquire) {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  // The covered re-acquisition must NOT be answered from the cache: the
-  // wound invalidated it and the slow path reports the abort.
+  // The covered re-acquisition must NOT be a hit: the wounded
+  // transaction is refused before its row is looked at.
   Status st5 = lm.Acquire(5, kR1, LockMode::kS, {}, locks.get());
   EXPECT_TRUE(st5.IsAborted()) << st5;
 
@@ -174,7 +174,7 @@ TEST(TxnLocksTest, LongRequestNeverPiggybacksOnShortHolder) {
   const uint64_t slow_before = lm.stats().requests.value();
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, long_opts, locks.get()).ok());
   // The request reached the shard (the holder's duration must be
-  // upgraded for crash survival; the cache may not absorb it).
+  // upgraded for crash survival; the short row may not absorb it).
   EXPECT_GT(lm.stats().requests.value(), slow_before);
   std::vector<LongLockRecord> longs = lm.SnapshotLongLocks();
   ASSERT_EQ(longs.size(), 1u);
@@ -225,8 +225,8 @@ TEST(TxnLocksTest, ReleaseThroughHandleDropsItsRow) {
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   ASSERT_EQ(lm.LocksOf(1).size(), 1u);
 
-  // The last release of the hold removes its row and cached mode; the
-  // transaction stays begun with nothing left to release.
+  // The last release of the hold removes its row; the transaction stays
+  // begun with nothing left to release.
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
   EXPECT_TRUE(lm.LocksOf(1).empty());
   EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kNL);
@@ -260,8 +260,7 @@ TEST(TxnLocksTest, LocksOfReportsACacheHitHoldOnceAfterOneRelease) {
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   ASSERT_EQ(lm.stats().cache_hits.value(), 1u);
 
-  // The release pairs the cache hit; the shard-side hold and its one row
-  // stay.
+  // The release pairs the hit; the shard-side hold and its one row stay.
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
   std::vector<HeldLock> held = lm.LocksOf(1);
   ASSERT_EQ(held.size(), 1u);
@@ -321,13 +320,13 @@ TEST(TxnLocksTest, HandleDowngradeToISGrantsAQueuedIX) {
   while (lm.NumBlockedWaiters() < 1) std::this_thread::yield();
 
   // IS is compatible with IX: the narrower mode admits the waiter, and
-  // the handle's cached S must not survive the downgrade.
+  // the row's S must not survive the downgrade.
   ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kIS, locks.get()).ok());
   writer.join();
   EXPECT_TRUE(st2.ok()) << st2;
   EXPECT_EQ(lm.GroupMode(kR1), LockMode::kIX);
   EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kIS);
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kIS);
   EXPECT_EQ(lm.LocksOf(1).size(), 1u);
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);
@@ -340,13 +339,13 @@ TEST(TxnLocksTest, ForeignDowngradeInvalidatesCache) {
 
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX, {}, locks.get()).ok());
   ASSERT_EQ(locks->CachedMode(kR1), LockMode::kX);
-  // A downgrade by id shrinks the hold without the handle; the cached X
+  // A downgrade by id shrinks the hold without the handle; the row's X
   // must not survive it.
   ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kS).ok());
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kS);
 
   // The slow path computes sup(S, IX) = SIX; a stale X would have
-  // answered from the cache.
+  // answered as a hit.
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kIX, {}, locks.get()).ok());
   EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kSIX);
   lm.ReleaseAll(1);
@@ -383,47 +382,24 @@ TEST(TxnLocksTest, IdKeyedReleaseKeepsAnotherResourcesHit) {
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 
-TEST(TxnLocksTest, AuditSnapshotTrustsNothingAfterAForeignEvent) {
+TEST(TxnLocksTest, RowsPastSixtyFourStillHit) {
   LockManager lm;
   std::shared_ptr<TxnLocks> locks = lm.Begin(1);
-
-  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX, {}, locks.get()).ok());
-  ASSERT_TRUE(lm.Acquire(1, kR2, LockMode::kIX, {}, locks.get()).ok());
-  ASSERT_EQ(locks->AuditSnapshot().size(), 2u);
-
-  // An id-keyed release bumps the epoch: the oracle's view is empty even
-  // for kR1, which is still held, until the owner next uses the cache.
-  ASSERT_TRUE(lm.Release(1, kR2).ok());
-  EXPECT_TRUE(locks->AuditSnapshot().empty());
-
-  // The owner's next grant starts a fresh array holding only that grant.
-  ASSERT_TRUE(lm.Acquire(1, kR2, LockMode::kIX, {}, locks.get()).ok());
-  std::vector<TxnLocks::Slot> slots = locks->AuditSnapshot();
-  ASSERT_EQ(slots.size(), 1u);
-  EXPECT_EQ(slots[0].res, kR2);
-  EXPECT_EQ(slots[0].mode, LockMode::kIX);
-  EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kX);
-  EXPECT_EQ(lm.ReleaseAll(1), 2u);
-}
-
-TEST(TxnLocksTest, GrantsPastMaxCachedStayUncached) {
-  LockManager lm;
-  std::shared_ptr<TxnLocks> locks = lm.Begin(1);
-  const uint64_t n = TxnLocks::kMaxCached + 1;
+  const uint64_t n = 65;
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(
         lm.Acquire(1, ResourceId{3, i}, LockMode::kIX, {}, locks.get()).ok());
   }
-  EXPECT_EQ(locks->AuditSnapshot().size(), TxnLocks::kMaxCached);
-  EXPECT_EQ(locks->CachedMode(ResourceId{3, 0}), LockMode::kIX);
   const ResourceId last{3, n - 1};
-  EXPECT_EQ(locks->CachedMode(last), LockMode::kNL);
+  EXPECT_EQ(locks->CachedMode(ResourceId{3, 0}), LockMode::kIX);
+  EXPECT_EQ(locks->CachedMode(last), LockMode::kIX);
 
-  // A miss is always safe: the uncached resource goes to the shard, which
-  // re-grants the mode already held.
+  // Rows have no cap: the last one answers its re-acquisition too.
   const uint64_t slow_before = lm.stats().requests.value();
   ASSERT_TRUE(lm.Acquire(1, last, LockMode::kIX, {}, locks.get()).ok());
-  EXPECT_EQ(lm.stats().requests.value(), slow_before + 1);
+  EXPECT_EQ(lm.stats().requests.value(), slow_before);
+  EXPECT_EQ(lm.stats().cache_hits.value(), 1u);
+  ASSERT_TRUE(lm.Release(1, last, locks.get()).ok());
   EXPECT_EQ(lm.HeldMode(1, last), LockMode::kIX);
   EXPECT_EQ(lm.ReleaseAll(1), n);
   EXPECT_EQ(lm.NumEntries(), 0u);
@@ -645,15 +621,16 @@ TEST(TxnLocksMapTest, IdsSharingAStripeLiveIndependently) {
   ASSERT_TRUE(lm.Acquire(kB, kR3, LockMode::kS, {}, &b->locks()).ok());
   ASSERT_TRUE(lm.Acquire(c->id(), kR4, LockMode::kS, {}, &c->locks()).ok());
 
-  // Released by id: only B's hold and cache change.
+  // Released by id: only B's row of kR3 goes.
   ASSERT_TRUE(lm.Release(kB, kR3).ok());
   EXPECT_EQ(lm.LocksOf(kB).size(), 1u);
-  EXPECT_EQ(b->locks().CachedMode(kR2), LockMode::kNL);
+  EXPECT_EQ(b->locks().CachedMode(kR2), LockMode::kS);
+  EXPECT_EQ(b->locks().CachedMode(kR3), LockMode::kNL);
   EXPECT_EQ(lm.LocksOf(kA).size(), 1u);
   EXPECT_EQ(a->locks().CachedMode(kR1), LockMode::kX);
 
-  // Wounded: older A requests X on B's kR2 (by id, so this thread stays
-  // A's cache owner), wounds B and waits for B to end.
+  // Wounded: older A requests X on B's kR2 from another thread, wounds B
+  // and waits for B to end.
   Status st_a;
   std::thread older([&] { st_a = lm.Acquire(kA, kR2, LockMode::kX); });
   const auto deadline =
@@ -774,7 +751,7 @@ TEST(AcquirePathTest, LocksEveryLevelAndWarmsCache) {
   EXPECT_EQ(lm.HeldMode(1, path[1]), LockMode::kIX);
   EXPECT_EQ(lm.HeldMode(1, path[2]), LockMode::kX);
 
-  // The whole second pass is answered from the cache.
+  // The whole second pass is answered from the rows.
   const uint64_t slow_before = lm.stats().requests.value();
   const uint64_t hits_before = lm.stats().cache_hits.value();
   ASSERT_TRUE(lm.AcquirePath(1, path, LockMode::kX, {}, locks.get()).ok());

@@ -5,13 +5,13 @@
 // each schedule through the real LockManager / ComplexObjectProtocol /
 // TxnManager stack and judges it against five oracles: compatibility-
 // matrix soundness, implicit-lock visibility (§4.4 side entry), conflict-
-// serializability of the committed history, transaction-lock-cache
-// coherence, and termination under every deadlock policy.
+// serializability of the committed history, held-row coherence, and
+// termination under every deadlock policy.
 //
 // Usage:
 //   codlock_mc [--workload=shared-effector|side-entry|cross-deadlock|all]
 //              [--policy=detect|wound-wait|wait-die|timeout-only|all]
-//              [--cache=on|off|both] [--no-por] [--max-schedules=N]
+//              [--no-por] [--max-schedules=N]
 //              [--mutant=<name>] [--kill-suite] [--lease-protocol]
 //              [--ring-protocol] [--json] [--quiet]
 //
@@ -53,7 +53,6 @@ namespace {
 struct CliOptions {
   std::string workload = "all";
   std::string policy = "all";
-  std::string cache = "both";
   bool use_por = true;
   uint64_t max_schedules = 0;  // 0 = explorer default
   std::string mutant;
@@ -70,8 +69,7 @@ int Usage() {
          " [--workload=shared-effector|side-entry|cross-deadlock|all]\n"
          "                  [--policy=detect|wound-wait|wait-die|"
          "timeout-only|all]\n"
-         "                  [--cache=on|off|both] [--no-por]"
-         " [--max-schedules=N]\n"
+         "                  [--no-por] [--max-schedules=N]\n"
          "                  [--mutant=<name>] [--kill-suite]"
          " [--lease-protocol]\n"
          "                  [--ring-protocol] [--json] [--quiet]\n"
@@ -112,15 +110,6 @@ std::vector<lock::DeadlockPolicy> SelectPolicies(const std::string& which,
   return {};
 }
 
-std::vector<bool> SelectCacheModes(const std::string& which, bool* ok) {
-  *ok = true;
-  if (which == "both") return {true, false};
-  if (which == "on") return {true};
-  if (which == "off") return {false};
-  *ok = false;
-  return {};
-}
-
 bool ParseMutant(const std::string& name, mutation::Mutant* out) {
   for (uint32_t m = 0;
        m < static_cast<uint32_t>(mutation::Mutant::kNumMutants); ++m) {
@@ -133,12 +122,10 @@ bool ParseMutant(const std::string& name, mutation::Mutant* out) {
 }
 
 void PrintStats(const CliOptions& cli, const mc::WorkloadSpec& w,
-                lock::DeadlockPolicy policy, bool cache,
-                const mc::ExploreStats& s) {
+                lock::DeadlockPolicy policy, const mc::ExploreStats& s) {
   if (cli.json) {
     std::cout << "{\"workload\":\"" << w.name << "\",\"policy\":\""
-              << lock::DeadlockPolicyName(policy) << "\",\"cache\":"
-              << (cache ? "true" : "false")
+              << lock::DeadlockPolicyName(policy) << "\""
               << ",\"executions\":" << s.executions
               << ",\"terminals\":" << s.terminals
               << ",\"sleep_blocked\":" << s.sleep_blocked
@@ -151,8 +138,7 @@ void PrintStats(const CliOptions& cli, const mc::WorkloadSpec& w,
   }
   if (cli.quiet && s.clean()) return;
   std::cout << w.name << " / " << lock::DeadlockPolicyName(policy)
-            << " / cache=" << (cache ? "on" : "off") << ": explored "
-            << s.executions << " schedules (" << s.terminals
+            << ": explored " << s.executions << " schedules (" << s.terminals
             << " terminal), pruned " << s.sleep_blocked
             << " sleep-blocked + " << s.sibling_prunes
             << " sibling choices, max depth " << s.max_depth
@@ -166,21 +152,17 @@ void PrintStats(const CliOptions& cli, const mc::WorkloadSpec& w,
 /// configurations with at least one violating schedule.
 int ExploreAll(const CliOptions& cli,
                const std::vector<mc::WorkloadSpec>& workloads,
-               const std::vector<lock::DeadlockPolicy>& policies,
-               const std::vector<bool>& cache_modes) {
+               const std::vector<lock::DeadlockPolicy>& policies) {
   int violating_configs = 0;
   for (const mc::WorkloadSpec& w : workloads) {
     for (lock::DeadlockPolicy policy : policies) {
-      for (bool cache : cache_modes) {
-        mc::ExploreOptions eo;
-        eo.run.policy = policy;
-        eo.run.use_txn_cache = cache;
-        eo.use_por = cli.use_por;
-        if (cli.max_schedules != 0) eo.max_executions = cli.max_schedules;
-        mc::ExploreStats s = mc::Explore(w, eo);
-        PrintStats(cli, w, policy, cache, s);
-        if (!s.clean()) ++violating_configs;
-      }
+      mc::ExploreOptions eo;
+      eo.run.policy = policy;
+      eo.use_por = cli.use_por;
+      if (cli.max_schedules != 0) eo.max_executions = cli.max_schedules;
+      mc::ExploreStats s = mc::Explore(w, eo);
+      PrintStats(cli, w, policy, s);
+      if (!s.clean()) ++violating_configs;
     }
   }
   return violating_configs;
@@ -192,20 +174,18 @@ struct MutantConfig {
   mutation::Mutant mutant;
   const char* workload;
   lock::DeadlockPolicy policy;
-  bool cache;
 };
 
 constexpr MutantConfig kKillSuite[] = {
-    {mutation::Mutant::kCompatSX, "side-entry", lock::DeadlockPolicy::kDetect,
-     true},
+    {mutation::Mutant::kCompatSX, "side-entry", lock::DeadlockPolicy::kDetect},
     {mutation::Mutant::kSkipUpwardPropagation, "side-entry",
-     lock::DeadlockPolicy::kDetect, true},
+     lock::DeadlockPolicy::kDetect},
     {mutation::Mutant::kSkipDownwardPropagation, "side-entry",
-     lock::DeadlockPolicy::kDetect, true},
-    {mutation::Mutant::kDropCacheInvalidation, "shared-effector",
-     lock::DeadlockPolicy::kDetect, true},
+     lock::DeadlockPolicy::kDetect},
+    {mutation::Mutant::kKeepRowsAtEnd, "shared-effector",
+     lock::DeadlockPolicy::kDetect},
     {mutation::Mutant::kSkipWaiterWakeup, "side-entry",
-     lock::DeadlockPolicy::kDetect, true},
+     lock::DeadlockPolicy::kDetect},
 };
 
 /// Runs the ring-protocol exploration once; returns violating count (the
@@ -257,7 +237,7 @@ int RunKillSuite(const CliOptions& cli) {
     mc::ExploreOptions eo;
     eo.use_por = cli.use_por;
     mc::ExploreStats s = mc::Explore(w.front(), eo);
-    PrintStats(cli, w.front(), eo.run.policy, eo.run.use_txn_cache, s);
+    PrintStats(cli, w.front(), eo.run.policy, s);
     if (!s.clean()) {
       std::cout << "kill-suite: BASELINE VIOLATION in " << wname << "\n";
       ok = false;
@@ -269,7 +249,6 @@ int RunKillSuite(const CliOptions& cli) {
     mutation::ScopedMutant guard(mcfg.mutant);
     mc::ExploreOptions eo;
     eo.run.policy = mcfg.policy;
-    eo.run.use_txn_cache = mcfg.cache;
     eo.use_por = cli.use_por;
     mc::ExploreStats s = mc::Explore(w.front(), eo);
     bool killed = !s.clean();
@@ -358,8 +337,6 @@ int main(int argc, char** argv) {
       cli.workload = arg.substr(11);
     } else if (arg.rfind("--policy=", 0) == 0) {
       cli.policy = arg.substr(9);
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      cli.cache = arg.substr(8);
     } else if (arg == "--no-por") {
       cli.use_por = false;
     } else if (arg.rfind("--max-schedules=", 0) == 0) {
@@ -385,25 +362,24 @@ int main(int argc, char** argv) {
   if (cli.ring_protocol) return RunRingProtocol(cli);
   if (cli.kill_suite) return RunKillSuite(cli);
 
-  bool ok1 = false, ok2 = false, ok3 = false;
+  bool ok1 = false, ok2 = false;
   std::vector<mc::WorkloadSpec> workloads =
       SelectWorkloads(cli.workload, &ok1);
   std::vector<lock::DeadlockPolicy> policies =
       SelectPolicies(cli.policy, &ok2);
-  std::vector<bool> cache_modes = SelectCacheModes(cli.cache, &ok3);
-  if (!ok1 || !ok2 || !ok3) return Usage();
+  if (!ok1 || !ok2) return Usage();
 
   if (!cli.mutant.empty()) {
     mutation::Mutant m;
     if (!ParseMutant(cli.mutant, &m)) return Usage();
     mutation::ScopedMutant guard(m);
-    int violating = ExploreAll(cli, workloads, policies, cache_modes);
+    int violating = ExploreAll(cli, workloads, policies);
     bool killed = violating > 0;
     std::cout << "mutant " << cli.mutant << ": "
               << (killed ? "KILLED" : "SURVIVED") << "\n";
     return killed ? toolcli::kExitOk : toolcli::kExitFindings;
   }
 
-  int violating = ExploreAll(cli, workloads, policies, cache_modes);
+  int violating = ExploreAll(cli, workloads, policies);
   return violating == 0 ? toolcli::kExitOk : toolcli::kExitFindings;
 }

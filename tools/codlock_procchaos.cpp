@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
   config.workers = static_cast<int>(workers);
   // Uniquify the segment name per run so parallel ctest invocations (and
   // a crashed previous run's leftover segment) cannot collide.
-  config.shm_name += "-" + std::to_string(static_cast<long>(getpid()));
+  config.shm_name += '-';
+  config.shm_name += std::to_string(static_cast<long>(getpid()));
 
   ProcFleetReport report = RunProcFleet(config);
 
