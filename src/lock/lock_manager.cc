@@ -299,7 +299,8 @@ Status LockManager::Acquire(TxnId txn, ResourceId resource, LockMode mode,
   // without touching a shard (txn_locks.h).  A hit pays one atomic RMW:
   // cache_hits.  Total requests = requests + cache_hits and total grants =
   // grants + cache_hits (see metrics.h).
-  if (t->TryHit(resource, mode, options.duration == LockDuration::kLong)) {
+  if (t->TryHits({&resource, 1}, mode, mode,
+                 options.duration == LockDuration::kLong) != 0) {
     stats_.cache_hits.Add();
     return Status::OK();
   }

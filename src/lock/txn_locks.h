@@ -35,12 +35,16 @@
 /// **Hits.**  Propagation re-acquires the same intention locks over and
 /// over.  A request its row covers — the row's mode covers the mode, and a
 /// long request finds a long row — is a *hit*: the row counts it in
-/// `pending` and no shard is touched.  A `Release` consumes a pending hit
-/// before it reaches the table, so the table's counts pair with the
-/// requests that reached it.  Release, downgrade and `ReleaseAll` change
-/// the rows where they change the table, so a row never claims more than
-/// the table holds and nothing is ever invalidated.  An ended transaction
-/// never hits, and a wounded one is refused before it looks (`Resolve`).
+/// `pending` and no shard is touched.  Only the first `kHitRows` rows
+/// answer hits: a miss is always safe (the table re-grants a covered
+/// mode), and the bound keeps a request's scan short in a transaction
+/// that holds hundreds of rows (tuple locking, a System R parent scan).
+/// A `Release` consumes a pending hit before it reaches the table, so the
+/// table's counts pair with the requests that reached it.  Release,
+/// downgrade and `ReleaseAll` change the rows where they change the table,
+/// so a row never claims more than the table holds and nothing is ever
+/// invalidated.  An ended transaction never hits, and a wounded one is
+/// refused before it looks (`Resolve`).
 ///
 /// **Lanes.**  A singleton granule's row names the granule, never a lane.
 /// A lane grant sets the lane's bit and raises the row to the grant's
@@ -98,8 +102,11 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
 
   TxnId id() const { return id_; }
 
-  /// The mode the row of \p r answers hits with (kNL when there is none).
-  LockMode CachedMode(const ResourceId& r) const { return RowOf(r).mode; }
+  /// Only this many rows, the first ones, answer hits.
+  static constexpr size_t kHitRows = 64;
+
+  /// The mode of the row of \p r (kNL when there is none).
+  LockMode RowMode(const ResourceId& r) const { return RowOf(r).mode; }
 
   /// Runs \p fn on every row, under the mutex.
   template <typename Fn>
@@ -115,24 +122,27 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
 
   // ---- Hits --------------------------------------------------------------
 
-  /// True, counting a hit in the row of \p r, when that row covers a
-  /// request for \p mode with duration \p want_long.
-  bool TryHit(const ResourceId& r, LockMode mode, bool want_long)
-      CODLOCK_EXCLUDES(mu_) {
-    MutexLock lk(mu_);
-    return Hit(r, mode, want_long);
-  }
-
-  /// `TryHit` for every element of \p path (at most 64), the last in
-  /// \p leaf_mode and the others in \p prefix_mode, under one lock;
+  /// Counts a hit in the row of each element of \p path (at most 64) that
+  /// covers its request — the last element in \p leaf_mode, the others in
+  /// \p prefix_mode, all with duration \p want_long — under one lock;
   /// returns the mask of the elements that hit.
   uint64_t TryHits(std::span<const ResourceId> path, LockMode prefix_mode,
                    LockMode leaf_mode, bool want_long) CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
+    if (ended_.load(wm::relaxed)) return 0;
+    const size_t rows = std::min(held_.size(), kHitRows);
     uint64_t hits = 0;
     for (size_t i = 0; i < path.size(); ++i) {
       const LockMode mode = i + 1 == path.size() ? leaf_mode : prefix_mode;
-      if (Hit(path[i], mode, want_long)) hits |= uint64_t{1} << i;
+      for (size_t k = 0; k < rows; ++k) {
+        Row& row = held_[k];
+        if (row.res != path[i]) continue;
+        if (Covers(row.mode, mode) && (!want_long || row.is_long)) {
+          ++row.pending;
+          hits |= uint64_t{1} << i;
+        }
+        break;
+      }
     }
     return hits;
   }
@@ -149,16 +159,6 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     }
     row = mine != nullptr ? *mine : Row{r};
     return false;
-  }
-
-  bool Hit(const ResourceId& r, LockMode mode, bool want_long)
-      CODLOCK_REQUIRES(mu_) {
-    if (ended_.load(wm::relaxed)) return false;
-    Row* row = FindRow(r);
-    if (row == nullptr || !Covers(row->mode, mode)) return false;
-    if (want_long && !row->is_long) return false;
-    ++row->pending;
-    return true;
   }
 
   // ---- Rows and lifecycle ------------------------------------------------

@@ -126,7 +126,7 @@ TEST(LockManagerLanesTest, IntentionThenShareFoldsToSix) {
   EXPECT_EQ(all[0].txn, 1u);
   EXPECT_EQ(all[0].resource, kRel);
   EXPECT_EQ(all[0].mode, LockMode::kSIX);
-  EXPECT_EQ(locks->CachedMode(kRel), LockMode::kSIX);
+  EXPECT_EQ(locks->RowMode(kRel), LockMode::kSIX);
 
   // SIX admits IS from any lane and nothing stronger.
   EXPECT_TRUE(lm.Acquire(6, kRel, LockMode::kIS, NoWait()).ok());

@@ -79,7 +79,7 @@ TEST(TxnLocksTest, ReleaseDropsCachedMode) {
 
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kNL);
 
   // A stale row would answer this hit while the shard holds nothing.
   const uint64_t slow_before = lm.stats().requests.value();
@@ -95,7 +95,7 @@ TEST(TxnLocksTest, DowngradeDropsCachedMode) {
 
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX, {}, locks.get()).ok());
   ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kS, locks.get()).ok());
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kS);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kS);
 
   // If the X survived, this IX would hit and never raise the held mode;
   // the slow path computes sup(S, IX) = SIX.
@@ -111,8 +111,8 @@ TEST(TxnLocksTest, ReleaseAllInvalidatesCache) {
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
   ASSERT_TRUE(lm.Acquire(1, kR2, LockMode::kIX, {}, locks.get()).ok());
   EXPECT_EQ(lm.ReleaseAll(1), 2u);
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
-  EXPECT_EQ(locks->CachedMode(kR2), LockMode::kNL);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kNL);
+  EXPECT_EQ(locks->RowMode(kR2), LockMode::kNL);
 
   const uint64_t slow_before = lm.stats().requests.value();
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kS, {}, locks.get()).ok());
@@ -128,7 +128,7 @@ TEST(TxnLocksTest, ForeignReleasePathInvalidatesCache) {
   // A release routed without the handle (e.g. from recovery or an
   // administrative path) drops the row found through the manager's map.
   ASSERT_TRUE(lm.Release(1, kR1).ok());
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kNL);
 }
 
 TEST(TxnLocksTest, WoundInvalidatesCacheAndFailsNextAcquire) {
@@ -230,7 +230,7 @@ TEST(TxnLocksTest, ReleaseThroughHandleDropsItsRow) {
   ASSERT_TRUE(lm.Release(1, kR1, locks.get()).ok());
   EXPECT_TRUE(lm.LocksOf(1).empty());
   EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kNL);
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kNL);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kNL);
   EXPECT_EQ(lm.NumTxns(), 2u);
   EXPECT_EQ(lm.ReleaseAll(1), 0u);
   EXPECT_EQ(lm.ReleaseAll(2), 1u);
@@ -266,7 +266,7 @@ TEST(TxnLocksTest, LocksOfReportsACacheHitHoldOnceAfterOneRelease) {
   ASSERT_EQ(held.size(), 1u);
   EXPECT_EQ(held[0].resource, kR1);
   EXPECT_EQ(held[0].mode, LockMode::kS);
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kS);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kS);
   EXPECT_EQ(lm.ReleaseAll(1), 1u);
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
@@ -326,7 +326,7 @@ TEST(TxnLocksTest, HandleDowngradeToISGrantsAQueuedIX) {
   EXPECT_TRUE(st2.ok()) << st2;
   EXPECT_EQ(lm.GroupMode(kR1), LockMode::kIX);
   EXPECT_EQ(lm.HeldMode(1, kR1), LockMode::kIS);
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kIS);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kIS);
   EXPECT_EQ(lm.LocksOf(1).size(), 1u);
   lm.ReleaseAll(1);
   lm.ReleaseAll(2);
@@ -338,11 +338,11 @@ TEST(TxnLocksTest, ForeignDowngradeInvalidatesCache) {
   std::shared_ptr<TxnLocks> locks = lm.Begin(1);
 
   ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX, {}, locks.get()).ok());
-  ASSERT_EQ(locks->CachedMode(kR1), LockMode::kX);
+  ASSERT_EQ(locks->RowMode(kR1), LockMode::kX);
   // A downgrade by id shrinks the hold without the handle; the row's X
   // must not survive it.
   ASSERT_TRUE(lm.Downgrade(1, kR1, LockMode::kS).ok());
-  EXPECT_EQ(locks->CachedMode(kR1), LockMode::kS);
+  EXPECT_EQ(locks->RowMode(kR1), LockMode::kS);
 
   // The slow path computes sup(S, IX) = SIX; a stale X would have
   // answered as a hit.
@@ -382,26 +382,36 @@ TEST(TxnLocksTest, IdKeyedReleaseKeepsAnotherResourcesHit) {
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 
-TEST(TxnLocksTest, RowsPastSixtyFourStillHit) {
+TEST(TxnLocksTest, RowsPastTheHitBoundGoToTheTable) {
   LockManager lm;
   std::shared_ptr<TxnLocks> locks = lm.Begin(1);
-  const uint64_t n = 65;
+  const uint64_t n = TxnLocks::kHitRows + 1;
   for (uint64_t i = 0; i < n; ++i) {
     ASSERT_TRUE(
         lm.Acquire(1, ResourceId{3, i}, LockMode::kIX, {}, locks.get()).ok());
   }
+  const ResourceId first{3, 0};
   const ResourceId last{3, n - 1};
-  EXPECT_EQ(locks->CachedMode(ResourceId{3, 0}), LockMode::kIX);
-  EXPECT_EQ(locks->CachedMode(last), LockMode::kIX);
+  EXPECT_EQ(locks->RowMode(last), LockMode::kIX);
 
-  // Rows have no cap: the last one answers its re-acquisition too.
+  // The first row answers its re-acquisition; the last is past the bound,
+  // and a miss is always safe: the table re-grants the mode already held.
   const uint64_t slow_before = lm.stats().requests.value();
-  ASSERT_TRUE(lm.Acquire(1, last, LockMode::kIX, {}, locks.get()).ok());
-  EXPECT_EQ(lm.stats().requests.value(), slow_before);
+  ASSERT_TRUE(lm.Acquire(1, first, LockMode::kIX, {}, locks.get()).ok());
   EXPECT_EQ(lm.stats().cache_hits.value(), 1u);
+  ASSERT_TRUE(lm.Acquire(1, last, LockMode::kIX, {}, locks.get()).ok());
+  EXPECT_EQ(lm.stats().requests.value(), slow_before + 1);
+  EXPECT_EQ(lm.stats().cache_hits.value(), 1u);
+
+  // Each release undoes its own acquisition: the hold stays until the
+  // second one.
+  ASSERT_TRUE(lm.Release(1, first, locks.get()).ok());
   ASSERT_TRUE(lm.Release(1, last, locks.get()).ok());
+  EXPECT_EQ(lm.HeldMode(1, first), LockMode::kIX);
   EXPECT_EQ(lm.HeldMode(1, last), LockMode::kIX);
-  EXPECT_EQ(lm.ReleaseAll(1), n);
+  ASSERT_TRUE(lm.Release(1, last, locks.get()).ok());
+  EXPECT_EQ(lm.HeldMode(1, last), LockMode::kNL);
+  EXPECT_EQ(lm.ReleaseAll(1), n - 1);
   EXPECT_EQ(lm.NumEntries(), 0u);
 }
 
@@ -624,10 +634,10 @@ TEST(TxnLocksMapTest, IdsSharingAStripeLiveIndependently) {
   // Released by id: only B's row of kR3 goes.
   ASSERT_TRUE(lm.Release(kB, kR3).ok());
   EXPECT_EQ(lm.LocksOf(kB).size(), 1u);
-  EXPECT_EQ(b->locks().CachedMode(kR2), LockMode::kS);
-  EXPECT_EQ(b->locks().CachedMode(kR3), LockMode::kNL);
+  EXPECT_EQ(b->locks().RowMode(kR2), LockMode::kS);
+  EXPECT_EQ(b->locks().RowMode(kR3), LockMode::kNL);
   EXPECT_EQ(lm.LocksOf(kA).size(), 1u);
-  EXPECT_EQ(a->locks().CachedMode(kR1), LockMode::kX);
+  EXPECT_EQ(a->locks().RowMode(kR1), LockMode::kX);
 
   // Wounded: older A requests X on B's kR2 from another thread, wounds B
   // and waits for B to end.
@@ -645,7 +655,7 @@ TEST(TxnLocksMapTest, IdsSharingAStripeLiveIndependently) {
   EXPECT_EQ(lm.GroupMode(kR2), LockMode::kS);
   EXPECT_TRUE(
       lm.Acquire(kB, kR4, LockMode::kS, {}, &b->locks()).IsAborted());
-  EXPECT_EQ(a->locks().CachedMode(kR1), LockMode::kX);
+  EXPECT_EQ(a->locks().RowMode(kR1), LockMode::kX);
 
   // Ended: B's end leaves A registered, and A gets B's lock.
   ASSERT_TRUE(txns.Abort(b, Status::Aborted("wounded")).ok());
