@@ -41,7 +41,7 @@ sim::WorkloadReport RunOne(sim::CellsFixture& f, sim::ProtocolChoice protocol,
         q.relation = f.cells;
         // Each thread owns one cell: updates never collide on robots —
         // only (possibly) on the shared effectors.
-        q.object_key = sim::Numbered("c", 1 + thread % 8);
+        q.object_key = std::string("c").append(std::to_string(1 + thread % 8));
         q.kind = query::AccessKind::kUpdate;
         q.path = {nf2::PathStep::At("robots",
                                     static_cast<int64_t>(rng.Uniform(4)))};

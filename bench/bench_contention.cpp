@@ -5,8 +5,8 @@
 //
 //  (a) contended_s          — N threads hammer a small shared keyset
 //      with compatible S/IS acquire→release cycles through each
-//      transaction's handle, next to a standing group of IS holders.  Every cycle
-//      takes the key's shard mutex twice.
+//      transaction's handle, next to a standing group of IS holders.
+//      Every cycle takes the key's shard mutex twice.
 //  (b) partitioned_x        — N threads, disjoint per-thread keysets,
 //      exclusive X cycles.  No logical contention; isolates raw shard
 //      and cache-line scaling from compatibility effects.

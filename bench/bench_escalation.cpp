@@ -44,7 +44,8 @@ sim::WorkloadReport RunOne(sim::CellsFixture& f, query::GranulePolicy policy,
         s.work_us = 200;  // processing time while the slice stays locked
         query::Query q;
         q.relation = f.cells;
-        q.object_key = sim::Numbered("c", 1 + rng.Uniform(2));
+        q.object_key =
+            std::string("c").append(std::to_string(1 + rng.Uniform(2)));
         q.path = {nf2::PathStep::Field("c_objects")};
         q.selectivity = selectivity;
         // 1 in 5 queries writes its slice: granularity now matters for

@@ -43,7 +43,8 @@ sim::WorkloadReport RunOne(sim::CellsFixture& f, query::GranulePolicy policy,
         query::Query q;
         q.relation = f.cells;
         // High locality: everyone works on few cells, but on *parts*.
-        q.object_key = sim::Numbered("c", 1 + rng.Uniform(2));
+        q.object_key =
+            std::string("c").append(std::to_string(1 + rng.Uniform(2)));
         if (rng.Bernoulli(0.6)) {
           q.kind = query::AccessKind::kRead;
           q.path = {nf2::PathStep::Field("c_objects")};

@@ -95,7 +95,7 @@ ParkedCycles MeasureParkedCycles(const sim::CellsFixture& f, size_t parked,
   for (int c = 2; server.stable_storage().size() < parked; ++c) {
     if (!server
              .CheckOut(static_cast<authz::UserId>(c),
-                       CellQuery(f, sim::Numbered("c", c)),
+                       CellQuery(f, std::string("c").append(std::to_string(c))),
                        ws::CheckOutMode::kExclusive)
              .ok()) {
       std::cerr << "parking check-out of c" << c << " failed\n";
@@ -161,10 +161,10 @@ int main(int argc, char** argv) {
   // (c) sweep over a fleet of live leases (cells c2..c33).
   std::vector<ws::CheckOutTicket> fleet;
   for (int c = 2; c <= 33; ++c) {
-    Result<ws::CheckOutTicket> t =
-        server.CheckOut(static_cast<authz::UserId>(c),
-                        CellQuery(f, sim::Numbered("c", c)),
-                        ws::CheckOutMode::kExclusive);
+    Result<ws::CheckOutTicket> t = server.CheckOut(
+        static_cast<authz::UserId>(c),
+        CellQuery(f, std::string("c").append(std::to_string(c))),
+        ws::CheckOutMode::kExclusive);
     if (!t.ok()) {
       std::cerr << "fleet check-out failed: " << t.status().ToString()
                 << "\n";

@@ -40,7 +40,8 @@ sim::WorkloadReport RunScenario(sim::CellsFixture& f, sim::EngineOptions opts,
         script.work_us = 100;
         query::Query q;
         q.relation = f.cells;
-        q.object_key = sim::Numbered("c", 1 + rng.Uniform(8));
+        q.object_key =
+            std::string("c").append(std::to_string(1 + rng.Uniform(8)));
         double dice = rng.NextDouble();
         if (dice < 0.50) {
           // Read the layout (c_objects) of a cell.

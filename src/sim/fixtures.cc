@@ -1,15 +1,8 @@
 #include "sim/fixtures.h"
 
 #include <cassert>
-#include <cstdint>
-#include <string>
 
 namespace codlock::sim {
-
-std::string Numbered(std::string prefix, int64_t n) {
-  prefix += std::to_string(n);
-  return prefix;
-}
 
 using nf2::AttrSpec;
 using nf2::Value;
@@ -64,8 +57,8 @@ CellsFixture BuildCellsEffectors(const CellsParams& params) {
   std::vector<nf2::ObjectId> effector_ids;
   for (int i = 1; i <= params.num_effectors; ++i) {
     Value eff = Value::OfTuple({
-        Value::OfString(Numbered("e", i)),
-        Value::OfString(Numbered("tool-", i)),
+        Value::OfString(std::string("e").append(std::to_string(i))),
+        Value::OfString(std::string("tool-").append(std::to_string(i))),
     });
     effector_ids.push_back(*f.store->Insert(f.effectors, std::move(eff)));
   }
@@ -78,8 +71,14 @@ CellsFixture BuildCellsEffectors(const CellsParams& params) {
     std::vector<Value> c_objects;
     for (int o = 1; o <= params.c_objects_per_cell; ++o) {
       c_objects.push_back(Value::OfTuple({
-          Value::OfString(Numbered(Numbered("o", c) + "_", o)),
-          Value::OfString(Numbered(Numbered("object ", o) + " of cell ", c)),
+          Value::OfString(std::string("o")
+                              .append(std::to_string(c))
+                              .append("_")
+                              .append(std::to_string(o))),
+          Value::OfString(std::string("object ")
+                              .append(std::to_string(o))
+                              .append(" of cell ")
+                              .append(std::to_string(c))),
       }));
     }
     std::vector<Value> robots;
@@ -94,13 +93,15 @@ CellsFixture BuildCellsEffectors(const CellsParams& params) {
         }
       }
       robots.push_back(Value::OfTuple({
-          Value::OfString(Numbered("r", robot_counter)),
-          Value::OfString(Numbered("trajectory-", robot_counter)),
+          Value::OfString(
+              std::string("r").append(std::to_string(robot_counter))),
+          Value::OfString(std::string("trajectory-")
+                              .append(std::to_string(robot_counter))),
           Value::OfSet(std::move(refs)),
       }));
     }
     Value cell = Value::OfTuple({
-        Value::OfString(Numbered("c", c)),
+        Value::OfString(std::string("c").append(std::to_string(c))),
         Value::OfSet(std::move(c_objects)),
         Value::OfList(std::move(robots)),
     });
@@ -120,8 +121,8 @@ CellsFixture BuildFigure7Instance() {
   std::vector<nf2::ObjectId> eff;
   for (int i = 1; i <= 3; ++i) {
     Value e = Value::OfTuple({
-        Value::OfString(Numbered("e", i)),
-        Value::OfString(Numbered("tool-", i)),
+        Value::OfString(std::string("e").append(std::to_string(i))),
+        Value::OfString(std::string("tool-").append(std::to_string(i))),
     });
     eff.push_back(*f.store->Insert(f.effectors, std::move(e)));
   }
@@ -129,8 +130,8 @@ CellsFixture BuildFigure7Instance() {
   std::vector<Value> c_objects;
   for (int o = 1; o <= 3; ++o) {
     c_objects.push_back(Value::OfTuple({
-        Value::OfString(Numbered("o", o)),
-        Value::OfString(Numbered("object ", o)),
+        Value::OfString(std::string("o").append(std::to_string(o))),
+        Value::OfString(std::string("object ").append(std::to_string(o))),
     }));
   }
   Value r1 = Value::OfTuple({
@@ -162,7 +163,7 @@ namespace {
 /// level k (>0): tuple(key, payload, set(children)); level 0 ("leaf"):
 /// tuple(key, payload [, refs]).
 AttrSpec SyntheticLevelSpec(int level, int refs_per_leaf) {
-  std::string name = Numbered("n", level);
+  std::string name = std::string("n").append(std::to_string(level));
   std::vector<AttrSpec> fields;
   fields.push_back(AttrSpec::Key(name + "_id"));
   fields.push_back(AttrSpec::Int("payload"));
@@ -182,7 +183,8 @@ Value SyntheticLevelValue(int level, const SyntheticParams& params,
                           const std::vector<nf2::ObjectId>& shared_ids,
                           nf2::RelationId shared_rel, Rng* rng, int* counter) {
   std::vector<Value> fields;
-  fields.push_back(Value::OfString(Numbered("k", ++*counter)));
+  fields.push_back(
+      Value::OfString(std::string("k").append(std::to_string(++*counter))));
   fields.push_back(Value::OfInt(static_cast<int64_t>(rng->Uniform(1000))));
   if (level == 0) {
     if (params.refs_per_leaf > 0 && !shared_ids.empty()) {
@@ -235,7 +237,7 @@ SyntheticFixture BuildSynthetic(const SyntheticParams& params) {
   if (with_sharing) {
     for (int i = 1; i <= params.num_shared; ++i) {
       Value lib = Value::OfTuple({
-          Value::OfString(Numbered("lib", i)),
+          Value::OfString(std::string("lib").append(std::to_string(i))),
           Value::OfInt(i),
       });
       shared_ids.push_back(*f.store->Insert(f.shared_relation, std::move(lib)));

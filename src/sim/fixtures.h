@@ -13,7 +13,6 @@
 #ifndef CODLOCK_SIM_FIXTURES_H_
 #define CODLOCK_SIM_FIXTURES_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -58,11 +57,6 @@ CellsFixture BuildCellsEffectors();
 /// effectors e1, e2, e3 — so Q2 (update r1) and Q3 (update r2) share
 /// effector e2.
 CellsFixture BuildFigure7Instance();
-
-/// \p prefix followed by \p n: `Numbered("c", 3)` is "c3".  Built by
-/// appending to a new string: GCC 12 at -O3 reports a false -Wrestrict
-/// overlap in `"c" + std::to_string(n)` and in assigning a short literal.
-std::string Numbered(std::string prefix, int64_t n);
 
 /// \brief A synthetic database for depth/sharing sweeps.
 struct SyntheticFixture {

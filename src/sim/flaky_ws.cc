@@ -26,9 +26,9 @@ struct Workstation {
 query::Query CellQuery(const CellsFixture& fx, int cell_index,
                        query::AccessKind kind) {
   query::Query q;
-  q.name = Numbered("W", cell_index + 1);
+  q.name = std::string("W").append(std::to_string(cell_index + 1));
   q.relation = fx.cells;
-  q.object_key = Numbered("c", cell_index + 1);
+  q.object_key = std::string("c").append(std::to_string(cell_index + 1));
   // The c_objects subtree is private to its cell (robots reference the
   // shared effectors; c_objects do not), so exclusive check-outs of
   // different cells are disjoint and the single-threaded driver can

@@ -32,9 +32,9 @@ struct Client {
 query::Query CellQuery(const CellsFixture& fx, int cell_index,
                        query::AccessKind kind) {
   query::Query q;
-  q.name = Numbered("F", cell_index + 1);
+  q.name = std::string("F").append(std::to_string(cell_index + 1));
   q.relation = fx.cells;
-  q.object_key = Numbered("c", cell_index + 1);
+  q.object_key = std::string("c").append(std::to_string(cell_index + 1));
   // The c_objects subtree is private to its cell, so exclusive check-outs
   // of different cells are disjoint and the driver can never block.
   q.path = {nf2::PathStep::Field("c_objects")};

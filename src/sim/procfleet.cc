@@ -170,9 +170,9 @@ enum ChildExit : int {
 
 query::Query ChildQuery(const CellsFixture& fx, size_t child_index) {
   query::Query q;
-  q.name = Numbered("procchaos-", static_cast<int64_t>(child_index));
+  q.name = "procchaos-" + std::to_string(child_index);
   q.relation = fx.cells;
-  q.object_key = Numbered("c", static_cast<int64_t>(child_index + 1));
+  q.object_key = std::string("c").append(std::to_string(child_index + 1));
   q.path = {nf2::PathStep::Field("c_objects")};
   q.kind = query::AccessKind::kUpdate;
   return q;

@@ -127,7 +127,7 @@ TEST(IntegrationTest, GrantSetStaysSoundUnderLoad) {
       threads.emplace_back([&, i] {
         txn::Transaction* t = eng.txn_manager().Begin(1);
         Query q = i == 0 ? query::MakeQ1(f.cells) : query::MakeQ2(f.cells);
-        q.object_key = sim::Numbered("c", 1 + i % 3);
+        q.object_key = std::string("c").append(std::to_string(1 + i % 3));
         q.path = i == 0 ? query::MakeQ1(f.cells).path
                         : nf2::Path{nf2::PathStep::At("robots", i % 3)};
         Result<query::QueryResult> r = eng.RunQuery(*t, q);

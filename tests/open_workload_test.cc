@@ -22,7 +22,7 @@ TEST(OpenWorkloadTest, AllArrivalsComplete) {
     TxnScript s;
     s.user = 1;
     query::Query q = query::MakeQ1(f.cells);
-    q.object_key = sim::Numbered("c", 1 + rng.Uniform(4));
+    q.object_key = std::string("c").append(std::to_string(1 + rng.Uniform(4)));
     s.queries = {q};
     return s;
   });

@@ -130,10 +130,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{3, 2, 1}, ShapeParam{4, 2, 0},
                       ShapeParam{4, 2, 3}),
     [](const ::testing::TestParamInfo<ShapeParam>& pinfo) {
-      return Numbered(Numbered(Numbered("d", pinfo.param.depth) + "f",
-                               pinfo.param.fanout) +
-                          "r",
-                      pinfo.param.refs_per_leaf);
+      return std::string("d")
+          .append(std::to_string(pinfo.param.depth))
+          .append("f")
+          .append(std::to_string(pinfo.param.fanout))
+          .append("r")
+          .append(std::to_string(pinfo.param.refs_per_leaf));
     });
 
 // ---------------------------------------------------------------------
@@ -276,7 +278,7 @@ TEST_P(CrashRecoveryTest, LongLockSetInvariantUnderCrash) {
   for (int i = 0; i < 6; ++i) {
     query::Query q;
     q.relation = f.cells;
-    q.object_key = sim::Numbered("c", 1 + rng.Uniform(6));
+    q.object_key = std::string("c").append(std::to_string(1 + rng.Uniform(6)));
     q.kind = rng.Bernoulli(0.5) ? query::AccessKind::kUpdate
                                 : query::AccessKind::kRead;
     q.path = {nf2::PathStep::At("robots",

@@ -36,7 +36,8 @@ TEST_F(HarnessTest, AllTransactionsCommitWithoutContention) {
         script.user = 1;
         query::Query q = query::MakeQ1(f_.cells);
         // Each worker reads a different cell: no contention at all.
-        q.object_key = sim::Numbered("c", 1 + (thread * 17 + index) % 4);
+        q.object_key = std::string("c").append(
+            std::to_string(1 + (thread * 17 + index) % 4));
         script.queries = {q};
         return script;
       });
@@ -105,7 +106,7 @@ TEST_P(AllProtocolsTest, SmallMixedWorkloadCompletes) {
     script.user = 1;
     query::Query q = rng.Bernoulli(0.5) ? query::MakeQ1(f.cells)
                                         : query::MakeQ2(f.cells);
-    q.object_key = sim::Numbered("c", 1 + rng.Uniform(4));
+    q.object_key = std::string("c").append(std::to_string(1 + rng.Uniform(4)));
     // Q2's robot key must exist in the chosen cell: use index selection.
     if (q.kind == query::AccessKind::kUpdate) {
       q.path = {nf2::PathStep::At("robots", static_cast<int64_t>(

@@ -341,7 +341,8 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
       Rng rng(GetParam() * 131 + static_cast<uint64_t>(w));
       for (int i = 0; i < 15; ++i) {
         txn::Transaction* t = eng.txn_manager().Begin(1);
-        std::string cell = sim::Numbered("c", 1 + rng.Uniform(2));
+        std::string cell =
+            std::string("c").append(std::to_string(1 + rng.Uniform(2)));
         Status op_status;
         double dice = rng.NextDouble();
         if (dice < 0.35) {
