@@ -21,9 +21,9 @@
 ///
 /// Hot-path machinery (the intention-lock tax of fine-granularity
 /// protocols — cf. Malta & Martinez — dominates §4.4.2 workloads):
-///  * each transaction's held rows (`TxnLocks`, lock/txn_locks.h) answer a
-///    re-acquisition they cover (a *hit*) under the transaction's own
-///    mutex, without touching a shard,
+///  * each transaction's held rows (`TxnLocks`, lock/txn_locks.h), the
+///    first 64 of them, answer a re-acquisition they cover (a *hit*)
+///    under the transaction's own mutex, without touching a shard,
 ///  * `AcquirePath` locks a root-to-leaf chain in one call, answering its
 ///    hits under one lock of that mutex, visiting each shard mutex once
 ///    and merging into the held rows in one batch,
@@ -217,11 +217,11 @@ class LockManager {
   ///  * kDeadlock  — this request was chosen as deadlock victim,
   ///  * kTimeout   — deadline expired while waiting.
   ///
-  /// A re-acquisition that \p txn's row of \p resource covers is a hit
-  /// (txn_locks.h): granted without touching a shard.  \p locks, when
-  /// given, must be \p txn's lock state (`Begin`); without it the call
-  /// resolves \p txn through `Begin` and then does exactly the same.  No
-  /// grant takes a manager-global mutex.
+  /// A re-acquisition that \p txn's row of \p resource covers is a hit,
+  /// when the row is one of the first 64 (txn_locks.h): granted without
+  /// touching a shard.  \p locks, when given, must be \p txn's lock state
+  /// (`Begin`); without it the call resolves \p txn through `Begin` and
+  /// then does exactly the same.  No grant takes a manager-global mutex.
   Status Acquire(TxnId txn, ResourceId resource, LockMode mode,
                  const AcquireOptions& options = AcquireOptions(),
                  TxnLocks* locks = nullptr);
