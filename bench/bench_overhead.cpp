@@ -37,9 +37,11 @@ sim::WorkloadReport RunDisjoint(sim::SyntheticFixture& f,
   eng.authorization().Grant(1, f.main_relation, authz::Right::kModify);
 
   std::vector<nf2::ObjectId> ids = f.store->ObjectsOf(f.main_relation);
+  // About 1 s per protocol on a 4-vCPU host: long enough that run-to-run
+  // noise does not hide a lock-path change.
   sim::WorkloadConfig cfg;
   cfg.threads = 4;
-  cfg.txns_per_thread = 100;
+  cfg.txns_per_thread = 250'000;
   sim::WorkloadReport r =
       sim::RunWorkload(eng, cfg, [&](int thread, int i, Rng& rng) {
         sim::TxnScript s;

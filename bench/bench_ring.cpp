@@ -213,7 +213,6 @@ int main(int argc, char** argv) {
     shm_host.StopWorkers();
   }
 
-  const LockStats& stats = host.server().lock_manager().stats();
   const ws::ShmRing::Counters rc = host.ring().counters();
 
   if (json) {
@@ -247,10 +246,7 @@ int main(int argc, char** argv) {
               << ", \"completed\": " << rc.completed
               << ", \"taken\": " << rc.taken
               << ", \"salvaged\": " << rc.salvaged
-              << ", \"reclaimed\": " << rc.Reclaimed()
-              << ", \"stats_published\": " << stats.ring_published.value()
-              << ", \"stats_consumed\": " << stats.ring_consumed.value()
-              << "}\n}\n";
+              << ", \"reclaimed\": " << rc.Reclaimed() << "}\n}\n";
   } else {
     auto row = [](const char* name, const Measurement& m) {
       std::cout << name << ": " << m.ops << " ops, "

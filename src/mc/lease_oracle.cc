@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_map>
 
-#include "proto/validator.h"
 #include "sim/fixtures.h"
 #include "ws/server.h"
 
@@ -97,20 +95,12 @@ void RunSchedule(const std::vector<Step>& schedule,
     ++stats.violating_executions;
   };
 
-  std::unordered_map<lock::ResourceId, uint64_t, lock::ResourceIdHash>
-      max_epoch;
-  auto epochs_monotonic = [&](const char* when) -> bool {
-    for (const lock::FenceEpochRecord& rec :
-         server.stable_storage().FenceEpochs()) {
-      uint64_t& seen = max_epoch[rec.root];
-      if (rec.epoch < seen) {
-        fail(std::string("epoch of ") + rec.root.ToString() +
-             " regressed " + when);
-        return false;
-      }
-      if (rec.epoch > seen) seen = rec.epoch;
-    }
-    return true;
+  // Oracles (d) and (e): the server's audit (epoch floors, orphan locks,
+  // the protocol validator) after every crash and sweep, and at the end.
+  auto audit = [&](const char* when) -> bool {
+    const std::vector<std::string> found = server.Audit();
+    for (const std::string& v : found) fail(v + " " + when);
+    return found.empty();
   };
 
   Result<ws::CheckOutTicket> w1 =
@@ -138,7 +128,7 @@ void RunSchedule(const std::vector<Step>& schedule,
         // The restart reissues surviving leases: W1 is only "expired"
         // afterwards if it was already reclaimed.
         if (server.leases().Has(w1->txn)) expired = false;
-        if (!epochs_monotonic("across crash")) return;
+        if (!audit("across crash")) return;
         break;
       }
       case Step::kSweep: {
@@ -153,7 +143,7 @@ void RunSchedule(const std::vector<Step>& schedule,
             fail("sweep left W1's long locks behind");
           }
         }
-        if (!epochs_monotonic("after sweep")) return;
+        if (!audit("after sweep")) return;
         break;
       }
       case Step::kW2CheckOut: {
@@ -209,11 +199,8 @@ void RunSchedule(const std::vector<Step>& schedule,
   if (!w1_in) ++stats.w1_fenced;
   if (w2_out) ++stats.w2_checkout_ok;
 
-  // Oracle (e): whatever the schedule did, the grant set is consistent.
-  proto::ProtocolValidator validator(&server.graph(), fx.store.get());
-  for (const proto::Violation& v : validator.Check(server.lock_manager())) {
-    fail("protocol validator: " + v.ToString());
-  }
+  // Oracle (e): whatever the schedule did, the audit holds at the end.
+  audit("at the end");
 }
 
 }  // namespace

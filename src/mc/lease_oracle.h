@@ -25,9 +25,10 @@
 ///  (c) **reclaim completeness** — after a sweep that ran with W1's
 ///      lease expired beyond grace, W1 holds no locks and no lease
 ///      (reclaim-abort policy);
-///  (d) **epoch monotonicity** — fencing epochs never decrease at any
-///      step, crashes included;
-///  (e) the protocol validator finds the final grant set consistent.
+///  (d) **epoch monotonicity** — fencing epochs never decrease across a
+///      crash or a sweep (`Server::Audit`, run after each);
+///  (e) `Server::Audit` also holds at the end: the protocol validator
+///      finds the final grant set consistent, and no lock is orphaned.
 
 #ifndef CODLOCK_MC_LEASE_ORACLE_H_
 #define CODLOCK_MC_LEASE_ORACLE_H_

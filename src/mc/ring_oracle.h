@@ -25,10 +25,8 @@
 ///      kPublished, kDone, kTaking).  This is the oracle that kills the
 ///      `ring.skip-reclaim` mutant: a skipped kPublished strand is later
 ///      executed on behalf of a corpse.
-///  (b) **frame conservation** — at quiescence the ledger balances:
-///      published == consumed + salvaged + reclaimed_published,
-///      consumed == completed + reclaimed_executing,
-///      completed == taken + reclaimed_done.
+///  (b) **frame conservation** — at quiescence the ledger balances
+///      (`ShmRing::Counters::Imbalances`).
 ///  (c) **quiescence** — the post-mortem convergence loop (reap → drain
 ///      → final takes, the host's sweep discipline) reaches
 ///      InFlight() == 0 within a bounded number of rounds.

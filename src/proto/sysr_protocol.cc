@@ -14,7 +14,8 @@ Status SystemRDagProtocol::Lock(txn::Transaction& txn,
 
   for (size_t i = 0; i + 1 < target.path.size(); ++i) {
     lock::ResourceId res{target.path[i].first, target.path[i].second};
-    CODLOCK_RETURN_IF_ERROR(lm_->Acquire(txn.id(), res, intention, opts));
+    CODLOCK_RETURN_IF_ERROR(
+        lm_->Acquire(txn.id(), res, intention, opts, &txn.locks()));
   }
 
   // GLPT76 rule 2: X/IX on a node requires *all* parents IX-locked.  For a
@@ -34,7 +35,7 @@ Status SystemRDagProtocol::Lock(txn::Transaction& txn,
   }
 
   lock::ResourceId res{target.target_node(), target.target_iid()};
-  return lm_->Acquire(txn.id(), res, mode, opts);
+  return lm_->Acquire(txn.id(), res, mode, opts, &txn.locks());
 }
 
 Status SystemRDagProtocol::LockAllParents(txn::Transaction& txn,
@@ -52,17 +53,17 @@ Status SystemRDagProtocol::LockAllParents(txn::Transaction& txn,
     CODLOCK_RETURN_IF_ERROR(lm_->Acquire(
         txn.id(),
         lock::ResourceId{graph_->DatabaseNode(rdef.database), 0},
-        LockMode::kIX, opts));
+        LockMode::kIX, opts, &txn.locks()));
     CODLOCK_RETURN_IF_ERROR(lm_->Acquire(
         txn.id(), lock::ResourceId{graph_->SegmentNode(rdef.segment), 0},
-        LockMode::kIX, opts));
+        LockMode::kIX, opts, &txn.locks()));
     CODLOCK_RETURN_IF_ERROR(lm_->Acquire(
         txn.id(), lock::ResourceId{graph_->RelationNode(parent.relation), 0},
-        LockMode::kIX, opts));
+        LockMode::kIX, opts, &txn.locks()));
     for (const auto& [attr, iid] : parent.chain) {
       CODLOCK_RETURN_IF_ERROR(lm_->Acquire(
           txn.id(), lock::ResourceId{graph_->NodeForAttr(attr), iid},
-          LockMode::kIX, opts));
+          LockMode::kIX, opts, &txn.locks()));
     }
   }
   return Status::OK();
@@ -91,20 +92,20 @@ Status SystemRDagProtocol::LockEntryPoint(txn::Transaction& txn,
     const nf2::RelationDef& rdef = catalog.relation(ref.relation);
     CODLOCK_RETURN_IF_ERROR(lm_->Acquire(
         txn.id(), lock::ResourceId{graph_->DatabaseNode(rdef.database), 0},
-        LockMode::kIX, opts));
+        LockMode::kIX, opts, &txn.locks()));
     CODLOCK_RETURN_IF_ERROR(lm_->Acquire(
         txn.id(), lock::ResourceId{graph_->SegmentNode(rdef.segment), 0},
-        LockMode::kIX, opts));
+        LockMode::kIX, opts, &txn.locks()));
     CODLOCK_RETURN_IF_ERROR(lm_->Acquire(
         txn.id(), lock::ResourceId{graph_->RelationNode(ref.relation), 0},
-        LockMode::kIX, opts));
+        LockMode::kIX, opts, &txn.locks()));
     CODLOCK_RETURN_IF_ERROR(LockAllParents(txn, ref.relation, ref.object));
   }
   // kPathOnly (and the S side of kAllParents): the used path's ref BLU is
   // "a parent" and is already intention-locked — GLPT76 rule 1 is
   // satisfied with a single locked parent.
   return lm_->Acquire(txn.id(), lock::ResourceId{ep_node, *root_iid}, mode,
-                      opts);
+                      opts, &txn.locks());
 }
 
 }  // namespace codlock::proto

@@ -1,8 +1,5 @@
 #include "sim/flaky_ws.h"
 
-#include <unordered_map>
-
-#include "proto/validator.h"
 #include "util/rng.h"
 
 namespace codlock::sim {
@@ -84,40 +81,19 @@ FlakyWsReport RunFlakyWorkstations(ws::Server& server,
   FlakyWsReport report;
   Rng rng(config.seed);
   std::vector<Workstation> fleet(static_cast<size_t>(config.workstations));
-  const bool reclaim_abort = server.leases().options().exclusive_policy ==
-                             ws::ExpiredExclusivePolicy::kReclaimAbort;
 
-  // Fencing epochs must only ever grow, across sweeps and crashes alike.
-  std::unordered_map<lock::ResourceId, uint64_t, lock::ResourceIdHash>
-      max_epoch;
-  auto check_epochs = [&](const char* when) {
-    for (const lock::FenceEpochRecord& rec :
-         server.stable_storage().FenceEpochs()) {
-      uint64_t& seen = max_epoch[rec.root];
-      if (rec.epoch < seen) {
-        report.violations.push_back(
-            std::string("fencing epoch of ") + rec.root.ToString() +
-            " regressed from " + std::to_string(seen) + " to " +
-            std::to_string(rec.epoch) + " " + when);
-      }
-      if (rec.epoch > seen) seen = rec.epoch;
+  // The server's audit after every sweep and server crash: epochs never
+  // regress, and no reclaimed ticket leaves a lock behind.
+  auto audit = [&](std::vector<std::string> found, const char* when) {
+    for (std::string& v : found) {
+      report.violations.push_back(v.append(" ").append(when));
     }
   };
 
   auto sweep = [&] {
     report.reclaimed_leases += server.SweepExpiredLeases();
     ++report.sweeps;
-    check_epochs("after sweep");
-    // A reclaimed ticket must not leave long locks behind.
-    for (const Workstation& w : fleet) {
-      if (w.state == Workstation::State::kIdle) continue;
-      if (server.leases().Has(w.ticket.txn)) continue;
-      if (!server.lock_manager().LocksOf(w.ticket.txn).empty()) {
-        report.violations.push_back(
-            "txn " + std::to_string(w.ticket.txn) +
-            " still holds locks after its lease was reclaimed");
-      }
-    }
+    audit(server.Audit(), "after sweep");
   };
 
   for (int tick = 0; tick < config.ticks; ++tick) {
@@ -126,7 +102,7 @@ FlakyWsReport RunFlakyWorkstations(ws::Server& server,
     if (rng.Bernoulli(config.p_server_crash)) {
       server.CrashAndRestart();
       ++report.server_crashes;
-      check_epochs("after server crash");
+      audit(server.Audit(), "after server crash");
     }
 
     for (size_t i = 0; i < fleet.size(); ++i) {
@@ -249,30 +225,7 @@ FlakyWsReport RunFlakyWorkstations(ws::Server& server,
   server.clock().AdvanceMs(server.leases().options().duration_ms +
                            server.leases().options().grace_ms + 1);
   sweep();
-  if (reclaim_abort) {
-    if (server.leases().size() != 0) {
-      report.violations.push_back(
-          "leases survived the final drain under reclaim-abort: " +
-          std::to_string(server.leases().size()));
-    }
-    if (server.ActiveLongTxns() != 0) {
-      report.violations.push_back(
-          "long transactions survived the final drain: " +
-          std::to_string(server.ActiveLongTxns()));
-    }
-  } else {
-    for (const ws::LeaseRecord& rec : server.leases().Snapshot()) {
-      if (!rec.orphaned) {
-        report.violations.push_back(
-            "non-orphaned lease of txn " + std::to_string(rec.txn) +
-            " survived the final drain");
-      }
-    }
-  }
-  proto::ProtocolValidator validator(&server.graph(), fixture.store.get());
-  for (const proto::Violation& v : validator.Check(server.lock_manager())) {
-    report.violations.push_back("protocol validator: " + v.ToString());
-  }
+  audit(server.AuditDrained(), "after the final drain");
   return report;
 }
 

@@ -16,11 +16,12 @@
 /// from tests, the fault sweeps and the chaos CI job alike:
 ///  * a check-in on a ticket whose lease was reclaimed must never
 ///    succeed (zombie fencing),
-///  * a reclaimed check-out must not leave long locks behind,
-///  * fencing epochs must never regress, not even across server crashes,
-///  * after a final drain (clock advance + sweep), no lease and no long
-///    transaction may survive under the reclaim-abort policy,
-///  * the protocol validator must find the final grant set consistent.
+///  * `Server::Audit` after every sweep and server crash: fencing epochs
+///    never regress, a reclaimed check-out leaves no lock behind, and
+///    the protocol validator finds the grant set consistent,
+///  * `Server::AuditDrained` after a final drain (clock advance + sweep):
+///    no lease and no long transaction survives, except exclusive
+///    check-outs held as orphans under kOrphanHold.
 
 #ifndef CODLOCK_SIM_FLAKY_WS_H_
 #define CODLOCK_SIM_FLAKY_WS_H_

@@ -1,9 +1,7 @@
 #include "sim/fleet.h"
 
 #include <memory>
-#include <unordered_map>
 
-#include "proto/validator.h"
 #include "util/rng.h"
 
 namespace codlock::sim {
@@ -94,49 +92,18 @@ FleetReport RunFleet(ws::Host& host, const CellsFixture& fixture,
     report.shed_retries += h.stats().retries;
   };
 
-  // Server-root fencing epochs and handle epochs must only ever grow,
-  // across sweeps and host crashes alike.
-  std::unordered_map<lock::ResourceId, uint64_t, lock::ResourceIdHash>
-      max_root_epoch;
-  std::unordered_map<uint64_t, uint64_t> max_handle_epoch;
-  auto check_epochs = [&](const char* when) {
-    for (const lock::FenceEpochRecord& rec :
-         server.stable_storage().FenceEpochs()) {
-      uint64_t& seen = max_root_epoch[rec.root];
-      if (rec.epoch < seen) {
-        report.violations.push_back(
-            "fencing epoch of " + rec.root.ToString() + " regressed from " +
-            std::to_string(seen) + " to " + std::to_string(rec.epoch) + " " +
-            when);
-      }
-      if (rec.epoch > seen) seen = rec.epoch;
-    }
-    for (const ws::Host::HandleView& row : host.HandleTable()) {
-      uint64_t& seen = max_handle_epoch[row.handle_id];
-      if (row.epoch < seen) {
-        report.violations.push_back(
-            "handle " + std::to_string(row.handle_id) +
-            " epoch regressed from " + std::to_string(seen) + " to " +
-            std::to_string(row.epoch) + " " + when);
-      }
-      if (row.epoch > seen) seen = row.epoch;
+  // The host's audit after every sweep and host crash: epochs never
+  // regress, and no reclaimed check-out leaves a lock behind.
+  auto audit = [&](std::vector<std::string> found, const char* when) {
+    for (std::string& v : found) {
+      report.violations.push_back(v.append(" ").append(when));
     }
   };
 
   auto sweep = [&] {
     report.handles_fenced += host.SweepDeadHandles();
     ++report.sweeps;
-    check_epochs("after sweep");
-    // A reclaimed check-out must not leave long locks behind.
-    for (const Client& c : fleet) {
-      if (!c.has_ticket) continue;
-      if (server.leases().Has(c.ticket.txn)) continue;
-      if (!server.lock_manager().LocksOf(c.ticket.txn).empty()) {
-        report.violations.push_back(
-            "txn " + std::to_string(c.ticket.txn) +
-            " still holds locks after its lease was reclaimed");
-      }
-    }
+    audit(host.Audit(), "after sweep");
   };
 
   // The client saw kFenced: its handle was fenced (respawn once safe) or
@@ -171,7 +138,7 @@ FleetReport RunFleet(ws::Host& host, const CellsFixture& fixture,
     if (rng.Bernoulli(config.p_host_crash)) {
       host.CrashAndRestart();
       ++report.host_crashes;
-      check_epochs("after host crash");
+      audit(host.Audit(), "after host crash");
       // Some clients notice promptly and revalidate their handle; the
       // rest discover the new incarnation through a kFenced rejection.
       for (Client& c : fleet) {
@@ -358,49 +325,8 @@ FleetReport RunFleet(ws::Host& host, const CellsFixture& fixture,
   (void)host.Drain();
   sweep();
 
-  if (server.leases().size() != 0) {
-    report.violations.push_back(
-        "leases survived the final drain: " +
-        std::to_string(server.leases().size()));
-  }
-  if (server.ActiveLongTxns() != 0) {
-    report.violations.push_back(
-        "long transactions survived the final drain: " +
-        std::to_string(server.ActiveLongTxns()));
-  }
-  if (host.ring().InFlight() != 0) {
-    report.violations.push_back(
-        "ring still has " + std::to_string(host.ring().InFlight()) +
-        " slots in flight after the final drain");
-  }
-  const ws::ShmRing::Counters rc = host.ring().counters();
-  if (rc.published != rc.consumed + rc.salvaged + rc.reclaimed_published) {
-    report.violations.push_back(
-        "frame conservation broken: published=" + std::to_string(rc.published) +
-        " != consumed=" + std::to_string(rc.consumed) + " + salvaged=" +
-        std::to_string(rc.salvaged) + " + reclaimed_published=" +
-        std::to_string(rc.reclaimed_published));
-  }
-  if (rc.consumed != rc.completed + rc.reclaimed_executing) {
-    report.violations.push_back(
-        "execution conservation broken: consumed=" +
-        std::to_string(rc.consumed) + " != completed=" +
-        std::to_string(rc.completed) + " + reclaimed_executing=" +
-        std::to_string(rc.reclaimed_executing));
-  }
-  if (rc.completed != rc.taken + rc.reclaimed_done) {
-    report.violations.push_back(
-        "response conservation broken: completed=" +
-        std::to_string(rc.completed) + " != taken=" + std::to_string(rc.taken) +
-        " + reclaimed_done=" + std::to_string(rc.reclaimed_done));
-  }
-  check_epochs("after final drain");
+  audit(host.AuditDrained(), "after the final drain");
   for (const Client& c : fleet) fold_handle_stats(*c.handle);
-
-  proto::ProtocolValidator validator(&server.graph(), fixture.store.get());
-  for (const proto::Violation& v : validator.Check(server.lock_manager())) {
-    report.violations.push_back("protocol validator: " + v.ToString());
-  }
   return report;
 }
 

@@ -15,16 +15,13 @@
 /// threads, no sleeps): a (seed, config) pair replays exactly.
 ///
 /// The run self-checks and reports violations instead of asserting:
-///  * a submit from a fenced handle or a stale host incarnation must be
-///    rejected with `kFenced`,
-///  * a reclaimed check-out must not leave long locks behind,
-///  * fencing epochs (server roots and handle epochs alike) must never
-///    regress, not even across host crashes,
-///  * after the final drain the ring must be empty and its counters must
-///    satisfy the conservation identities (every published frame is
-///    consumed, salvaged or reclaimed — none vanish),
-///  * no lease and no long transaction may survive the final drain, and
-///    the protocol validator must find the final grant set consistent.
+///  * a zombie check-in must fail once its lease was reclaimed,
+///  * `Host::Audit` after every sweep and host crash (fencing epochs of
+///    roots and handles never regress; no reclaimed check-out leaves a
+///    lock behind; the protocol validator finds the grant set
+///    consistent),
+///  * `Host::AuditDrained` after the final drain (the ring is empty and
+///    its ledger balances; no lease and no long transaction is left).
 
 #ifndef CODLOCK_SIM_FLEET_H_
 #define CODLOCK_SIM_FLEET_H_

@@ -9,7 +9,6 @@
 #include <map>
 #include <string_view>
 
-#include "proto/validator.h"
 #include "sim/fixtures.h"
 #include "util/json.h"
 #include "ws/handle.h"
@@ -178,23 +177,6 @@ query::Query ChildQuery(const CellsFixture& fx, size_t child_index) {
   return q;
 }
 
-void CheckConservation(const ws::ShmRing::Counters& c,
-                       std::vector<std::string>* violations) {
-  auto check = [&](uint64_t lhs, uint64_t rhs, const char* identity) {
-    if (lhs != rhs) {
-      violations->push_back(std::string("conservation: ") + identity + " (" +
-                            std::to_string(lhs) + " != " +
-                            std::to_string(rhs) + ")");
-    }
-  };
-  check(c.published, c.consumed + c.salvaged + c.reclaimed_published,
-        "published == consumed + salvaged + reclaimed_published");
-  check(c.consumed, c.completed + c.reclaimed_executing,
-        "consumed == completed + reclaimed_executing");
-  check(c.completed, c.taken + c.reclaimed_done,
-        "completed == taken + reclaimed_done");
-}
-
 }  // namespace
 
 std::string ProcFleetReport::Summary() const {
@@ -355,28 +337,11 @@ ProcFleetReport RunProcFleet(const ProcFleetConfig& config) {
   }
   host.StopWorkers();
 
-  if (!quiescent) {
-    for (size_t s = 0; s < host.ring().slots(); ++s) {
-      const ws::SlotState st = host.ring().StateOf(s);
-      if (st == ws::SlotState::kFree) continue;
-      fail("slot " + std::to_string(s) + " leaked in state " +
-           std::string(ws::SlotStateName(st)) + " (owner handle " +
-           std::to_string(host.ring().OwnerOf(s)) + ")");
-    }
-    if (host.server().ActiveLongTxns() != 0) {
-      fail("leaked long transactions: " +
-           std::to_string(host.server().ActiveLongTxns()));
-    }
-    if (host.server().leases().size() != 0) {
-      fail("leaked leases: " + std::to_string(host.server().leases().size()));
-    }
-    if (report.violations.empty()) {
-      fail("convergence loop never went quiescent");
-    }
+  for (std::string& v : host.AuditDrained()) fail(std::move(v));
+  if (!quiescent && report.violations.empty()) {
+    fail("convergence loop never went quiescent");
   }
-
   const ws::ShmRing::Counters c = host.ring().counters();
-  CheckConservation(c, &report.violations);
   if (c.published == 0 || c.completed == 0) {
     fail("no traffic flowed — the harness proved nothing");
   }
@@ -384,12 +349,6 @@ ProcFleetReport RunProcFleet(const ProcFleetConfig& config) {
   report.frames_completed = c.completed;
   report.frames_salvaged = c.salvaged;
   report.frames_reclaimed = c.Reclaimed();
-
-  proto::ProtocolValidator validator(&host.server().graph(), fx.store.get());
-  for (const proto::Violation& v :
-       validator.Check(host.server().lock_manager())) {
-    fail("protocol validator: " + v.ToString());
-  }
 
   // Incarnation fencing: a zombie expecting yesterday's incarnation is
   // fenced at the segment boundary — before and after a host restart.

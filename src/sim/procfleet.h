@@ -22,10 +22,10 @@
 /// virtual clock past every lease, loops sweep+drain until quiescent,
 /// and asserts the recovery invariants:
 ///
-///  * **frame conservation** — the shared counter ledger balances;
-///  * **no leaked slots** — `InFlight() == 0`, every strand reclaimed;
-///  * **no leaked locks/leases** — the dead children's check-outs were
-///    reclaimed by the lease sweep; the protocol validator is clean;
+///  * **`Host::AuditDrained`** — no slot leaked (every strand reclaimed),
+///    the shared counter ledger balances, the dead children's check-outs
+///    were reclaimed by the lease sweep (no lock, lease or long
+///    transaction left), and the protocol validator is clean;
 ///  * **incarnation fencing** — an attach expecting a stale incarnation
 ///    fails with kFenced, before and after a host restart;
 ///  * **process accounting** — every crash-assigned child died by

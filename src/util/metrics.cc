@@ -99,9 +99,6 @@ void LockStats::Reset() {
   leases_expired.Reset();
   fenced_checkins.Reset();
   reclaimed_long_locks.Reset();
-  ring_published.Reset();
-  ring_consumed.Reset();
-  ring_salvaged_frames.Reset();
   handles_fenced.Reset();
   jobs_shed_per_handle.Reset();
   wait_ns.Reset();
@@ -133,9 +130,6 @@ std::string LockStats::ToString() const {
      << " leases_expired=" << leases_expired.value()
      << " fenced_checkins=" << fenced_checkins.value()
      << " reclaimed_long_locks=" << reclaimed_long_locks.value()
-     << " ring_published=" << ring_published.value()
-     << " ring_consumed=" << ring_consumed.value()
-     << " ring_salvaged_frames=" << ring_salvaged_frames.value()
      << " handles_fenced=" << handles_fenced.value()
      << " jobs_shed_per_handle=" << jobs_shed_per_handle.value()
      << " max_held=" << max_held_locks.load(std::memory_order_relaxed)
@@ -177,9 +171,6 @@ std::string LockStats::ToJson() const {
   field("leases_expired", leases_expired.value());
   field("fenced_checkins", fenced_checkins.value());
   field("reclaimed_long_locks", reclaimed_long_locks.value());
-  field("ring_published", ring_published.value());
-  field("ring_consumed", ring_consumed.value());
-  field("ring_salvaged_frames", ring_salvaged_frames.value());
   field("handles_fenced", handles_fenced.value());
   field("jobs_shed_per_handle", jobs_shed_per_handle.value());
   field("held_locks",

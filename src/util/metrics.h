@@ -109,14 +109,8 @@ struct LockStats {
                                  ///< reclamation sweep (stranded capacity
                                  ///< recovered from dead workstations).
 
-  // Out-of-process serving (shared-memory job ring; maintained by
-  // ws::ShmRing / ws::Host).
-  Counter ring_published;        ///< Job frames published into the ring.
-  Counter ring_consumed;         ///< Frames claimed by a worker with a
-                                 ///< valid CRC (executed or executing).
-  Counter ring_salvaged_frames;  ///< Torn frames (CRC mismatch — the
-                                 ///< writer died mid-write) detected by a
-                                 ///< consumer and their slots salvaged.
+  // Out-of-process serving (maintained by ws::Host; the ring's own frame
+  // ledger is ws::ShmRing::Counters).
   Counter handles_fenced;        ///< Client handles fenced by the
                                  ///< dead-handle sweep or a host restart.
   Counter jobs_shed_per_handle;  ///< Jobs rejected by ring admission

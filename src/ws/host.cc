@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <sstream>
 
 #include "fault/fault_injector.h"
 
@@ -32,7 +33,6 @@ Host::Host(const nf2::Catalog* catalog, nf2::InstanceStore* store,
     : options_(std::move(options)),
       server_(catalog, store, options_.server),
       ring_(options_.ring) {
-  ring_.SetStats(&server_.lock_manager().stats());
   uint64_t incarnation = 0;
   {
     MutexLock lk(mu_);
@@ -370,10 +370,8 @@ Status Host::CrashAndRestart() {
   StopWorkers();
   Status restored = server_.CrashAndRestart();
   // The shared memory died with the host: reinitialize the ring (lost
-  // frames are accounted by Reset) and repoint its stats mirror at the
-  // rebuilt lock manager.
+  // frames are accounted by Reset).
   ring_.Reset();
-  ring_.SetStats(&server_.lock_manager().stats());
   uint64_t incarnation = 0;
   {
     MutexLock lk(mu_);
@@ -430,6 +428,49 @@ size_t Host::LiveHandles() const {
 size_t Host::TotalInFlight() const {
   MutexLock lk(mu_);
   return total_inflight_;
+}
+
+std::vector<std::string> Host::Audit() {
+  std::vector<std::string> out = server_.Audit();
+  AuditHandles(&out);
+  return out;
+}
+
+std::vector<std::string> Host::AuditDrained() {
+  std::vector<std::string> out = server_.AuditDrained();
+  AuditHandles(&out);
+  for (size_t slot = 0; slot < ring_.slots(); ++slot) {
+    const SlotState state = ring_.StateOf(slot);
+    if (state == SlotState::kFree) continue;
+    std::ostringstream msg;
+    msg << "ring slot " << slot << " left in state " << SlotStateName(state)
+        << " (owner handle " << ring_.OwnerOf(slot) << ")";
+    out.push_back(msg.str());
+  }
+  for (std::string& imbalance : ring_.counters().Imbalances()) {
+    out.push_back(std::move(imbalance));
+  }
+  return out;
+}
+
+void Host::SetHandleEpochForTest(uint64_t handle_id, uint64_t epoch) {
+  MutexLock lk(mu_);
+  handles_.at(handle_id).epoch = epoch;
+}
+
+void Host::AuditHandles(std::vector<std::string>* out) {
+  MutexLock lk(mu_);
+  const uint64_t audit = ++audits_;
+  for (const auto& [id, e] : handles_) {
+    EpochFloor& floor = handle_floors_[id];
+    if (e.epoch > floor.epoch) floor = {e.epoch, audit};
+    if (e.epoch == floor.epoch) continue;
+    std::ostringstream msg;
+    msg << "epoch of handle " << id << " is " << e.epoch
+        << ", below its floor " << floor.epoch << " seen by audit "
+        << floor.audit;
+    out->push_back(msg.str());
+  }
 }
 
 }  // namespace codlock::ws

@@ -147,6 +147,19 @@ class Host {
   size_t LiveHandles() const;
   size_t TotalInFlight() const;
 
+  /// `Server::Audit` plus the handles: no handle's epoch is below the
+  /// highest an earlier audit of this host saw (the floors live in the
+  /// host, so they survive `CrashAndRestart`).  Call it between
+  /// operations, with no job executing.
+  std::vector<std::string> Audit();
+  /// `Server::AuditDrained` plus the handle floors, an empty ring (each
+  /// leftover slot named with its state and owner) and a balanced ledger
+  /// (`ShmRing::Counters::Imbalances`).
+  std::vector<std::string> AuditDrained();
+  /// Overwrites a handle's epoch, bypassing every rule: lets a test
+  /// show that the audit catches a regressed epoch.
+  void SetHandleEpochForTest(uint64_t handle_id, uint64_t epoch);
+
  private:
   struct HandleEntry {
     uint64_t epoch = 1;
@@ -169,6 +182,8 @@ class Host {
   std::string RunJob(const wire::Request& req, uint64_t handle_id);
   void NoteSalvaged(const std::vector<ShmRing::SalvagedFrame>& salvaged);
   void WorkerLoop();
+  /// The handle-epoch part of both audits; raises the floors.
+  void AuditHandles(std::vector<std::string>* out);
 
   const HostOptions options_;
   Server server_;
@@ -179,6 +194,13 @@ class Host {
   uint64_t next_handle_id_ CODLOCK_GUARDED_BY(mu_) = 1;
   uint64_t incarnation_ CODLOCK_GUARDED_BY(mu_) = 1;
   size_t total_inflight_ CODLOCK_GUARDED_BY(mu_) = 0;
+  /// Highest epoch an audit saw per handle, with the audit's number.
+  struct EpochFloor {
+    uint64_t epoch = 0;
+    uint64_t audit = 0;
+  };
+  std::map<uint64_t, EpochFloor> handle_floors_ CODLOCK_GUARDED_BY(mu_);
+  uint64_t audits_ CODLOCK_GUARDED_BY(mu_) = 0;
 
   std::vector<std::thread> workers_;
   std::atomic<bool> stop_workers_{false};

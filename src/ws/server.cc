@@ -1,9 +1,12 @@
 #include "ws/server.h"
 
 #include <chrono>
+#include <map>
+#include <sstream>
 #include <thread>
 
 #include "fault/fault_injector.h"
+#include "proto/validator.h"
 #include "util/rng.h"
 
 namespace codlock::ws {
@@ -25,6 +28,28 @@ fault::FaultPoint g_fault_lease_reclaim{"ws.lease.reclaim",
 // the fenced ticket must stay fenced across the restart.
 fault::FaultPoint g_fault_checkin_fenced{"ws.checkin.fenced",
                                          fault::FaultKind::kCrash};
+
+/// Appends one audit message per transaction in \p locks that \p owner_ok
+/// rejects: the transaction, how many of \p locks it holds, the first of
+/// them, and \p why.
+template <typename OwnerOk>
+void FlagOwners(const std::vector<lock::LongLockRecord>& locks,
+                OwnerOk owner_ok, std::string_view why,
+                std::vector<std::string>* out) {
+  std::map<lock::TxnId, std::pair<size_t, const lock::LongLockRecord*>> bad;
+  for (const lock::LongLockRecord& rec : locks) {
+    if (owner_ok(rec.txn)) continue;
+    auto& [count, first] = bad[rec.txn];
+    if (count++ == 0) first = &rec;
+  }
+  for (const auto& [txn, entry] : bad) {
+    std::ostringstream msg;
+    msg << "txn " << txn << " holds " << entry.first << " lock(s), first "
+        << entry.second->resource.ToString() << " in "
+        << lock::LockModeName(entry.second->mode) << ", but " << why;
+    out->push_back(msg.str());
+  }
+}
 }  // namespace
 
 Server::Server(const nf2::Catalog* catalog, nf2::InstanceStore* store,
@@ -463,6 +488,73 @@ Result<query::QueryResult> Server::RunShortTxn(authz::UserId user,
 size_t Server::ActiveLongTxns() const {
   MutexLock lk(tickets_mu_);
   return long_txn_users_.size();
+}
+
+std::vector<std::string> Server::Audit() {
+  // Lifecycle exclusion: the audit walks lm_ and txns_, which a restart
+  // rebuilds.
+  MutexLock lifecycle(lifecycle_mu_);
+  std::vector<std::string> out;
+  const uint64_t audit = ++audits_;
+  for (const auto& [root, floor] : epoch_floors_) {
+    const uint64_t epoch = long_store_.FenceEpochOf(root);
+    if (epoch >= floor.epoch) continue;
+    std::ostringstream msg;
+    msg << "fencing epoch of " << root.ToString() << " is " << epoch
+        << ", below its floor " << floor.epoch << " seen by audit "
+        << floor.audit << " at " << floor.at_ms << " ms";
+    out.push_back(msg.str());
+  }
+  for (const lock::FenceEpochRecord& rec : long_store_.FenceEpochs()) {
+    EpochFloor& floor = epoch_floors_[rec.root];
+    if (rec.epoch > floor.epoch) floor = {rec.epoch, audit, clock_.NowMs()};
+  }
+  if (const size_t blocked = lm_->NumBlockedWaiters(); blocked != 0) {
+    out.push_back(std::to_string(blocked) +
+                  " request(s) blocked in the lock table");
+  }
+  FlagOwners(
+      lm_->SnapshotAllLocks(),
+      [&](lock::TxnId txn) { return txns_->Get(txn).ok(); },
+      "the transaction manager does not know it", &out);
+  FlagOwners(
+      lm_->SnapshotLongLocks(),
+      [&](lock::TxnId txn) { return leases_.Has(txn); },
+      "it has no lease", &out);
+  proto::ProtocolValidator validator(&graph_, store_);
+  for (const proto::Violation& v : validator.Check(*lm_)) {
+    out.push_back(std::string("protocol validator: ").append(v.ToString()));
+  }
+  return out;
+}
+
+std::vector<std::string> Server::AuditDrained() {
+  std::vector<std::string> out = Audit();
+  // An exclusive check-out whose lease ran out under kOrphanHold keeps
+  // its locks, its lease record and its transaction on purpose.
+  auto held_orphan = [&](const LeaseRecord& rec) {
+    return rec.orphaned && rec.mode == CheckOutMode::kExclusive &&
+           options_.lease.exclusive_policy ==
+               ExpiredExclusivePolicy::kOrphanHold;
+  };
+  for (const LeaseRecord& rec : leases_.Snapshot()) {
+    if (held_orphan(rec)) continue;
+    std::ostringstream msg;
+    msg << "lease of txn " << rec.txn << " (" << CheckOutModeName(rec.mode)
+        << ", " << LeaseStateName(leases_.StateOf(rec))
+        << ") left over after the drain";
+    out.push_back(msg.str());
+  }
+  MutexLock lk(tickets_mu_);
+  for (const auto& [txn, user] : long_txn_users_) {
+    const Result<LeaseRecord> rec = leases_.Get(txn);
+    if (rec.ok() && held_orphan(*rec)) continue;
+    std::ostringstream msg;
+    msg << "long transaction " << txn << " of user " << user
+        << " left over after the drain";
+    out.push_back(msg.str());
+  }
+  return out;
 }
 
 std::vector<Server::LeaseView> Server::LeaseTable() const {

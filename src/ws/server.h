@@ -23,7 +23,9 @@
 #define CODLOCK_WS_SERVER_H_
 
 #include <memory>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "authz/authz.h"
 #include "lock/long_lock_store.h"
@@ -204,6 +206,23 @@ class Server {
   /// order (deterministic).
   std::vector<LeaseView> LeaseTable() const;
 
+  /// Checks what holds whenever no call into this server is running and
+  /// returns one self-describing message per violation (empty = sound):
+  ///  * no root's fencing epoch is below the highest that an earlier
+  ///    audit of this server saw (the floors are server state, so they
+  ///    survive `CrashAndRestart`);
+  ///  * no request is blocked in the lock table;
+  ///  * every held lock's transaction is known to the transaction
+  ///    manager, and every long lock's transaction has a lease (an
+  ///    exclusive check-out held as an orphan keeps its lease record);
+  ///  * the protocol validator finds the grant set consistent.
+  /// Raises the epoch floors.  Harnesses and tools call it between
+  /// operations; no serving path does.
+  std::vector<std::string> Audit();
+  /// `Audit` plus quiescence: no lease and no long transaction is left,
+  /// except exclusive check-outs held as orphans under kOrphanHold.
+  std::vector<std::string> AuditDrained();
+
  private:
   void RebuildEngine();
 
@@ -256,6 +275,16 @@ class Server {
   /// Users of live long (check-out) transactions, re-adopted after a crash.
   std::unordered_map<lock::TxnId, authz::UserId> long_txn_users_
       CODLOCK_GUARDED_BY(tickets_mu_);
+
+  /// Highest fencing epoch an audit saw for a root, and when.
+  struct EpochFloor {
+    uint64_t epoch = 0;
+    uint64_t audit = 0;  ///< number of the audit that saw it (1-based)
+    uint64_t at_ms = 0;  ///< virtual-clock time of that audit
+  };
+  std::unordered_map<lock::ResourceId, EpochFloor, lock::ResourceIdHash>
+      epoch_floors_ CODLOCK_GUARDED_BY(lifecycle_mu_);
+  uint64_t audits_ CODLOCK_GUARDED_BY(lifecycle_mu_) = 0;
 };
 
 }  // namespace codlock::ws

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
+#include <sstream>
 #include <type_traits>
 
 #include "fault/fault_injector.h"
@@ -297,7 +299,6 @@ Result<size_t> ShmRing::Publish(const FrameHeader& header,
                           std::to_string(header.job_id));
   }
   Bump(kCtrPublished);
-  if (LockStats* st = stats()) st->ring_published.Add();
   // Ledger first, then the crash hook: a producer that dies here leaves
   // a *counted* published frame behind (the conservation identities
   // treat it as unconsumed or consumed-later, never as a ghost).
@@ -389,7 +390,6 @@ Result<ShmRing::Job> ShmRing::Consume(std::vector<SalvagedFrame>* salvaged) {
       // itself is ledgered — the stranded frame must show up under
       // consumed == completed + reclaimed_executing, not vanish.
       Bump(kCtrConsumed);
-      if (LockStats* st = stats()) st->ring_consumed.Add();
       return fault::StatusFor(fr, "ws.ring.consume");
     }
     const FrameHeader header = s.header;
@@ -402,7 +402,6 @@ Result<ShmRing::Job> ShmRing::Consume(std::vector<SalvagedFrame>* salvaged) {
       }
       FreeSlot(s);
       Bump(kCtrSalvaged);
-      if (LockStats* st = stats()) st->ring_salvaged_frames.Add();
       continue;  // the freed slot does not count as scanned work
     }
     Job job;
@@ -410,7 +409,6 @@ Result<ShmRing::Job> ShmRing::Consume(std::vector<SalvagedFrame>* salvaged) {
     job.header = header;
     job.payload.assign(BytesView(PayloadOf(index), header.payload_size));
     Bump(kCtrConsumed);
-    if (LockStats* st = stats()) st->ring_consumed.Add();
     return job;
   }
   return Status::NotFound("no published frame");
@@ -626,6 +624,35 @@ ShmRing::Counters ShmRing::counters() const {
   c.reclaimed_executing = load(kCtrReclaimedExecuting);
   c.reclaimed_done = load(kCtrReclaimedDone);
   return c;
+}
+
+std::vector<std::string> ShmRing::Counters::Imbalances() const {
+  struct Term {
+    const char* name;
+    uint64_t value;
+  };
+  std::vector<std::string> out;
+  auto identity = [&out](Term lhs, std::initializer_list<Term> rhs) {
+    uint64_t sum = 0;
+    std::ostringstream msg;
+    msg << "ring ledger: " << lhs.name << "=" << lhs.value << " != ";
+    for (const Term& t : rhs) {
+      msg << (&t == rhs.begin() ? "" : " + ") << t.name << "=" << t.value;
+      sum += t.value;
+    }
+    msg << " = " << sum;
+    if (lhs.value != sum) out.push_back(msg.str());
+  };
+  identity({"published", published}, {{"consumed", consumed},
+                                       {"salvaged", salvaged},
+                                       {"reclaimed_published",
+                                        reclaimed_published}});
+  identity({"consumed", consumed},
+           {{"completed", completed},
+            {"reclaimed_executing", reclaimed_executing}});
+  identity({"completed", completed},
+           {{"taken", taken}, {"reclaimed_done", reclaimed_done}});
+  return out;
 }
 
 }  // namespace codlock::ws

@@ -15,8 +15,8 @@
 ///
 ///  * every frame is **CRC-stamped** over its payload, so a client that
 ///    dies mid-write leaves a *torn frame* the consumer detects and
-///    salvages (slot freed, `ring_salvaged_frames` counted) instead of a
-///    garbage job it executes;
+///    salvages (slot freed, `salvaged` counted) instead of a garbage job
+///    it executes;
 ///  * slot ownership moves through a small state machine of atomic words
 ///    (`kFree → kWriting → kPublished → kExecuting → kDone → kTaking →
 ///    kFree`), every transition a CAS — a crashed party simply leaves its
@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "util/futex.h"
-#include "util/metrics.h"
 #include "util/result.h"
 #include "ws/shm_segment.h"
 
@@ -274,13 +273,11 @@ class ShmRing {
   /// Number of slots not currently kFree.
   size_t InFlight() const;
 
-  /// Cumulative event counters (survive Reset — they are the sweep's
-  /// accounting ledger).  Shared across processes in the shm backends:
-  /// a child's publishes and takes land in the same ledger the host
-  /// asserts against.  Conservation at quiescence (ring empty):
-  ///   published == consumed + salvaged + reclaimed_published
-  ///   consumed  == completed + reclaimed_executing
-  ///   completed == taken + reclaimed_done
+  /// Cumulative event counters (survive Reset — they are the ring's
+  /// conservation ledger, and its only record).  Shared across processes
+  /// in the shm backends: a child's publishes and takes land in the same
+  /// ledger the host audits.  Three identities hold whenever the ring is
+  /// empty (`Imbalances`).
   struct Counters {
     uint64_t published = 0;
     uint64_t consumed = 0;
@@ -297,15 +294,15 @@ class ShmRing {
       return reclaimed_writing + reclaimed_published + reclaimed_executing +
              reclaimed_done;
     }
+    /// The conservation identities, each as one message naming both
+    /// sides with their values when it is broken (empty = balanced):
+    ///   published == consumed + salvaged + reclaimed_published
+    ///   consumed  == completed + reclaimed_executing
+    ///   completed == taken + reclaimed_done
+    /// They hold only while no slot is in flight.
+    std::vector<std::string> Imbalances() const;
   };
   Counters counters() const;
-
-  /// Mirrors ring events (published/consumed/salvaged) into \p stats.
-  /// The host re-points this at the rebuilt lock manager's stats after
-  /// every restart; nullptr detaches.  Host-local, never shared.
-  void SetStats(LockStats* stats) {
-    stats_.store(stats, std::memory_order_release);
-  }
 
  private:
   /// Per-slot fixed head; lives at the start of each slot stride in the
@@ -363,7 +360,6 @@ class ShmRing {
   void CrashPoint(std::string_view point) {
     if (crash_hook_) crash_hook_(point);
   }
-  LockStats* stats() const { return stats_.load(std::memory_order_acquire); }
 
   RingOptions options_;
   Status init_status_;
@@ -380,7 +376,6 @@ class ShmRing {
   std::atomic<size_t> publish_cursor_{0};
   std::atomic<size_t> consume_cursor_{0};
 
-  std::atomic<LockStats*> stats_{nullptr};
   std::function<void(std::string_view)> crash_hook_;
 };
 

@@ -449,8 +449,8 @@ TEST_F(HostTest, CheckOutCheckInThroughTheRing) {
   EXPECT_EQ(host.server().ActiveLongTxns(), 0u);
   EXPECT_EQ(host.ring().InFlight(), 0u);
   EXPECT_EQ(host.TotalInFlight(), 0u);
-  // The ring counters surfaced in LockStats.
-  EXPECT_GE(host.server().lock_manager().stats().ring_published.value(), 4u);
+  // The ring's ledger counted the frames.
+  EXPECT_GE(host.ring().counters().published, 4u);
 }
 
 TEST_F(HostTest, HostCrashFencesZombiesUntilReattach) {

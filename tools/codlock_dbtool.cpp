@@ -147,11 +147,12 @@ int Query(nf2::LoadedDatabase& db, const std::string& text, bool execute) {
 }
 
 // A short burst of ring traffic over the same database, so `stats`
-// reports the out-of-process counters (ring_published, ring_consumed,
-// ring_salvaged_frames, handles_fenced, jobs_shed_per_handle) with live
-// values: pings and a shared check-out round-trip, an over-cap submit
-// that sheds, a torn publish that salvages, and a wedged handle that
-// the dead-handle sweep fences.
+// reports the out-of-process counters with live values (the ring's
+// ledger: ring_published, ring_consumed, ring_salvaged_frames; the
+// host's handles_fenced and jobs_shed_per_handle) and the probe host's
+// drained audit: pings and a shared check-out round-trip, an over-cap
+// submit that sheds, a torn publish that salvages, and a wedged handle
+// that the dead-handle sweep fences.
 std::unique_ptr<ws::Host> RingProbe(nf2::LoadedDatabase& db) {
   ws::HostOptions ho;
   ho.ring.slots = 8;
@@ -187,8 +188,11 @@ std::unique_ptr<ws::Host> RingProbe(nf2::LoadedDatabase& db) {
   (void)wedged.SubmitNoWait(ws::wire::JobOp::kPing, nullptr);
   (void)wedged.SubmitNoWait(ws::wire::JobOp::kPing, nullptr);
   (void)wedged.SubmitNoWait(ws::wire::JobOp::kPing, nullptr);  // sheds
-  (void)alive.SubmitNoWait(ws::wire::JobOp::kPing, nullptr,
-                           ws::PublishFault::kTornFrame);
+  // The torn frame is fat: half of a 1-byte ping is nothing, and its CRC
+  // can match the byte the slot already holds, so it would run untorn
+  // and leave its response untaken.
+  (void)host.Submit(alive.info(), /*job_id=*/1'000'000, std::string(256, 'T'),
+                    ws::PublishFault::kTornFrame);
   (void)host.Drain();
 
   // Silence fences the wedged handle; the pinging one stays live.
@@ -240,6 +244,8 @@ int Stats(nf2::LoadedDatabase& db, bool json) {
       });
 
   std::unique_ptr<ws::Host> ring = RingProbe(db);
+  const ws::ShmRing::Counters ledger = ring->ring().counters();
+  const std::vector<std::string> audit = ring->AuditDrained();
 
   if (json) {
     std::cout << "{\"workload\":{\"submitted\":" << r.submitted
@@ -252,7 +258,15 @@ int Stats(nf2::LoadedDatabase& db, bool json) {
               << "},\n\"lock_stats\":"
               << eng.lock_manager().stats().ToJson()
               << ",\n\"ring_probe\":"
-              << ring->server().lock_manager().stats().ToJson() << "}\n";
+              << ring->server().lock_manager().stats().ToJson()
+              << ",\n\"ring_ledger\":{\"ring_published\":" << ledger.published
+              << ",\"ring_consumed\":" << ledger.consumed
+              << ",\"ring_salvaged_frames\":" << ledger.salvaged
+              << "},\n\"ring_audit\":[";
+    for (size_t i = 0; i < audit.size(); ++i) {
+      std::cout << (i == 0 ? "\"" : ",\"") << JsonEscape(audit[i]) << "\"";
+    }
+    std::cout << "]}\n";
     return r.Reconciles() ? 0 : 1;
   }
 
@@ -266,7 +280,15 @@ int Stats(nf2::LoadedDatabase& db, bool json) {
             << "lock manager counters:\n"
             << eng.lock_manager().stats().ToString() << "\n"
             << "ring probe counters (out-of-process serving):\n"
-            << ring->server().lock_manager().stats().ToString() << "\n";
+            << ring->server().lock_manager().stats().ToString()
+            << " ring_published=" << ledger.published
+            << " ring_consumed=" << ledger.consumed
+            << " ring_salvaged_frames=" << ledger.salvaged << "\n"
+            << "ring probe audit: "
+            << (audit.empty() ? "clean" : std::to_string(audit.size()) +
+                                              " violation(s)")
+            << "\n";
+  for (const std::string& v : audit) std::cout << "  " << v << "\n";
   return r.Reconciles() ? 0 : 1;
 }
 

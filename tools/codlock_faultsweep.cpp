@@ -9,10 +9,10 @@
 //
 //   * recovery itself reports no error,
 //   * the baseline check-out's long locks survived,
-//   * no blocked waiter and no lock owned by a dead transaction remains
-//     (orphan reap),
-//   * the protocol validator finds no undetected conflict in the
-//     recovered grant set,
+//   * `Server::Audit` holds: no blocked waiter, no lock owned by a dead
+//     transaction (orphan reap), no long lock without a lease, and the
+//     protocol validator finds no undetected conflict in the recovered
+//     grant set,
 //   * the server is usable: the surviving ticket checks in cleanly and a
 //     fresh check-out of the same data succeeds.
 //
@@ -32,9 +32,9 @@
 // exclusive check-out is driven past its lease deadline + grace, the
 // reclamation sweep (or the fenced zombie check-in) crashes at the armed
 // point, the server restarts, and the post-restart state must converge —
-// the expired ticket holds no locks, fencing epochs never regress below
-// the pre-crash durable baseline, the zombie check-in is refused, and the
-// cell can be checked out again.
+// the expired ticket holds no locks, `Server::Audit` holds (fencing epochs
+// never regress below what the audit saw before the crash), the zombie
+// check-in is refused, and the cell can be checked out again.
 //
 // The `ring` mode (also reachable as `--ring`) crash-injects the
 // out-of-process serving surface (`ws.ring.publish`, `ws.ring.torn_frame`,
@@ -43,12 +43,13 @@
 // shared-memory job ring, victim traffic is driven into the armed point,
 // then the host crashes and restarts.  Every point must converge — the
 // baseline's long locks survive and its ticket still checks in, zombie
-// handles are rejected with kFenced until they re-attach, no orphan lock
-// and no blocked waiter remains after the sweeps, the ring drains to
-// empty with its frame-conservation identities intact (every published
-// frame consumed, salvaged or reclaimed), and fencing epochs never
-// regress.  The mode finishes with a fleet chaos run (default 1000
-// handles) whose self-checks must come back clean.
+// handles are rejected with kFenced until they re-attach, and after the
+// sweeps `Host::AuditDrained` holds: no orphan lock, no blocked waiter,
+// no lease left, the ring drained to empty with its frame-conservation
+// identities intact (every published frame consumed, salvaged or
+// reclaimed), and no fencing or handle epoch regressed.  The mode
+// finishes with a fleet chaos run (default 1000 handles) whose
+// self-checks must come back clean.
 //
 // The `shm` mode (also reachable as `--shm`) sweeps the real segment
 // layer (ws/shm_segment.h).  Syscall leg: each of `ws.shm.open`,
@@ -75,7 +76,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -83,7 +83,6 @@
 #include "fault/fault_injector.h"
 #include "lock/lock_manager.h"
 #include "lock/long_lock_store.h"
-#include "proto/validator.h"
 #include "sim/fixtures.h"
 #include "sim/fleet.h"
 #include "tool_common.h"
@@ -185,24 +184,10 @@ PointResult SweepOne(fault::FaultPoint* point, const std::string& dir,
     return fail("baseline long locks lost in recovery");
   }
 
-  // No orphans: nothing blocked, and every held lock has a live owner.
-  if (server.lock_manager().NumBlockedWaiters() != 0) {
-    return fail("blocked waiters survived recovery");
-  }
-  for (const lock::LongLockRecord& rec :
-       server.lock_manager().SnapshotAllLocks()) {
-    if (!server.txn_manager().Get(rec.txn).ok()) {
-      return fail("orphan lock owned by dead txn " + std::to_string(rec.txn) +
-                  " on " + rec.resource.ToString());
-    }
-  }
-
-  // The recovered grant set is coherent.
-  proto::ProtocolValidator validator(&server.graph(), f.store.get());
-  std::vector<proto::Violation> violations =
-      validator.Check(server.lock_manager());
-  if (!violations.empty()) {
-    return fail("validator: " + violations.front().ToString());
+  // No orphans (nothing blocked, every held lock has a live owner and
+  // every long lock a lease), and the recovered grant set is coherent.
+  if (std::vector<std::string> found = server.Audit(); !found.empty()) {
+    return fail(found.front());
   }
 
   // The server still works: check the baseline in, check the data out
@@ -266,11 +251,10 @@ PointResult LeaseSweepOne(fault::FaultPoint* point, const std::string& dir) {
     return fail("lease check-out failed: " + w1.status().ToString());
   }
 
-  // The durable fence-epoch baseline the restart may never fall below.
-  std::map<std::string, uint64_t> baseline;
-  for (const lock::FenceEpochRecord& rec :
-       server.stable_storage().FenceEpochs()) {
-    baseline[rec.root.ToString()] = rec.epoch;
+  // The audit records the fence-epoch floors the restart may never fall
+  // below.
+  if (std::vector<std::string> found = server.Audit(); !found.empty()) {
+    return fail("before the fault: " + found.front());
   }
 
   // Let the lease run out completely.
@@ -316,13 +300,8 @@ PointResult LeaseSweepOne(fault::FaultPoint* point, const std::string& dir) {
   if (server.leases().Has(w1->txn)) {
     return fail("expired lease survived restart + sweep");
   }
-  for (const lock::FenceEpochRecord& rec :
-       server.stable_storage().FenceEpochs()) {
-    auto it = baseline.find(rec.root.ToString());
-    if (it != baseline.end() && rec.epoch < it->second) {
-      return fail("fence epoch of " + rec.root.ToString() +
-                  " regressed across the crash");
-    }
+  if (std::vector<std::string> found = server.Audit(); !found.empty()) {
+    return fail("across the crash: " + found.front());
   }
 
   // The zombie must stay fenced out...
@@ -340,12 +319,8 @@ PointResult LeaseSweepOne(fault::FaultPoint* point, const std::string& dir) {
   if (!in.ok()) {
     return fail("re-granted check-in failed: " + in.ToString());
   }
-
-  proto::ProtocolValidator validator(&server.graph(), f.store.get());
-  std::vector<proto::Violation> violations =
-      validator.Check(server.lock_manager());
-  if (!violations.empty()) {
-    return fail("validator: " + violations.front().ToString());
+  if (std::vector<std::string> found = server.Audit(); !found.empty()) {
+    return fail(found.front());
   }
 
   res.passed = true;
@@ -402,11 +377,10 @@ PointResult RingSweepOne(fault::FaultPoint* point, const std::string& dir) {
     return fail("baseline check-out failed: " + t.status().ToString());
   }
 
-  // The durable fence-epoch baseline the restart may never fall below.
-  std::map<std::string, uint64_t> epoch_floor;
-  for (const lock::FenceEpochRecord& rec :
-       host.server().stable_storage().FenceEpochs()) {
-    epoch_floor[rec.root.ToString()] = rec.epoch;
+  // The audit records the fence-epoch and handle-epoch floors the restart
+  // may never fall below.
+  if (std::vector<std::string> found = host.Audit(); !found.empty()) {
+    return fail("before the fault: " + found.front());
   }
 
   fault::FaultSpec spec;
@@ -461,40 +435,10 @@ PointResult RingSweepOne(fault::FaultPoint* point, const std::string& dir) {
   (void)host.Drain();
   host.SweepDeadHandles();
 
-  // Convergence: nothing blocked, no orphan lock, the ring is empty and
-  // every frame is accounted.
-  if (host.server().lock_manager().NumBlockedWaiters() != 0) {
-    return fail("blocked waiters survived recovery");
-  }
-  for (const lock::LongLockRecord& rec :
-       host.server().lock_manager().SnapshotAllLocks()) {
-    if (!host.server().txn_manager().Get(rec.txn).ok()) {
-      return fail("orphan lock owned by dead txn " + std::to_string(rec.txn) +
-                  " on " + rec.resource.ToString());
-    }
-  }
-  if (host.ring().InFlight() != 0) {
-    return fail("ring slots still in flight after restart + sweeps");
-  }
-  const ws::ShmRing::Counters rc = host.ring().counters();
-  if (rc.published != rc.consumed + rc.salvaged + rc.reclaimed_published) {
-    return fail("frame conservation broken: published=" +
-                std::to_string(rc.published) + " consumed=" +
-                std::to_string(rc.consumed) + " salvaged=" +
-                std::to_string(rc.salvaged) + " reclaimed_published=" +
-                std::to_string(rc.reclaimed_published));
-  }
-  if (rc.consumed != rc.completed + rc.reclaimed_executing ||
-      rc.completed != rc.taken + rc.reclaimed_done) {
-    return fail("execution/response conservation broken");
-  }
-  for (const lock::FenceEpochRecord& rec :
-       host.server().stable_storage().FenceEpochs()) {
-    auto it = epoch_floor.find(rec.root.ToString());
-    if (it != epoch_floor.end() && rec.epoch < it->second) {
-      return fail("fence epoch of " + rec.root.ToString() +
-                  " regressed across the crash");
-    }
+  // Convergence: nothing blocked, no orphan lock, no epoch regressed, no
+  // lease left, the ring is empty and every frame is accounted.
+  if (std::vector<std::string> found = host.AuditDrained(); !found.empty()) {
+    return fail("after restart + sweeps: " + found.front());
   }
 
   // The ring still serves: a fresh handle checks the cell out and in.
@@ -510,12 +454,8 @@ PointResult RingSweepOne(fault::FaultPoint* point, const std::string& dir) {
   if (!in.ok()) {
     return fail("post-recovery re-grant check-in failed: " + in.ToString());
   }
-
-  proto::ProtocolValidator validator(&host.server().graph(), f.store.get());
-  std::vector<proto::Violation> violations =
-      validator.Check(host.server().lock_manager());
-  if (!violations.empty()) {
-    return fail("validator: " + violations.front().ToString());
+  if (std::vector<std::string> found = host.Audit(); !found.empty()) {
+    return fail(found.front());
   }
 
   res.passed = true;
