@@ -177,6 +177,18 @@ bool WriteAt(int fd, const char* data, size_t len, size_t offset) {
   return true;
 }
 
+/// pwrite of \p len zero bytes at \p offset, from one small static buffer.
+bool WriteZerosAt(int fd, size_t len, size_t offset) {
+  static const char kZeros[16 * 1024] = {};
+  while (len > 0) {
+    const size_t n = std::min(len, sizeof(kZeros));
+    if (!WriteAt(fd, kZeros, n, offset)) return false;
+    len -= n;
+    offset += n;
+  }
+  return true;
+}
+
 /// Bytes of a \p size-byte write that a torn-write fault lets through.
 size_t TornLength(const fault::FireResult& f, size_t size) {
   if (f.kind != fault::FaultKind::kTornWrite) return 0;
@@ -355,9 +367,19 @@ Status LongLockStore::AppendFrameLocked(const std::string& frame) {
       return Status::Internal("cannot open '" + backing_path_ + "'");
     }
   }
+  // A frame overwrites zeros that are already durable, so its fdatasync
+  // flushes data and not the file's size.  One that would run past them
+  // first writes the next chunk of zeros beyond its end, and its own
+  // fdatasync makes those durable too.
+  const size_t end = file_bytes_ + frame.size();
+  const bool past_zeros = end > zero_end_;
+  if (past_zeros && !WriteZerosAt(fd_, kZeroChunkBytes, end)) {
+    return Status::Internal("append to '" + backing_path_ + "' failed");
+  }
   if (fault::FireResult f = g_fault_write_frame.Fire()) {
     // Torn append: a prefix of the frame reaches the file, then the
-    // process dies.  Load stops at the torn frame.
+    // process dies.  Load stops at the torn frame and, finding it where
+    // only zeros may be, salvages.
     WriteAt(fd_, frame.data(), TornLength(f, frame.size()), file_bytes_);
     return fault::StatusFor(f, g_fault_write_frame.name());
   }
@@ -371,7 +393,8 @@ Status LongLockStore::AppendFrameLocked(const std::string& frame) {
   if (::fdatasync(fd_) != 0) {
     return Status::Internal("fdatasync of '" + backing_path_ + "' failed");
   }
-  file_bytes_ += frame.size();
+  file_bytes_ = end;
+  if (past_zeros) zero_end_ = end + kZeroChunkBytes;
   log_bytes_ += frame.size();
   snapshot_due_ = false;
   return Status::OK();
@@ -396,7 +419,9 @@ Status LongLockStore::WriteSnapshotLocked(const std::string& snapshot) {
     WriteAt(fd, snapshot.data(), TornLength(f, snapshot.size()), 0);
     return fail(fault::StatusFor(f, g_fault_write_frame.name()));
   }
-  if (!WriteAt(fd, snapshot.data(), snapshot.size(), 0)) {
+  // The snapshot, then the zeros the next frames overwrite.
+  if (!WriteAt(fd, snapshot.data(), snapshot.size(), 0) ||
+      !WriteZerosAt(fd, kZeroChunkBytes, snapshot.size())) {
     return fail(Status::Internal("write to '" + tmp + "' failed"));
   }
   if (fault::FireResult f = g_fault_sync.Fire()) {
@@ -418,6 +443,7 @@ Status LongLockStore::WriteSnapshotLocked(const std::string& snapshot) {
   if (fd_ >= 0) ::close(fd_);
   fd_ = fd;
   file_bytes_ = snapshot.size();
+  zero_end_ = snapshot.size() + kZeroChunkBytes;
   log_bytes_ = 0;
   if (!SyncDirectory(backing_path_)) {
     return Status::Internal("fsync of the directory of '" + backing_path_ +
@@ -476,12 +502,17 @@ Status LongLockStore::LoadFromFile(const std::string& path) {
   last_load_ = LoadReport{};
   last_load_.generation = generation_;
   last_load_.records = num_records_;
-  last_load_.discarded_bytes = data.size() - end;
-  last_load_.salvaged = last_load_.discarded_bytes != 0;
+  last_load_.intact_bytes = end;
+  // Zeros after the log are the tail the next frames overwrite; any other
+  // byte there is the remains of a write that never completed.
+  last_load_.salvaged =
+      data.find_first_not_of('\0', end) != std::string::npos;
+  last_load_.discarded_bytes = last_load_.salvaged ? data.size() - end : 0;
   // Appending goes on only after an intact image of the backing file.
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
   file_bytes_ = end;
+  zero_end_ = data.size();
   log_bytes_ = end - snapshot_bytes;
   snapshot_due_ =
       path != backing_path_ || snapshot_bytes == 0 || last_load_.salvaged;

@@ -14,8 +14,9 @@
 ///
 /// ## On-disk format
 ///
-/// One file holds a snapshot block followed by log frames.  Integers are
-/// little-endian; each CRC-32 covers everything after its block's magic.
+/// One file holds a snapshot block, log frames, and a tail of zeros that
+/// later frames overwrite.  Integers are little-endian; each CRC-32 covers
+/// everything after its block's magic.
 ///
 ///     snapshot "CGN2": u32 magic | u64 generation | u32 record_count
 ///                      | u32 epoch_count
@@ -35,21 +36,36 @@
 /// is one above its predecessor's, so `generation()` counts durable
 /// writes and is recovered as the last one replayed.
 ///
-///  * **Append** — `Append` writes one frame after the intact end of the
-///    file and issues one `fdatasync`; the change is durable when it
-///    returns OK.  Its cost depends on the transaction's own locks, not on
-///    the size of the lock table.
+///  * **Append** — `Append` writes one frame at the intact end of the file
+///    and issues one `fdatasync`; the change is durable when it returns
+///    OK.  Its cost depends on the transaction's own locks, not on the size
+///    of the lock table.
+///  * **Zero tail** — a frame overwrites zeros that an earlier write made
+///    durable, so the file's size does not change and its `fdatasync`
+///    flushes data, not metadata.  Every snapshot is followed by
+///    `kZeroChunkBytes` of zeros, written and synced with it; a frame that
+///    would end past the zeros first writes the next chunk beyond its own
+///    end, and its `fdatasync` covers both.
 ///  * **Load** — `LoadFromFile` reads the snapshot, then replays frames up
-///    to the first torn, corrupt or out-of-sequence one; the rest of the
-///    file is discarded (`last_load()` reports how much).  A file without
-///    an intact snapshot recovers the empty generation 0.
+///    to the first torn, corrupt or out-of-sequence one: the intact end.
+///    When every byte from there to the end of the file is zero the load
+///    is clean and appends resume at the intact end.  Otherwise the rest
+///    of the file is discarded and the load salvaged (`last_load()` reports
+///    both).  A file without an intact snapshot recovers the empty
+///    generation 0.
+///  * **Tear model** — a crash before an append's `fdatasync` may leave
+///    the file cut short (the size change was lost) or, within the zeros,
+///    a torn frame followed by zeros at the old length.  Either loads as
+///    the longest intact prefix.  A torn frame's non-zero bytes after the
+///    intact end make that load salvage; a tear that left only zeros
+///    there loads clean, and lost nothing that was acknowledged.
 ///  * **Compaction** — a write is a fresh snapshot instead of a frame once
 ///    the log has grown past `kCompactRatio` times the snapshot size of the
 ///    live set (and past `kCompactMinBytes`).  So is the first write to a
 ///    new backing file, every `Save`, and the first write after a failed
 ///    write or a salvaging load: the store never appends after garbage.  A
-///    snapshot goes to `<path>.tmp`, is `fdatasync`ed, renamed over
-///    `<path>`, and the directory is `fsync`ed.
+///    snapshot and its zeros go to `<path>.tmp`, are `fdatasync`ed, renamed
+///    over `<path>`, and the directory is `fsync`ed.
 ///
 /// Fault points (`fault/fault_injector.h`): the append path passes
 /// `store/write-frame` (torn frame) and `store/sync` (death before the
@@ -98,13 +114,18 @@ class LongLockStore {
   /// ... and this many bytes, so a small lock table does not compact on
   /// nearly every write.
   static constexpr size_t kCompactMinBytes = 64 * 1024;
+  /// Zeros written after each snapshot, and ahead of a frame that would
+  /// run past them (see file comment).
+  static constexpr size_t kZeroChunkBytes = 64 * 1024;
 
   /// What `LoadFromFile` recovered.
   struct LoadReport {
     uint64_t generation = 0;      ///< recovered generation (0 = empty state)
     size_t records = 0;           ///< records in the recovered state
+    size_t intact_bytes = 0;      ///< the snapshot and replayed frames
     bool salvaged = false;        ///< true when corrupt/torn bytes were skipped
-    size_t discarded_bytes = 0;   ///< bytes after the last intact block
+    size_t discarded_bytes = 0;   ///< bytes after the intact end, when
+                                  ///< salvaged (a zero tail is kept)
   };
 
   LongLockStore() = default;
@@ -172,11 +193,12 @@ class LongLockStore {
   /// Size in bytes of the snapshot block `EncodeSnapshotLocked` would make.
   size_t SnapshotBytesLocked() const CODLOCK_REQUIRES(mu_);
 
-  /// Writes \p frame after the intact end of the backing file + fdatasync.
+  /// Writes \p frame at the intact end of the backing file, over its zero
+  /// tail, + fdatasync.
   Status AppendFrameLocked(const std::string& frame) CODLOCK_REQUIRES(io_mu_);
 
-  /// Replaces the backing file by \p snapshot (temp, fdatasync, rename,
-  /// directory fsync).
+  /// Replaces the backing file by \p snapshot and a zero tail (temp,
+  /// fdatasync, rename, directory fsync).
   Status WriteSnapshotLocked(const std::string& snapshot)
       CODLOCK_REQUIRES(io_mu_);
 
@@ -189,6 +211,8 @@ class LongLockStore {
   int fd_ CODLOCK_GUARDED_BY(io_mu_) = -1;
   /// Length of the file's intact prefix: where the next frame goes.
   size_t file_bytes_ CODLOCK_GUARDED_BY(io_mu_) = 0;
+  /// Where the zeros after the intact prefix end (the file's length).
+  size_t zero_end_ CODLOCK_GUARDED_BY(io_mu_) = 0;
   /// Bytes of frames after the snapshot.
   size_t log_bytes_ CODLOCK_GUARDED_BY(io_mu_) = 0;
   /// The next write must be a snapshot: no intact file yet, a failed

@@ -1,9 +1,9 @@
 /// Tests for the crash-consistent `LongLockStore`: a snapshot plus an
-/// append-only log of CRC-framed records, torn-write salvage at every byte
-/// offset, corruption recovery, Status propagation from Append/Save/
-/// LoadFromFile, and the store fault points on the append path
-/// (write-frame, sync) and on the compaction path (open-temp, write-frame,
-/// sync, rename, after-rename).
+/// append-only log of CRC-framed records written over a zero tail, salvage
+/// of a truncation and of a tear in place at every byte offset, corruption
+/// recovery, Status propagation from Append/Save/LoadFromFile, and the
+/// store fault points on the append path (write-frame, sync) and on the
+/// compaction path (open-temp, write-frame, sync, rename, after-rename).
 
 #include <gtest/gtest.h>
 
@@ -39,6 +39,19 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// True when every byte of \p bytes from \p from on is zero.
+bool ZeroFrom(const std::string& bytes, size_t from) {
+  return bytes.find_first_not_of('\0', from) == std::string::npos;
+}
+
+/// Where the intact log of the store file at \p path ends.
+size_t IntactEnd(const std::string& path) {
+  LongLockStore probe;
+  EXPECT_TRUE(probe.LoadFromFile(path).ok()) << path;
+  EXPECT_FALSE(probe.last_load().salvaged) << path;
+  return probe.last_load().intact_bytes;
 }
 
 /// A store's content, comparable across stores: sorted records + epochs.
@@ -86,15 +99,20 @@ class LongLockStoreTest : public ::testing::Test {
   ///   2 frame     txn 2 takes IX on (3,9)
   ///   3 frame     txn 1 is reclaimed: its set dropped, (1,1) fenced
   ///   4 frame     txn 3 takes X on (1,1)
-  /// Records the state after each generation in `states_` and the file
-  /// length after each in `ends_`; returns the file's bytes.
+  /// Records the state after each generation in `states_` and the end of
+  /// the intact log after each in `ends_`; returns the file's bytes.  The
+  /// snapshot brings one chunk of zeros, and every frame overwrites them:
+  /// the file keeps that length, and is zero past the intact end.
   std::string SeedLog() {
     LockManager lm;
     LongLockStore store;
     store.SetBackingFile(path_);
     auto done = [&] {
       states_.push_back(StateOf(store));
-      ends_.push_back(ReadFile(path_).size());
+      ends_.push_back(IntactEnd(path_));
+      const std::string image = ReadFile(path_);
+      EXPECT_EQ(image.size(), ends_[1] + LongLockStore::kZeroChunkBytes);
+      EXPECT_TRUE(ZeroFrom(image, ends_.back()));
     };
     states_ = {State{}};
     ends_ = {0};
@@ -119,7 +137,7 @@ class LongLockStoreTest : public ::testing::Test {
   std::filesystem::path dir_;
   std::string path_;
   std::vector<State> states_;  ///< state after generation i
-  std::vector<size_t> ends_;   ///< file length after generation i
+  std::vector<size_t> ends_;   ///< intact end after generation i
 };
 
 TEST_F(LongLockStoreTest, RoundTripThroughFile) {
@@ -147,41 +165,78 @@ TEST_F(LongLockStoreTest, MissingFileIsNotFound) {
   EXPECT_TRUE(store.LoadFromFile(path_).IsNotFound());
 }
 
-TEST_F(LongLockStoreTest, TruncationAtEveryOffsetNeverFailsLoad) {
-  const std::string image = SeedLog();
-  ASSERT_EQ(ends_.back(), image.size());
-  const std::string cut = (dir_ / "cut.bin").string();
-
-  std::vector<size_t> recovered(ends_.size(), 0);
-  for (size_t len = 0; len <= image.size(); ++len) {
-    WriteFile(cut, image.substr(0, len));
+/// Cuts the seeded image at every offset of its intact log and at a few
+/// offsets of its zero tail, and loads each cut.  A truncation drops the
+/// bytes past the cut (the size change was lost); a tear in place zeroes
+/// them and keeps the file's length (the frame was torn within the tail).
+/// Either way the load must recover exactly the longest intact prefix of
+/// writes, and may call itself clean only when the rest is zero.
+void SweepCuts(const std::string& image, const std::vector<size_t>& ends,
+               const std::vector<State>& states, const std::string& cut,
+               bool in_place) {
+  const size_t log_end = ends.back();
+  std::vector<size_t> lens;
+  for (size_t len = 0; len <= log_end; ++len) lens.push_back(len);
+  for (size_t len : {log_end + 1, log_end + 7, log_end + 4096,
+                     image.size() - 1, image.size()}) {
+    lens.push_back(len);
+  }
+  std::vector<size_t> recovered(ends.size(), 0);
+  for (size_t len : lens) {
+    std::string bytes = image.substr(0, len);
+    if (in_place) bytes.resize(image.size(), '\0');
+    WriteFile(cut, bytes);
     LongLockStore probe;
     Status s = probe.LoadFromFile(cut);
     ASSERT_TRUE(s.ok()) << "offset " << len << ": " << s.ToString();
     // Exactly the longest intact prefix of writes: every block that ends
     // within the cut, nothing of the torn one.
-    const uint64_t want = static_cast<uint64_t>(
-        std::upper_bound(ends_.begin(), ends_.end(), len) - ends_.begin() - 1);
+    const size_t want = static_cast<size_t>(
+        std::upper_bound(ends.begin(), ends.end(), len) - ends.begin() - 1);
     ASSERT_EQ(probe.generation(), want) << "offset " << len;
-    EXPECT_TRUE(StateOf(probe) == states_[want]) << "offset " << len;
-    EXPECT_EQ(probe.last_load().discarded_bytes, len - ends_[want])
+    EXPECT_TRUE(StateOf(probe) == states[want]) << "offset " << len;
+    const LongLockStore::LoadReport report = probe.last_load();
+    EXPECT_EQ(report.intact_bytes, ends[want]) << "offset " << len;
+    EXPECT_EQ(report.salvaged, !ZeroFrom(bytes, ends[want]))
         << "offset " << len;
-    EXPECT_EQ(probe.last_load().salvaged, len != ends_[want])
+    EXPECT_EQ(report.discarded_bytes,
+              report.salvaged ? bytes.size() - ends[want] : 0)
         << "offset " << len;
-    ++recovered[want];
+    if (len <= log_end) {
+      // Within the log every cut short of a block's end leaves part of
+      // that block, which starts with its magic.
+      EXPECT_EQ(report.salvaged, len != ends[want]) << "offset " << len;
+      ++recovered[want];
+    } else {
+      EXPECT_FALSE(report.salvaged) << "offset " << len;
+    }
   }
-  // Every generation is the recovered one for some cut; the full image is
-  // the only cut that recovers the last.
+  // Every generation is the recovered one for some cut of the log; the
+  // whole log is the only one that recovers the last.
   for (size_t g = 0; g < recovered.size(); ++g) {
     EXPECT_GT(recovered[g], 0u) << "generation " << g;
   }
   EXPECT_EQ(recovered.back(), 1u);
 }
 
+TEST_F(LongLockStoreTest, TruncationAtEveryOffsetNeverFailsLoad) {
+  const std::string image = SeedLog();
+  ASSERT_TRUE(ZeroFrom(image, ends_.back()));
+  SweepCuts(image, ends_, states_, (dir_ / "cut.bin").string(), false);
+}
+
+TEST_F(LongLockStoreTest, TearInPlaceAtEveryOffsetNeverFailsLoad) {
+  const std::string image = SeedLog();
+  ASSERT_TRUE(ZeroFrom(image, ends_.back()));
+  SweepCuts(image, ends_, states_, (dir_ / "torn.bin").string(), true);
+}
+
 TEST_F(LongLockStoreTest, CorruptedNewestBlockSalvagesPrevious) {
   std::string image = SeedLog();
-  // Flip a byte in the last (generation 4) frame.
-  image[image.size() - 10] ^= 0x5A;
+  // Flip a byte in the last (generation 4) frame; the zero tail follows.
+  ASSERT_GE(ends_[4] - 10, ends_[3]);
+  ASSERT_TRUE(ZeroFrom(image, ends_[4]));
+  image[ends_[4] - 10] ^= 0x5A;
   WriteFile(path_, image);
 
   LongLockStore probe;
@@ -189,13 +244,17 @@ TEST_F(LongLockStoreTest, CorruptedNewestBlockSalvagesPrevious) {
   EXPECT_EQ(probe.generation(), 3u);
   EXPECT_TRUE(StateOf(probe) == states_[3]);
   EXPECT_TRUE(probe.last_load().salvaged);
-  EXPECT_EQ(probe.last_load().discarded_bytes, ends_[4] - ends_[3]);
+  EXPECT_EQ(probe.last_load().intact_bytes, ends_[3]);
+  // The corrupt frame and the tail behind it.
+  EXPECT_EQ(probe.last_load().discarded_bytes,
+            (ends_[4] - ends_[3]) + (image.size() - ends_[4]));
 }
 
 TEST_F(LongLockStoreTest, CorruptedMiddleFrameEndsTheLog) {
   std::string image = SeedLog();
   // A flipped byte in frame 2 also discards the intact frames after it:
   // they were written on top of a state the load never reached.
+  ASSERT_TRUE(ZeroFrom(image, ends_[4]));
   image[ends_[1] + 3] ^= 0x01;
   WriteFile(path_, image);
 
@@ -203,6 +262,7 @@ TEST_F(LongLockStoreTest, CorruptedMiddleFrameEndsTheLog) {
   ASSERT_TRUE(probe.LoadFromFile(path_).ok());
   EXPECT_EQ(probe.generation(), 1u);
   EXPECT_TRUE(StateOf(probe) == states_[1]);
+  EXPECT_EQ(probe.last_load().intact_bytes, ends_[1]);
   EXPECT_EQ(probe.last_load().discarded_bytes, image.size() - ends_[1]);
 }
 
@@ -239,17 +299,30 @@ TEST_F(LongLockStoreTest, GenerationsContinueAcrossLoad) {
   LongLockStore store;
   store.SetBackingFile(path_);
   ASSERT_TRUE(store.LoadFromFile(path_).ok());
+  // A clean image with a zero tail reloads unsalvaged...
+  EXPECT_FALSE(store.last_load().salvaged);
+  EXPECT_EQ(store.last_load().discarded_bytes, 0u);
+  EXPECT_EQ(store.last_load().intact_bytes, ends_[4]);
+  fault::FaultSpec never;
+  never.trigger = fault::Trigger::Nth(1u << 30);
+  fault::ScopedFault snapshots("store/open-temp", never);
   ASSERT_TRUE(store.Append(5, lm).ok());
   EXPECT_EQ(store.generation(), 5u);
-  // An intact file is appended to, not rewritten.
+  // ...and is appended to, not rewritten: the frame lands at the intact
+  // end, over the tail, and the file keeps its length.
+  EXPECT_EQ(fault::FindPoint("store/open-temp")->hits(), 0u);
   const std::string after = ReadFile(path_);
-  EXPECT_EQ(after.substr(0, image.size()), image);
+  EXPECT_EQ(after.size(), image.size());
+  EXPECT_EQ(after.substr(0, ends_[4]), image.substr(0, ends_[4]));
 
   LongLockStore probe;
   ASSERT_TRUE(probe.LoadFromFile(path_).ok());
   EXPECT_EQ(probe.generation(), 5u);
   EXPECT_EQ(probe.size(), 3u);
   EXPECT_FALSE(probe.last_load().salvaged);
+  // Header 28 + one lock 13 + CRC 4; zeros after it.
+  EXPECT_EQ(probe.last_load().intact_bytes, ends_[4] + 45);
+  EXPECT_TRUE(ZeroFrom(after, ends_[4] + 45));
 }
 
 TEST_F(LongLockStoreTest, AppendCostsOneFrameWhateverTheTableSize) {
@@ -262,6 +335,7 @@ TEST_F(LongLockStoreTest, AppendCostsOneFrameWhateverTheTableSize) {
   store.SetBackingFile(path_);
   ASSERT_TRUE(store.Save(lm).ok());
   const std::string snapshot = ReadFile(path_);
+  const size_t intact = IntactEnd(path_);
 
   fault::FaultSpec never;
   never.trigger = fault::Trigger::Nth(1u << 30);
@@ -274,10 +348,51 @@ TEST_F(LongLockStoreTest, AppendCostsOneFrameWhateverTheTableSize) {
   ASSERT_TRUE(store.Append(5000, lm).ok());
   EXPECT_EQ(fault::FindPoint("store/sync")->hits(), 2u);  // one per append
   EXPECT_EQ(fault::FindPoint("store/open-temp")->hits(), 0u);
-  // Header 28 + CRC 4, 13 bytes per lock: 58 + 32 bytes of log.
+  // Header 28 + CRC 4, 13 bytes per lock: 58 + 32 bytes of log, written
+  // over the zero tail, so the file keeps its length.
   const std::string after = ReadFile(path_);
-  EXPECT_EQ(after.size(), snapshot.size() + 58 + 32);
-  EXPECT_EQ(after.substr(0, snapshot.size()), snapshot);
+  EXPECT_EQ(IntactEnd(path_), intact + 58 + 32);
+  EXPECT_EQ(after.size(), snapshot.size());
+  EXPECT_EQ(after.substr(0, intact), snapshot.substr(0, intact));
+  EXPECT_TRUE(ZeroFrom(after, intact + 58 + 32));
+}
+
+TEST_F(LongLockStoreTest, FramesPastTheZerosWriteTheNextChunk) {
+  // A live set large enough that the log outgrows the snapshot's chunk of
+  // zeros before it compacts (4 x 21 KiB of snapshot > 64 KiB).
+  LockManager lm;
+  for (uint64_t i = 1; i <= 1000; ++i) {
+    ASSERT_TRUE(lm.Acquire(i, {7, i}, LockMode::kX, LongOpts()).ok());
+  }
+  LongLockStore store;
+  store.SetBackingFile(path_);
+  ASSERT_TRUE(store.Save(lm).ok());
+  const size_t first = ReadFile(path_).size();
+  ASSERT_EQ(first, IntactEnd(path_) + LongLockStore::kZeroChunkBytes);
+
+  fault::FaultSpec never;
+  never.trigger = fault::Trigger::Nth(1u << 30);
+  fault::ScopedFault syncs("store/sync", never);
+  fault::ScopedFault snapshots("store/open-temp", never);
+  // 1800 frames of 32-45 bytes: about 68 KiB of log.
+  for (uint64_t i = 0; i < 1800; ++i) {
+    if (i % 2 == 0) {
+      ASSERT_TRUE(lm.Acquire(5000, {8, i}, LockMode::kX, LongOpts()).ok());
+    } else {
+      lm.ReleaseAll(5000);
+    }
+    ASSERT_TRUE(store.Append(5000, lm).ok());
+  }
+  EXPECT_EQ(fault::FindPoint("store/sync")->hits(), 1800u);
+  EXPECT_EQ(fault::FindPoint("store/open-temp")->hits(), 0u);
+  // The log ran past the first chunk once; that frame wrote the next one
+  // beyond its end, and the frames after it overwrote its zeros.
+  const std::string image = ReadFile(path_);
+  const size_t intact = IntactEnd(path_);
+  EXPECT_GT(intact, first);
+  EXPECT_GT(image.size(), intact);
+  EXPECT_LT(image.size(), intact + LongLockStore::kZeroChunkBytes);
+  EXPECT_TRUE(ZeroFrom(image, intact));
 }
 
 TEST_F(LongLockStoreTest, LogCompactsPastItsBound) {
@@ -287,8 +402,8 @@ TEST_F(LongLockStoreTest, LogCompactsPastItsBound) {
   ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX, LongOpts()).ok());
   ASSERT_TRUE(store.Append(1, lm).ok());
   // The first write to a new file is its snapshot.
-  const size_t first = ReadFile(path_).size();
-  size_t largest = first;
+  size_t largest = IntactEnd(path_);
+  size_t largest_file = ReadFile(path_).size();
   fault::FaultSpec never;
   never.trigger = fault::Trigger::Nth(1u << 30);
   fault::ScopedFault snapshots("store/open-temp", never);
@@ -299,12 +414,17 @@ TEST_F(LongLockStoreTest, LogCompactsPastItsBound) {
       lm.ReleaseAll(2);
     }
     ASSERT_TRUE(store.Append(2, lm).ok());
-    largest = std::max<size_t>(largest, std::filesystem::file_size(path_));
+    largest = std::max(largest, IntactEnd(path_));
+    largest_file = std::max<size_t>(largest_file,
+                                    std::filesystem::file_size(path_));
   }
   // 4000 frames of 32-45 bytes pass the 64 KiB floor: the log compacted,
-  // and never grew far past the bound.
+  // and never grew far past the bound; the file holds at most one more
+  // chunk of zeros.
   EXPECT_GT(fault::FindPoint("store/open-temp")->hits(), 0u);
   EXPECT_LT(largest, LongLockStore::kCompactMinBytes + 1024);
+  EXPECT_LT(largest_file, LongLockStore::kCompactMinBytes + 1024 +
+                              LongLockStore::kZeroChunkBytes);
   LongLockStore probe;
   ASSERT_TRUE(probe.LoadFromFile(path_).ok());
   EXPECT_EQ(probe.generation(), 4001u);
@@ -418,6 +538,7 @@ TEST_P(AppendFaultTest, FailedAppendIsReportedAndRecoverable) {
   ASSERT_TRUE(lm.Acquire(1, {1, 1}, LockMode::kX, LongOpts()).ok());
   ASSERT_TRUE(store.Append(1, lm).ok());  // gen 1
   const std::string before = ReadFile(path_);
+  const size_t intact = IntactEnd(path_);
 
   fault::FaultSpec spec;
   spec.kind = c.kind;
@@ -428,14 +549,22 @@ TEST_P(AppendFaultTest, FailedAppendIsReportedAndRecoverable) {
   Status appended = store.Append(2, lm);
   EXPECT_FALSE(appended.ok()) << c.point;
   EXPECT_TRUE(fault::IsInjectedCrash(appended)) << appended.ToString();
-  // The frame went after the intact end of the file, which is untouched.
-  EXPECT_EQ(ReadFile(path_).substr(0, before.size()), before);
+  // The frame went to the intact end of the file, over its zero tail: what
+  // comes before is untouched, the length is unchanged, and nothing past
+  // the frame (header 28 + one lock 13 + CRC 4) was written.
+  const std::string after = ReadFile(path_);
+  EXPECT_EQ(after.size(), before.size());
+  EXPECT_EQ(after.substr(0, intact), before.substr(0, intact));
+  EXPECT_TRUE(ZeroFrom(after, intact + 45));
 
   LongLockStore probe;
   ASSERT_TRUE(probe.LoadFromFile(path_).ok()) << c.point;
   EXPECT_EQ(probe.generation(), c.expect_generation) << c.point;
   EXPECT_EQ(probe.size(), c.expect_generation) << c.point;
   EXPECT_EQ(probe.last_load().salvaged, c.expect_generation == 1) << c.point;
+  EXPECT_EQ(probe.last_load().intact_bytes,
+            c.expect_generation == 1 ? intact : intact + 45)
+      << c.point;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -511,6 +640,38 @@ TEST_F(LongLockStoreTest, SalvagingLoadIsFollowedBySnapshot) {
   EXPECT_FALSE(probe.last_load().salvaged);
   EXPECT_EQ(probe.generation(), 5u);
   EXPECT_TRUE(StateOf(probe) == StateOf(store));
+}
+
+TEST_F(LongLockStoreTest, NonZeroByteAfterZerosIsSalvagedThenSnapshot) {
+  // One stray byte deep in the tail, after a run of zeros: the store cannot
+  // tell it from a torn write, so the load salvages and the next write
+  // replaces the file.
+  std::string image = SeedLog();
+  ASSERT_GT(image.size(), ends_[4] + 1000);
+  image[image.size() - 1] = 1;
+  WriteFile(path_, image);
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(5, {5, 5}, LockMode::kX, LongOpts()).ok());
+  LongLockStore store;
+  store.SetBackingFile(path_);
+  ASSERT_TRUE(store.LoadFromFile(path_).ok());
+  EXPECT_TRUE(store.last_load().salvaged);
+  EXPECT_EQ(store.generation(), 4u);
+  EXPECT_EQ(store.last_load().intact_bytes, ends_[4]);
+  EXPECT_EQ(store.last_load().discarded_bytes, image.size() - ends_[4]);
+
+  fault::FaultSpec never;
+  never.trigger = fault::Trigger::Nth(1u << 30);
+  fault::ScopedFault snapshots("store/open-temp", never);
+  ASSERT_TRUE(store.Append(5, lm).ok());
+  EXPECT_EQ(fault::FindPoint("store/open-temp")->hits(), 1u);
+  const std::string after = ReadFile(path_);
+  LongLockStore probe;
+  ASSERT_TRUE(probe.LoadFromFile(path_).ok());
+  EXPECT_FALSE(probe.last_load().salvaged);
+  EXPECT_EQ(probe.generation(), 5u);
+  EXPECT_TRUE(StateOf(probe) == StateOf(store));
+  EXPECT_TRUE(ZeroFrom(after, probe.last_load().intact_bytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -22,10 +22,13 @@
 // and hits it on the compaction path.
 //
 // The separate `truncate` mode is the torn-write sweep: it writes a
-// snapshot and three log frames, then truncates the store file at *every*
-// byte offset and asserts that loading never fails and recovers exactly
-// the longest intact prefix of those writes (the empty generation 0 before
-// the snapshot is whole).
+// snapshot and three log frames, then cuts the store file at *every* byte
+// offset of that log and at a few offsets of the zero tail behind it, once
+// as a truncation and once as a tear in place (the bytes past the cut read
+// as zeros, the length is unchanged).  It asserts that loading never fails,
+// recovers exactly the longest intact prefix of those writes (the empty
+// generation 0 before the snapshot is whole), and reports a clean load
+// only when everything past that prefix is zero.
 //
 // The `leases` mode crash-injects the lease subsystem's own fault points
 // (`ws.lease.expire`, `ws.lease.reclaim`, `ws.checkin.fenced`): an
@@ -684,7 +687,7 @@ FleetRunResult FleetRun(int clients, int ticks) {
 }
 
 struct TruncateResult {
-  size_t offsets = 0;       ///< truncation points exercised
+  size_t offsets = 0;       ///< cuts exercised (truncations and tears)
   size_t failed_loads = 0;  ///< loads that failed or recovered anything but
                             ///< the longest intact prefix (must be 0)
   std::vector<size_t> recovered;  ///< cuts that recovered generation g
@@ -708,9 +711,10 @@ std::vector<std::string> StoreState(const lock::LongLockStore& store) {
   return out;
 }
 
-/// Writes a [snapshot][frame][frame][frame] store file, truncates it at
-/// every byte offset and asserts the load recovers exactly the longest
-/// intact prefix of those writes.
+/// Writes a [snapshot][frame][frame][frame] store file, cuts it at every
+/// byte offset of the log and at a few of its zero tail, as a truncation
+/// and as a tear in place, and asserts the load recovers exactly the
+/// longest intact prefix of those writes.
 TruncateResult TruncateSweep(const std::string& dir) {
   TruncateResult res;
   const std::string path = dir + "/truncate.locks";
@@ -722,15 +726,16 @@ TruncateResult TruncateSweep(const std::string& dir) {
   long_opts.duration = lock::LockDuration::kLong;
   lock::LongLockStore store;
   store.SetBackingFile(path);
-  // State and file length after each write; index = generation.
+  // State and intact end of the log after each write; index = generation.
   std::vector<std::vector<std::string>> states = {{}};
-  std::vector<uintmax_t> ends = {0};
+  std::vector<size_t> ends = {0};
   Status written;
   auto wrote = [&](Status s) {
     if (written.ok()) written = s;
     states.push_back(StoreState(store));
-    std::error_code ec;
-    ends.push_back(std::filesystem::file_size(path, ec));
+    lock::LongLockStore probe;
+    if (written.ok()) written = probe.LoadFromFile(path);
+    ends.push_back(probe.last_load().intact_bytes);
   };
   lm.Acquire(1, {1, 1}, lock::LockMode::kX, long_opts);
   lm.Acquire(1, {2, 7}, lock::LockMode::kS, long_opts);
@@ -751,40 +756,63 @@ TruncateResult TruncateSweep(const std::string& dir) {
   std::ostringstream buf;
   buf << in.rdbuf();
   const std::string image = buf.str();
-  if (image.size() != ends.back()) {
-    res.detail = "store image has unexpected size";
+  const size_t log_end = ends.back();
+  if (!std::is_sorted(ends.begin(), ends.end()) ||
+      image.size() <= log_end + 4096 ||
+      image.find_first_not_of('\0', log_end) != std::string::npos) {
+    res.detail = "store image is not a log followed by a zero tail";
     return res;
   }
 
+  // Every offset of the log, then a few of the tail.
+  std::vector<size_t> lens;
+  for (size_t len = 0; len <= log_end; ++len) lens.push_back(len);
+  for (size_t len : {log_end + 1, log_end + 4096, image.size() - 1,
+                     image.size()}) {
+    lens.push_back(len);
+  }
   res.recovered.assign(states.size(), 0);
-  for (size_t len = 0; len <= image.size(); ++len) {
-    {
-      std::ofstream out(cut, std::ios::binary | std::ios::trunc);
-      out.write(image.data(), static_cast<std::streamsize>(len));
-    }
-    lock::LongLockStore probe;
-    Status loaded = probe.LoadFromFile(cut);
-    ++res.offsets;
-    // The longest intact prefix: every write that ends within the cut.
-    const size_t want = static_cast<size_t>(
-        std::upper_bound(ends.begin(), ends.end(), len) - ends.begin() - 1);
-    std::string why;
-    if (!loaded.ok()) {
-      why = "load failed: " + loaded.ToString();
-    } else if (probe.generation() != want) {
-      why = "recovered generation " + std::to_string(probe.generation()) +
-            ", want " + std::to_string(want);
-    } else if (StoreState(probe) != states[want]) {
-      why = "recovered state differs from generation " + std::to_string(want);
-    }
-    if (!why.empty()) {
-      ++res.failed_loads;
-      if (res.detail.empty()) {
-        res.detail = why + " at offset " + std::to_string(len);
+  for (bool in_place : {false, true}) {
+    for (size_t len : lens) {
+      std::string bytes = image.substr(0, len);
+      if (in_place) bytes.resize(image.size(), '\0');
+      {
+        std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
       }
-      continue;
+      lock::LongLockStore probe;
+      Status loaded = probe.LoadFromFile(cut);
+      ++res.offsets;
+      // The longest intact prefix: every write that ends within the cut.
+      const size_t want = static_cast<size_t>(
+          std::upper_bound(ends.begin(), ends.end(), len) - ends.begin() - 1);
+      const bool zero_rest =
+          bytes.find_first_not_of('\0', ends[want]) == std::string::npos;
+      std::string why;
+      if (!loaded.ok()) {
+        why = "load failed: " + loaded.ToString();
+      } else if (probe.generation() != want) {
+        why = "recovered generation " + std::to_string(probe.generation()) +
+              ", want " + std::to_string(want);
+      } else if (StoreState(probe) != states[want]) {
+        why = "recovered state differs from generation " +
+              std::to_string(want);
+      } else if (probe.last_load().intact_bytes != ends[want]) {
+        why = "intact end " + std::to_string(probe.last_load().intact_bytes) +
+              ", want " + std::to_string(ends[want]);
+      } else if (probe.last_load().salvaged == zero_rest) {
+        why = zero_rest ? "salvaged a zero tail" : "missed a torn tail";
+      }
+      if (!why.empty()) {
+        ++res.failed_loads;
+        if (res.detail.empty()) {
+          res.detail = why + " at offset " + std::to_string(len) +
+                       (in_place ? " (tear in place)" : " (truncation)");
+        }
+        continue;
+      }
+      ++res.recovered[want];
     }
-    ++res.recovered[want];
   }
   res.passed = res.failed_loads == 0 &&
                std::find(res.recovered.begin(), res.recovered.end(), 0u) ==
