@@ -28,10 +28,10 @@ fault::FaultPoint g_fault_acquire_path{"lock/acquire-path",
 /// Bumps the held-locks gauge by \p n and its high-water mark (atomics
 /// only).  Batched callers pay one RMW for a whole path.
 void NoteHoldersAdded(LockStats& stats, int64_t n) {
-  int64_t held = stats.held_locks.fetch_add(n, wm::relaxed) + n;
-  int64_t prev = stats.max_held_locks.load(wm::relaxed);
+  int64_t held = stats.held_locks.fetch_add(n, std::memory_order_relaxed) + n;
+  int64_t prev = stats.max_held_locks.load(std::memory_order_relaxed);
   while (prev < held && !stats.max_held_locks.compare_exchange_weak(
-                            prev, held, wm::relaxed)) {
+                            prev, held, std::memory_order_relaxed)) {
   }
 }
 
@@ -221,7 +221,7 @@ std::vector<TxnId> LockManager::BlockersOf(const Shard& shard,
     for (const auto& w : entry.waiters) {
       if (w.get() == self) break;
       if (!w->granted &&
-          w->killed.load(wm::relaxed) == KillReason::kNone) {
+          w->killed.load(std::memory_order_relaxed) == KillReason::kNone) {
         add(w->txn);
       }
     }
@@ -232,7 +232,7 @@ std::vector<TxnId> LockManager::BlockersOf(const Shard& shard,
 void LockManager::GrantWaiters(Shard& shard, Entry& entry) {
   for (auto it = entry.waiters.begin(); it != entry.waiters.end();) {
     const std::shared_ptr<WaiterState>& w = *it;
-    if (w->killed.load(wm::relaxed) != KillReason::kNone) {
+    if (w->killed.load(std::memory_order_relaxed) != KillReason::kNone) {
       // The victim cleans up its own queue entry; skip it here.
       ++it;
       continue;
@@ -546,7 +546,7 @@ bool LockManager::TryGrantLocked(Shard& shard, Entry& entry, TxnId txn,
     if (is_conversion) return true;  // conversions jump the queue
     for (const auto& w : entry.waiters) {
       if (!w->granted &&
-          w->killed.load(wm::relaxed) == KillReason::kNone) {
+          w->killed.load(std::memory_order_relaxed) == KillReason::kNone) {
         return false;
       }
     }
@@ -594,7 +594,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
   }
 
   // Crash/restart drain: no new waiter may park once draining started.
-  if (draining_.load(wm::acquire)) {
+  if (draining_.load(std::memory_order_acquire)) {
     MaybeRetireEntry(shard, entry);
     return Status::Aborted("lock manager is draining for shutdown");
   }
@@ -603,7 +603,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
   // kinder than queuing — the convoy would only deepen.  kShed tells the
   // caller "retry with backoff", unlike kConflict/kTimeout.
   if (options_.max_blocked_waiters != 0 &&
-      blocked_waiters_.load(wm::acquire) >=
+      blocked_waiters_.load(std::memory_order_acquire) >=
           options_.max_blocked_waiters) {
     stats_.sheds.Add();
     MaybeRetireEntry(shard, entry);
@@ -631,7 +631,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
     entry.waiters.push_back(waiter);
   }
   stats_.waits.Add();
-  blocked_waiters_.fetch_add(1, wm::acq_rel);
+  blocked_waiters_.fetch_add(1, std::memory_order_acq_rel);
 
   const uint64_t timeout_ms =
       options.timeout_ms != AcquireOptions::kTimeoutDefault
@@ -647,7 +647,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
   if (fault::FireResult f = g_fault_wait.Fire()) {
     // Forced timeout: the wait "expires" immediately, whatever the
     // deadline was.
-    blocked_waiters_.fetch_sub(1, wm::acq_rel);
+    blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
     CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
     stats_.timeouts.Add();
     return fault::StatusFor(f, g_fault_wait.name());
@@ -660,7 +660,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
             BlockersOf(shard, entry, txn, target, waiter.get());
         TxnId victim = wfg_.UpdateAndCheck(txn, std::move(blockers), waiter);
         if (victim == txn) {
-          blocked_waiters_.fetch_sub(1, wm::acq_rel);
+          blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
           CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
           stats_.deadlocks.Add();
           return Status::Deadlock("transaction " + std::to_string(txn) +
@@ -675,7 +675,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
         for (TxnId blocker :
              BlockersOf(shard, entry, txn, target, waiter.get())) {
           if (blocker < txn) {
-            blocked_waiters_.fetch_sub(1, wm::acq_rel);
+            blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
             CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
             stats_.deadlocks.Add();
             return Status::Deadlock(
@@ -697,7 +697,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
         // A wound that landed before this registration found no wait to
         // kill; Wound sets the flag before killing, so it shows here.
         if (t.wounded()) {
-          waiter->killed.store(KillReason::kWounded, wm::relaxed);
+          waiter->killed.store(KillReason::kWounded, std::memory_order_relaxed);
         }
         break;
       }
@@ -707,7 +707,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
 
     auto wake_pred = [&] {
       return waiter->granted ||
-             waiter->killed.load(wm::relaxed) !=
+             waiter->killed.load(std::memory_order_relaxed) !=
                  KillReason::kNone;
     };
     bool in_time = true;
@@ -719,15 +719,15 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
     }
 
     if (waiter->granted) {
-      blocked_waiters_.fetch_sub(1, wm::acq_rel);
+      blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
       stats_.grants.Add();
       stats_.wait_ns.Record(waited.ElapsedNanos());
       g.mode = target;  // TryGrantLocked set the rest before the wait
       return Status::OK();
     }
-    KillReason reason = waiter->killed.load(wm::relaxed);
+    KillReason reason = waiter->killed.load(std::memory_order_relaxed);
     if (reason != KillReason::kNone) {
-      blocked_waiters_.fetch_sub(1, wm::acq_rel);
+      blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
       CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
       if (reason == KillReason::kShutdown) {
         return Status::Aborted("lock wait on " + resource.ToString() +
@@ -745,7 +745,7 @@ Status LockManager::AcquireLocked(Shard& shard, const TxnLocks& t,
                               resource.ToString());
     }
     if (!in_time) {
-      blocked_waiters_.fetch_sub(1, wm::acq_rel);
+      blocked_waiters_.fetch_sub(1, std::memory_order_acq_rel);
       CleanupFailedWait(shard, entry, txn, waiter.get(), waited);
       stats_.timeouts.Add();
       return Status::Timeout("lock wait on " + resource.ToString() +
@@ -767,7 +767,7 @@ void LockManager::UndoGrant(TxnLocks& t, const Grant& g) {
     stats_.releases.Add();
     if (g.before == LockMode::kNL) {
       e->holders.erase(e->holders.begin() + (h - e->holders.data()));
-      stats_.held_locks.fetch_sub(1, wm::relaxed);
+      stats_.held_locks.fetch_sub(1, std::memory_order_relaxed);
       gone = true;
     } else {
       --h->count;
@@ -850,7 +850,7 @@ Status LockManager::ReleaseHold(TxnId txn, ResourceId resource,
         return Status::OK();
       }
       entry.holders.erase(entry.holders.begin() + static_cast<long>(i));
-      stats_.held_locks.fetch_sub(1, wm::relaxed);
+      stats_.held_locks.fetch_sub(1, std::memory_order_relaxed);
       GrantWaiters(shard, entry);
       MaybeRetireEntry(shard, entry);
       forget = true;
@@ -919,7 +919,7 @@ size_t LockManager::ReleaseAll(TxnId txn) {
   // One RMW per counter for the whole transaction.
   if (released != 0) {
     stats_.held_locks.fetch_sub(static_cast<int64_t>(released),
-                                wm::relaxed);
+                                std::memory_order_relaxed);
     stats_.releases.Add(released);
   }
   return granules;
@@ -928,7 +928,7 @@ size_t LockManager::ReleaseAll(TxnId txn) {
 size_t LockManager::DrainForShutdown() {
   // From here on AcquireLocked refuses to park new waiters (they fail with
   // kAborted before enqueuing).
-  draining_.store(true, wm::release);
+  draining_.store(true, std::memory_order_release);
   size_t killed = 0;
   for (Shard& shard : shards_) {
     MutexLock lk(shard.mu);
@@ -939,7 +939,7 @@ size_t LockManager::DrainForShutdown() {
           KillReason expected = KillReason::kNone;
           if (w->killed.compare_exchange_strong(expected,
                                                 KillReason::kShutdown,
-                                                wm::relaxed)) {
+                                                std::memory_order_relaxed)) {
             ++killed;
             w->cv.NotifyAll();
           }
@@ -951,7 +951,7 @@ size_t LockManager::DrainForShutdown() {
   // removal) and decrements the gauge as it leaves; wait for the last one
   // so the manager can be destroyed without a thread sleeping on a member
   // condition variable.
-  while (blocked_waiters_.load(wm::acquire) != 0) {
+  while (blocked_waiters_.load(std::memory_order_acquire) != 0) {
     std::this_thread::yield();
   }
   return killed;
@@ -1229,24 +1229,25 @@ TxnId LockManager::WaitsForGraph::UpdateAndCheck(
   rec.blockers = std::move(blockers);
   rec.waiter = std::move(waiter);
 
+  // Every cycle through `self` is broken here: a waiter recomputes its
+  // blockers only when it wakes, so a cycle left standing would end by
+  // timeout.  FindCycle skips a killed waiter's edges, so each round
+  // breaks the cycle it found.
   std::vector<TxnId> cycle;
-  if (!FindCycle(self, &cycle)) return kInvalidTxn;
-
-  // Victim selection: the youngest transaction in the cycle (largest id —
-  // ids are assigned monotonically), which has done the least work.
-  TxnId victim = *std::max_element(cycle.begin(), cycle.end());
-  if (victim != self) {
+  while (FindCycle(self, &cycle)) {
+    // Victim selection: the youngest transaction in the cycle (largest
+    // id — ids are assigned monotonically), which has done the least
+    // work.
+    const TxnId victim = *std::max_element(cycle.begin(), cycle.end());
+    if (victim == self) return self;
     auto it = waiting_.find(victim);
-    if (it == waiting_.end()) {
-      // Should be impossible (all cycle members wait); fall back to self.
-      victim = self;
-    } else {
-      it->second.waiter->killed.store(KillReason::kDeadlockVictim,
-                                      wm::relaxed);
-      it->second.waiter->cv.NotifyAll();
-    }
+    // Should be impossible (all cycle members wait); fall back to self.
+    if (it == waiting_.end()) return self;
+    it->second.waiter->killed.store(KillReason::kDeadlockVictim,
+                                    std::memory_order_relaxed);
+    it->second.waiter->cv.NotifyAll();
   }
-  return victim;
+  return kInvalidTxn;
 }
 
 void LockManager::WaitsForGraph::Register(TxnId self,
@@ -1261,7 +1262,7 @@ void LockManager::WaitsForGraph::Kill(TxnId txn, KillReason reason) {
   MutexLock lk(mu_);
   auto it = waiting_.find(txn);
   if (it == waiting_.end()) return;
-  it->second.waiter->killed.store(reason, wm::relaxed);
+  it->second.waiter->killed.store(reason, std::memory_order_relaxed);
   it->second.waiter->cv.NotifyAll();
 }
 
@@ -1292,7 +1293,7 @@ bool LockManager::WaitsForGraph::FindCycle(TxnId self,
         it != waiting_.end() ? &it->second.blockers : nullptr;
     // Skip edges of already-killed victims; their requests are unwinding.
     if (edges != nullptr && it->second.waiter != nullptr &&
-        it->second.waiter->killed.load(wm::relaxed) !=
+        it->second.waiter->killed.load(std::memory_order_relaxed) !=
             KillReason::kNone) {
       edges = nullptr;
     }

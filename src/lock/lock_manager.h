@@ -92,6 +92,7 @@
 #define CODLOCK_LOCK_LOCK_MANAGER_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -107,7 +108,6 @@
 #include "util/status.h"
 #include "util/striped_map.h"
 #include "util/thread_annotations.h"
-#include "util/wm_atomic.h"
 
 namespace codlock::lock {
 
@@ -313,7 +313,7 @@ class LockManager {
 
   /// Number of requests currently blocked waiting for a lock.
   size_t NumBlockedWaiters() const {
-    return blocked_waiters_.load(wm::acquire);
+    return blocked_waiters_.load(std::memory_order_acquire);
   }
 
   /// Crash/shutdown preparation: rejects requests that would have to wait
@@ -347,7 +347,7 @@ class LockManager {
     bool is_conversion = false;
     bool granted = false;
     LockDuration duration = LockDuration::kShort;
-    wm::Atomic<KillReason> killed{KillReason::kNone};
+    std::atomic<KillReason> killed{KillReason::kNone};
     CondVar cv;
   };
 
@@ -390,11 +390,11 @@ class LockManager {
       std::shared_ptr<WaiterState> waiter;
     };
 
-    /// Registers/updates the blocked set of \p self and searches for a
-    /// cycle through \p self.  If one is found, selects the youngest
-    /// member as victim: if the victim is another waiting transaction its
-    /// waiter is killed and its cv notified; the victim id is returned
-    /// either way (kInvalidTxn if no cycle).
+    /// Registers/updates the blocked set of \p self and breaks every
+    /// cycle through \p self.  Each cycle's victim is its youngest
+    /// member: another waiting transaction has its waiter killed and its
+    /// cv notified, and the search goes on; \p self as victim ends it.
+    /// Returns \p self when it is a victim, else kInvalidTxn.
     TxnId UpdateAndCheck(TxnId self, std::vector<TxnId> blockers,
                          std::shared_ptr<WaiterState> waiter);
 
@@ -541,9 +541,9 @@ class LockManager {
   LockStats stats_;
 
   /// Requests currently blocked in AcquireLocked (shedding + drain).
-  wm::Atomic<size_t> blocked_waiters_{0};
+  std::atomic<size_t> blocked_waiters_{0};
   /// Set by DrainForShutdown: requests that would wait fail instead.
-  wm::Atomic<bool> draining_{false};
+  std::atomic<bool> draining_{false};
 
   /// Live transactions' lock state, striped by id: beginning or ending a
   /// transaction, and a cross-transaction event on it (see txn_locks.h),

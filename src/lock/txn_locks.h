@@ -56,6 +56,7 @@
 #define CODLOCK_LOCK_TXN_LOCKS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -68,7 +69,6 @@
 #include "util/mutation_points.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
-#include "util/wm_atomic.h"
 
 namespace codlock::lock {
 
@@ -129,7 +129,7 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   uint64_t TryHits(std::span<const ResourceId> path, LockMode prefix_mode,
                    LockMode leaf_mode, bool want_long) CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
-    if (ended_.load(wm::relaxed)) return 0;
+    if (ended_.load(std::memory_order_relaxed)) return 0;
     const size_t rows = std::min(held_.size(), kHitRows);
     uint64_t hits = 0;
     for (size_t i = 0; i < path.size(); ++i) {
@@ -186,8 +186,8 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   bool Record(std::span<const Grant> grants, bool revive = false)
       CODLOCK_EXCLUDES(mu_) {
     MutexLock lk(mu_);
-    if (!revive && ended_.load(wm::relaxed)) return false;
-    if (revive) ended_.store(false, wm::release);
+    if (!revive && ended_.load(std::memory_order_relaxed)) return false;
+    if (revive) ended_.store(false, std::memory_order_release);
     if (held_.size() + grants.size() > held_.capacity()) {
       held_.reserve(std::max(2 * held_.capacity(),
                              held_.size() + grants.size()));
@@ -237,9 +237,9 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
   /// Ends the transaction: drops the wound flag and hands over the rows.
   /// The caller holds the id's registry stripe.
   std::vector<Row> End() CODLOCK_EXCLUDES(mu_) {
-    wounded_.store(false, wm::release);
+    wounded_.store(false, std::memory_order_release);
     MutexLock lk(mu_);
-    ended_.store(true, wm::release);
+    ended_.store(true, std::memory_order_release);
     // Mutation point (kill-suite only): the rows stay behind, claiming
     // holds that ReleaseAll is about to free; the held-row oracle must see
     // them.
@@ -247,13 +247,13 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
     return std::exchange(held_, {});
   }
 
-  bool ended() const { return ended_.load(wm::acquire); }
+  bool ended() const { return ended_.load(std::memory_order_acquire); }
 
   /// Marks the transaction wounded: its next acquisition fails before it
   /// looks at a row.
-  void SetWounded() { wounded_.store(true, wm::release); }
+  void SetWounded() { wounded_.store(true, std::memory_order_release); }
 
-  bool wounded() const { return wounded_.load(wm::acquire); }
+  bool wounded() const { return wounded_.load(std::memory_order_acquire); }
 
   Row* FindRow(const ResourceId& r) CODLOCK_REQUIRES(mu_) {
     for (Row& row : held_) {
@@ -264,13 +264,13 @@ class TxnLocks : public std::enable_shared_from_this<TxnLocks> {
 
   const TxnId id_;
 
-  wm::Atomic<bool> wounded_{false};
+  std::atomic<bool> wounded_{false};
 
   mutable Mutex mu_;
   std::vector<Row> held_ CODLOCK_GUARDED_BY(mu_);
   /// Written under `mu_` (and the id's registry stripe); read under it by
   /// a hit and lock-free at the start of a call.
-  wm::Atomic<bool> ended_{false};
+  std::atomic<bool> ended_{false};
 };
 
 }  // namespace codlock::lock

@@ -57,7 +57,7 @@ NodeId LockGraph::BuildAttrSubtree(const nf2::Catalog& catalog,
   }
 
   NodeId id = AddNode(std::move(node));
-  attr_nodes_[attr] = id;
+  attr_nodes_.at(attr) = id;
 
   if (def.kind == nf2::AttrKind::kRef) {
     // Dashed edge to the referenced relation's complex-object node.  The
@@ -76,13 +76,14 @@ NodeId LockGraph::BuildAttrSubtree(const nf2::Catalog& catalog,
 
 LockGraph LockGraph::Build(const nf2::Catalog& catalog) {
   LockGraph g;
+  g.attr_nodes_.assign(catalog.num_attrs(), kInvalidNode);
   for (nf2::DatabaseId db = 0; db < catalog.num_databases(); ++db) {
     Node n;
     n.kind = NodeKind::kHeLU;  // §4.2: "database can be regarded as a HeLU"
     n.level = NodeLevel::kDatabase;
     n.label = catalog.database(db).name;
     n.database = db;
-    g.db_nodes_[db] = g.AddNode(std::move(n));
+    g.db_nodes_.push_back(g.AddNode(std::move(n)));
   }
   for (nf2::SegmentId seg = 0; seg < catalog.num_segments(); ++seg) {
     Node n;
@@ -92,7 +93,7 @@ LockGraph LockGraph::Build(const nf2::Catalog& catalog) {
     n.database = catalog.segment(seg).database;
     n.segment = seg;
     n.solid_parent = g.db_nodes_.at(n.database);
-    g.seg_nodes_[seg] = g.AddNode(std::move(n));
+    g.seg_nodes_.push_back(g.AddNode(std::move(n)));
   }
   for (nf2::RelationId rel = 0; rel < catalog.num_relations(); ++rel) {
     const nf2::RelationDef& rdef = catalog.relation(rel);
@@ -105,14 +106,14 @@ LockGraph LockGraph::Build(const nf2::Catalog& catalog) {
     n.relation = rel;
     n.solid_parent = g.seg_nodes_.at(rdef.segment);
     NodeId rel_node = g.AddNode(std::move(n));
-    g.rel_nodes_[rel] = rel_node;
+    g.rel_nodes_.push_back(rel_node);
 
     // The complex-object HeLU is the subtree built from the root tuple.
     NodeId co =
         g.BuildAttrSubtree(catalog, rdef.root, rel_node,
                            NodeLevel::kComplexObject);
     g.nodes_[co].label = "C.O. " + rdef.name;
-    g.co_nodes_[rel] = co;
+    g.co_nodes_.push_back(co);
 
     // Fig. 2: indexes hang under the segment, siblings of the relation.
     Node idx;
@@ -123,7 +124,7 @@ LockGraph LockGraph::Build(const nf2::Catalog& catalog) {
     idx.segment = rdef.segment;
     idx.relation = rel;
     idx.solid_parent = g.seg_nodes_.at(rdef.segment);
-    g.idx_nodes_[rel] = g.AddNode(std::move(idx));
+    g.idx_nodes_.push_back(g.AddNode(std::move(idx)));
   }
   g.DeriveClosures();
   return g;

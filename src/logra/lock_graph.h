@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "lock/resource.h"
@@ -205,12 +204,14 @@ class LockGraph {
 
   std::vector<Node> nodes_;
   std::vector<Closures> closures_;  ///< indexed by NodeId
-  std::unordered_map<nf2::DatabaseId, NodeId> db_nodes_;
-  std::unordered_map<nf2::SegmentId, NodeId> seg_nodes_;
-  std::unordered_map<nf2::RelationId, NodeId> rel_nodes_;
-  std::unordered_map<nf2::RelationId, NodeId> co_nodes_;
-  std::unordered_map<nf2::RelationId, NodeId> idx_nodes_;
-  std::unordered_map<nf2::AttrId, NodeId> attr_nodes_;
+  // Indexed by the catalog's dense ids.  `attr_nodes_` holds kInvalidNode
+  // for an attribute no relation's tree reaches (a failed AddRelation).
+  std::vector<NodeId> db_nodes_;
+  std::vector<NodeId> seg_nodes_;
+  std::vector<NodeId> rel_nodes_;
+  std::vector<NodeId> co_nodes_;
+  std::vector<NodeId> idx_nodes_;
+  std::vector<NodeId> attr_nodes_;
 };
 
 }  // namespace codlock::logra

@@ -146,9 +146,8 @@ bool WorkloadRun::ExecOp(int i, const OpSpec& op) {
   }
   proto::HistoryOp h;
   h.txn = txn->id();
-  h.cov = proto::ExpandLockCoverage(
-      graph_, *fixture_.store,
-      lock::ResourceId{target->target_node(), target->target_iid()}, op.mode);
+  h.cov = proto::ExpandLockCoverage(graph_, *fixture_.store,
+                                    target->path.back(), op.mode);
   {
     std::lock_guard<std::mutex> lk(history_mu_);
     history_.push_back(std::move(h));

@@ -22,13 +22,8 @@ Status ComplexObjectProtocol::Lock(txn::Transaction& txn,
   // mode.  The root of the outer unit (database node) needs no prior locks.
   // AcquirePath batches the whole path — resources the transaction's held
   // rows already cover are hits, the rest are grouped per lock shard.
-  std::vector<lock::ResourceId> path;
-  path.reserve(target.path.size());
-  for (const auto& [node, iid] : target.path) {
-    path.push_back(lock::ResourceId{node, iid});
-  }
   CODLOCK_RETURN_IF_ERROR(
-      lm_->AcquirePath(txn.id(), path, mode, opts, &txn.locks()));
+      lm_->AcquirePath(txn.id(), target.path, mode, opts, &txn.locks()));
 
   // Rules 3/4/4′: implicit downward propagation for S and X.  Skipped when
   // the query's semantics guarantee the referenced common data is not
@@ -273,7 +268,7 @@ Status ComplexObjectProtocol::Deescalate(txn::Transaction& txn,
     return Status::InvalidArgument(
         "de-escalation target must be a collection HoLU");
   }
-  lock::ResourceId res{coarse.target_node(), coarse.target_iid()};
+  const lock::ResourceId res = coarse.path.back();
   const LockMode held = lm_->HeldMode(txn.id(), res);
   if (held != LockMode::kS && held != LockMode::kX) {
     return Status::FailedPrecondition(

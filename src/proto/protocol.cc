@@ -9,13 +9,13 @@ LockTarget MakeTarget(const logra::LockGraph& graph,
   const nf2::RelationDef& rdef = catalog.relation(resolved.relation);
   t.relation = resolved.relation;
   t.object = resolved.object;
-  t.path.emplace_back(graph.DatabaseNode(rdef.database), 0);
-  t.path.emplace_back(graph.SegmentNode(rdef.segment), 0);
-  t.path.emplace_back(graph.RelationNode(resolved.relation), 0);
+  t.path.push_back({graph.DatabaseNode(rdef.database), 0});
+  t.path.push_back({graph.SegmentNode(rdef.segment), 0});
+  t.path.push_back({graph.RelationNode(resolved.relation), 0});
   for (const nf2::ResolvedStep& step : resolved.steps) {
     // Use the latched-captured iid: step.value may already dangle if a
     // structural writer intervened after navigation (see ResolvedStep).
-    t.path.emplace_back(graph.NodeForAttr(step.attr), step.iid);
+    t.path.push_back({graph.NodeForAttr(step.attr), step.iid});
   }
   t.value = resolved.target();
   return t;
@@ -26,9 +26,9 @@ LockTarget MakeSingletonTarget(const logra::LockGraph& graph,
   LockTarget t;
   const std::vector<logra::NodeId>& chain = graph.SuperunitChain(node);
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    t.path.emplace_back(*it, 0);
+    t.path.push_back({*it, 0});
   }
-  t.path.emplace_back(node, 0);
+  t.path.push_back({node, 0});
   const logra::Node& n = graph.node(node);
   if (n.level == logra::NodeLevel::kRelation) t.relation = n.relation;
   return t;
@@ -48,8 +48,7 @@ LockMode EffectiveModeOnPath(const lock::LockManager& lm, lock::TxnId txn,
   using lock::LockMode;
   LockMode inherited = LockMode::kNL;
   LockMode effective = LockMode::kNL;
-  for (size_t i = 0; i < path.path.size(); ++i) {
-    lock::ResourceId res{path.path[i].first, path.path[i].second};
+  for (const lock::ResourceId& res : path.path) {
     LockMode explicit_mode = lm.HeldMode(txn, res);
     effective = lock::Supremum(explicit_mode, inherited);
     // S/SIX cover descendants in S; X covers them in X.

@@ -17,7 +17,6 @@
 #define CODLOCK_PROTO_PROTOCOL_H_
 
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "lock/lock_manager.h"
@@ -39,8 +38,9 @@ using lock::LockMode;
 /// entering an inner unit is a separate `LockEntryPoint` call, mirroring
 /// the unit boundary of the lock graphs.
 struct LockTarget {
-  /// (lock-graph node, instance id) pairs, database node first.
-  std::vector<std::pair<logra::NodeId, nf2::Iid>> path;
+  /// The granules from the database node down to the target: each a
+  /// lock-graph node and its instance id.
+  std::vector<lock::ResourceId> path;
   /// Relation/object context of the value-level part of the path
   /// (kInvalidRelation for database/segment/relation-level targets).
   nf2::RelationId relation = nf2::kInvalidRelation;
@@ -53,8 +53,8 @@ struct LockTarget {
   /// downward propagation entirely.
   bool access_implies_refs = true;
 
-  logra::NodeId target_node() const { return path.back().first; }
-  nf2::Iid target_iid() const { return path.back().second; }
+  logra::NodeId target_node() const { return path.back().node; }
+  nf2::Iid target_iid() const { return path.back().instance; }
 };
 
 /// Builds a `LockTarget` from a resolved navigation path: the database,

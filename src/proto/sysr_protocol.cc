@@ -13,9 +13,8 @@ Status SystemRDagProtocol::Lock(txn::Transaction& txn,
   const LockMode intention = lock::IntentionFor(mode);
 
   for (size_t i = 0; i + 1 < target.path.size(); ++i) {
-    lock::ResourceId res{target.path[i].first, target.path[i].second};
-    CODLOCK_RETURN_IF_ERROR(
-        lm_->Acquire(txn.id(), res, intention, opts, &txn.locks()));
+    CODLOCK_RETURN_IF_ERROR(lm_->Acquire(txn.id(), target.path[i], intention,
+                                         opts, &txn.locks()));
   }
 
   // GLPT76 rule 2: X/IX on a node requires *all* parents IX-locked.  For a
@@ -34,8 +33,8 @@ Status SystemRDagProtocol::Lock(txn::Transaction& txn,
         LockAllParents(txn, target.relation, target.object));
   }
 
-  lock::ResourceId res{target.target_node(), target.target_iid()};
-  return lm_->Acquire(txn.id(), res, mode, opts, &txn.locks());
+  return lm_->Acquire(txn.id(), target.path.back(), mode, opts,
+                      &txn.locks());
 }
 
 Status SystemRDagProtocol::LockAllParents(txn::Transaction& txn,

@@ -193,7 +193,7 @@ Status QueryExecutor::ExecuteOnObject(txn::Transaction& txn,
       return Status::OK();
     }
     proto::LockTarget elem_target = target;
-    elem_target.path.emplace_back(elem_node, elem.iid());
+    elem_target.path.push_back({elem_node, elem.iid()});
     elem_target.value = &elem;
     CODLOCK_RETURN_IF_ERROR(
         protocol_->Lock(txn, elem_target, plan.target_mode));

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "lock/lock_manager.h"
 
@@ -45,6 +46,106 @@ TEST(DeadlockPolicyTest, TimeoutOnlyEndsCrossBlockingByTimeout) {
   Status st = lm.Acquire(2, kR1, LockMode::kX);
   EXPECT_TRUE(st.IsTimeout()) << st;
   t1.join();
+}
+
+LockManager::Options Detect() {
+  LockManager::Options o = WithPolicy(DeadlockPolicy::kDetect);
+  o.default_timeout_ms = 1'500;
+  return o;
+}
+
+// Starts a thread for each of \p txns that asks for X on r1, which the
+// caller's transaction holds, and returns once all of them are blocked.
+std::vector<std::thread> WaitForR1(LockManager& lm, std::vector<TxnId> txns,
+                                   std::vector<Status>* statuses) {
+  statuses->resize(txns.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < txns.size(); ++i) {
+    threads.emplace_back([&lm, txn = txns[i], st = &(*statuses)[i]] {
+      *st = lm.Acquire(txn, kR1, LockMode::kX);
+      lm.ReleaseAll(txn);  // a victim aborts; a winner commits
+    });
+    while (lm.NumBlockedWaiters() < i + 1) std::this_thread::yield();
+  }
+  // A waiter counts as blocked just before it enters the waits-for graph.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  return threads;
+}
+
+// T holds X on r1; A, then B, hold S on r2 and wait for X on r1.  T's
+// request for X on r2 closes two cycles, T→A→T and T→B→T.  Detection
+// must kill the victim of each: the waiters recompute their blockers
+// only when they wake, so a cycle left standing ends by timeout.
+TEST(DeadlockPolicyTest, DetectKillsTheVictimOfEveryCycle) {
+  LockManager lm(Detect());
+  constexpr TxnId kT = 1, kA = 2, kB = 3;
+  ASSERT_TRUE(lm.Acquire(kT, kR1, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Acquire(kA, kR2, LockMode::kS).ok());
+  ASSERT_TRUE(lm.Acquire(kB, kR2, LockMode::kS).ok());
+  std::vector<Status> st;
+  std::vector<std::thread> threads = WaitForR1(lm, {kA, kB}, &st);
+
+  Status st_t = lm.Acquire(kT, kR2, LockMode::kX);
+  for (std::thread& th : threads) th.join();
+  EXPECT_TRUE(st_t.ok()) << st_t;
+  for (const Status& s : st) EXPECT_TRUE(s.IsDeadlock()) << s;
+  EXPECT_EQ(lm.stats().deadlocks.value(), 2u);
+  EXPECT_EQ(lm.stats().timeouts.value(), 0u);
+  lm.ReleaseAll(kT);
+}
+
+// Three readers: three cycles, three victims, and no waiter left.
+TEST(DeadlockPolicyTest, DetectKillsEveryReaderOfAWideFan) {
+  LockManager lm(Detect());
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX).ok());
+  for (TxnId r : {2, 3, 4}) ASSERT_TRUE(lm.Acquire(r, kR2, LockMode::kS).ok());
+  std::vector<Status> st;
+  std::vector<std::thread> threads = WaitForR1(lm, {2, 3, 4}, &st);
+
+  Status st_t = lm.Acquire(1, kR2, LockMode::kX);
+  for (std::thread& th : threads) th.join();
+  EXPECT_TRUE(st_t.ok()) << st_t;
+  for (const Status& s : st) EXPECT_TRUE(s.IsDeadlock()) << s;
+  EXPECT_EQ(lm.stats().deadlocks.value(), 3u);
+  EXPECT_EQ(lm.stats().timeouts.value(), 0u);
+  EXPECT_EQ(lm.NumBlockedWaiters(), 0u);
+}
+
+// The two cycles with T the youngest: T is the victim of the first and
+// its death breaks the second, so the readers live and take r1 in turn.
+TEST(DeadlockPolicyTest, DetectStopsWhenTheRequesterIsTheVictim) {
+  LockManager lm(Detect());
+  ASSERT_TRUE(lm.Acquire(3, kR1, LockMode::kX).ok());
+  for (TxnId r : {1, 2}) ASSERT_TRUE(lm.Acquire(r, kR2, LockMode::kS).ok());
+  std::vector<Status> st;
+  std::vector<std::thread> threads = WaitForR1(lm, {1, 2}, &st);
+
+  Status st_t = lm.Acquire(3, kR2, LockMode::kX);
+  EXPECT_TRUE(st_t.IsDeadlock()) << st_t;
+  lm.ReleaseAll(3);
+  for (std::thread& th : threads) th.join();
+  for (const Status& s : st) EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(lm.stats().deadlocks.value(), 1u);
+  EXPECT_EQ(lm.stats().timeouts.value(), 0u);
+}
+
+// C waits for T's r1 too but holds nothing T wants: it is on no cycle,
+// so only A dies, and C gets r1 when T ends.
+TEST(DeadlockPolicyTest, DetectSparesAWaiterOffTheCycle) {
+  LockManager lm(Detect());
+  ASSERT_TRUE(lm.Acquire(1, kR1, LockMode::kX).ok());
+  ASSERT_TRUE(lm.Acquire(2, kR2, LockMode::kS).ok());
+  std::vector<Status> st;
+  std::vector<std::thread> threads = WaitForR1(lm, {2, 3}, &st);
+
+  EXPECT_TRUE(lm.Acquire(1, kR2, LockMode::kX).ok());
+  threads[0].join();
+  EXPECT_TRUE(st[0].IsDeadlock()) << st[0];
+  lm.ReleaseAll(1);
+  threads[1].join();
+  EXPECT_TRUE(st[1].ok()) << st[1];
+  EXPECT_EQ(lm.stats().deadlocks.value(), 1u);
+  EXPECT_EQ(lm.stats().timeouts.value(), 0u);
 }
 
 TEST(WaitDieTest, YoungerRequesterDiesImmediately) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <set>
+#include <stdexcept>
 
 #include "logra/lock_graph.h"
 #include "nf2/serialize.h"
@@ -295,6 +296,94 @@ TEST(LockGraphClosuresTest, RederiveFollowsEditedEdges) {
   EXPECT_EQ(g.ReachableSharedRelations(cells_co),
             (std::vector<nf2::RelationId>{f.effectors, f.cells}));
   ExpectClosuresMatchEdges(g, "cells with a cyclic reference");
+}
+
+// The id→node accessors against the catalog they were built from: each
+// hierarchy id maps to its own node, each attribute of a relation's tree
+// to its node, and an attribute no tree reaches to kInvalidNode.
+void ExpectIdMapsMatchCatalog(const nf2::Catalog& c, const LockGraph& g) {
+  for (nf2::DatabaseId db = 0; db < c.num_databases(); ++db) {
+    EXPECT_EQ(g.node(g.DatabaseNode(db)).database, db);
+  }
+  for (nf2::SegmentId seg = 0; seg < c.num_segments(); ++seg) {
+    const Node& n = g.node(g.SegmentNode(seg));
+    EXPECT_EQ(n.segment, seg);
+    EXPECT_EQ(n.solid_parent, g.DatabaseNode(c.segment(seg).database));
+  }
+  for (nf2::RelationId rel = 0; rel < c.num_relations(); ++rel) {
+    const nf2::RelationDef& rdef = c.relation(rel);
+    EXPECT_EQ(g.node(g.RelationNode(rel)).relation, rel);
+    EXPECT_EQ(g.node(g.RelationNode(rel)).solid_parent,
+              g.SegmentNode(rdef.segment));
+    EXPECT_EQ(g.node(g.ComplexObjectNode(rel)).solid_parent,
+              g.RelationNode(rel));
+    EXPECT_EQ(g.NodeForAttr(rdef.root), g.ComplexObjectNode(rel));
+    EXPECT_EQ(g.node(g.IndexNode(rel)).level, NodeLevel::kIndex);
+    EXPECT_EQ(g.node(g.IndexNode(rel)).relation, rel);
+  }
+  for (nf2::AttrId a = 0; a < c.num_attrs(); ++a) {
+    nf2::AttrId root = a;
+    while (c.attr(root).parent != nf2::kInvalidAttr) root = c.attr(root).parent;
+    const nf2::RelationId rel = c.attr(a).relation;
+    const NodeId id = g.NodeForAttr(a);
+    if (rel >= c.num_relations() || c.relation(rel).root != root) {
+      EXPECT_EQ(id, kInvalidNode) << "attr " << a;  // in no relation's tree
+    } else {
+      ASSERT_NE(id, kInvalidNode) << "attr " << a;
+      EXPECT_EQ(g.node(id).attr, a);
+    }
+  }
+}
+
+TEST(LockGraphIdMapTest, BuiltInFixturesMapEveryCatalogId) {
+  for (const sim::CellsFixture& f :
+       {sim::BuildCellsEffectors(), sim::BuildFigure7Instance()}) {
+    ExpectIdMapsMatchCatalog(*f.catalog, LockGraph::Build(*f.catalog));
+  }
+  sim::SyntheticFixture shared = sim::BuildSynthetic(sim::SyntheticParams{});
+  ExpectIdMapsMatchCatalog(*shared.catalog, LockGraph::Build(*shared.catalog));
+}
+
+TEST(LockGraphIdMapTest, FuzzedSchemasMapEveryCatalogId) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    sim::FuzzedSchema s = sim::BuildFuzzedSchema(seed);
+    SCOPED_TRACE(s.name);
+    ExpectIdMapsMatchCatalog(*s.catalog, LockGraph::Build(*s.catalog));
+  }
+}
+
+TEST(LockGraphIdMapTest, IdsPastTheCatalogThrow) {
+  sim::CellsFixture f = sim::BuildCellsEffectors();
+  const nf2::Catalog& c = *f.catalog;
+  LockGraph g = LockGraph::Build(c);
+  EXPECT_THROW(g.DatabaseNode(c.num_databases()), std::out_of_range);
+  EXPECT_THROW(g.SegmentNode(c.num_segments()), std::out_of_range);
+  EXPECT_THROW(g.RelationNode(c.num_relations()), std::out_of_range);
+  EXPECT_THROW(g.ComplexObjectNode(c.num_relations()), std::out_of_range);
+  EXPECT_THROW(g.IndexNode(c.num_relations()), std::out_of_range);
+  EXPECT_THROW(g.NodeForAttr(c.num_attrs()), std::out_of_range);
+}
+
+TEST(LockGraphIdMapTest, AttrsOfAFailedRelationMapToNoNode) {
+  // A relation whose tree fails half way leaves its first attributes in
+  // the catalog, in no relation's tree (Catalog::CreateRelation).
+  using nf2::AttrSpec;
+  nf2::Catalog c;
+  const nf2::SegmentId seg = *c.CreateSegment(*c.CreateDatabase("db"), "s");
+  EXPECT_FALSE(c.CreateRelation(seg, "broken",
+                                AttrSpec::Tuple("broken",
+                                                {AttrSpec::Key("id"),
+                                                 AttrSpec::Ref("to", "none")}))
+                   .ok());
+  ASSERT_GT(c.num_attrs(), 0u);
+  const nf2::RelationId parts = *c.CreateRelation(
+      seg, "parts", AttrSpec::Tuple("parts", {AttrSpec::Key("id")}));
+
+  LockGraph g = LockGraph::Build(c);
+  for (nf2::AttrId a = 0; a < c.relation(parts).root; ++a) {
+    EXPECT_EQ(g.NodeForAttr(a), kInvalidNode) << "attr " << a;
+  }
+  ExpectIdMapsMatchCatalog(c, g);
 }
 
 }  // namespace

@@ -61,8 +61,7 @@ TEST_P(ShapeSweepTest, SXLocksMakeAllSharedDataVisible) {
       // (a) ancestors hold the matching intention (or stronger).
       LockMode intent = lock::IntentionFor(mode);
       for (size_t i = 0; i + 1 < target.path.size(); ++i) {
-        LockMode held = lm.HeldMode(
-            t->id(), {target.path[i].first, target.path[i].second});
+        LockMode held = lm.HeldMode(t->id(), target.path[i]);
         EXPECT_TRUE(lock::Covers(held, intent))
             << "ancestor " << i << " holds " << lock::LockModeName(held);
       }

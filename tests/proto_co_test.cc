@@ -246,6 +246,71 @@ TEST_F(CoProtocolTest, RejectsNLRequests) {
   EXPECT_TRUE(proto_.Lock(*t, r1, LockMode::kNL).IsInvalidArgument());
 }
 
+// A target's path is its node's solid-parent chain, database first: the
+// database, segment and relation as singletons, then one granule per
+// resolved step with the instance navigation saw.
+TEST_F(CoProtocolTest, TargetPathFollowsTheSolidParentChain) {
+  Result<const nf2::Object*> c1 = f_.store->FindByKey(f_.cells, "c1");
+  ASSERT_TRUE(c1.ok());
+  LockTarget t = Target({nf2::PathStep::Elem("robots", "r1"),
+                         nf2::PathStep::Field("trajectory")});
+  const std::vector<logra::NodeId>& chain =
+      graph_.SuperunitChain(t.target_node());
+  ASSERT_EQ(t.path.size(), chain.size() + 1);
+  for (size_t i = 0; i < chain.size(); ++i) {
+    EXPECT_EQ(t.path[i].node, chain[chain.size() - 1 - i]) << i;
+    EXPECT_EQ(t.path[i].singleton(), i < 3) << i;
+  }
+  EXPECT_EQ(t.path[3], (lock::ResourceId{graph_.ComplexObjectNode(f_.cells),
+                                         (*c1)->root.iid()}));
+  EXPECT_EQ(t.target_iid(), t.value->iid());
+  EXPECT_EQ(t.object, (*c1)->id);
+}
+
+TEST_F(CoProtocolTest, SingletonTargetPathIsTheSuperunitChain) {
+  const logra::NodeId db = graph_.DatabaseNode(f_.db);
+  const logra::NodeId seg = graph_.SegmentNode(f_.seg2);
+  const logra::NodeId rel = graph_.RelationNode(f_.effectors);
+  EXPECT_EQ(MakeSingletonTarget(graph_, db).path,
+            (std::vector<lock::ResourceId>{{db, 0}}));
+  EXPECT_EQ(MakeSingletonTarget(graph_, seg).relation, nf2::kInvalidRelation);
+  const LockTarget t = MakeSingletonTarget(graph_, rel);
+  EXPECT_EQ(t.path,
+            (std::vector<lock::ResourceId>{{db, 0}, {seg, 0}, {rel, 0}}));
+  EXPECT_EQ(t.relation, f_.effectors);
+  EXPECT_EQ(t.value, nullptr);
+}
+
+TEST_F(CoProtocolTest, ObjectTargetEndsAtTheComplexObjectNode) {
+  Result<const nf2::Object*> e1 = f_.store->FindByKey(f_.effectors, "e1");
+  ASSERT_TRUE(e1.ok());
+  Result<LockTarget> t = MakeObjectTarget(graph_, *f_.catalog, *f_.store,
+                                          f_.effectors, (*e1)->id);
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_EQ(t->path.size(), 4u);
+  EXPECT_EQ(t->path.back(), EffectorResource("e1"));
+  EXPECT_EQ(t->value, &(*e1)->root);
+}
+
+TEST_F(CoProtocolTest, ObjectTargetOfAMissingObjectIsNotFound) {
+  Result<LockTarget> t = MakeObjectTarget(graph_, *f_.catalog, *f_.store,
+                                          f_.effectors, 999'999);
+  EXPECT_TRUE(t.status().IsNotFound()) << t.status();
+}
+
+TEST_F(CoProtocolTest, XOnADeepTargetTakesIXOnEveryGranuleAbove) {
+  txn::Transaction* t = tm_.Begin(1);
+  LockTarget traj = Target({nf2::PathStep::Elem("robots", "r1"),
+                            nf2::PathStep::Field("trajectory")});
+  ASSERT_TRUE(proto_.Lock(*t, traj, LockMode::kX).ok());
+  for (size_t i = 0; i + 1 < traj.path.size(); ++i) {
+    EXPECT_EQ(lm_.HeldMode(t->id(), traj.path[i]), LockMode::kIX) << i;
+  }
+  EXPECT_EQ(lm_.HeldMode(t->id(), traj.path.back()), LockMode::kX);
+  // The trajectory references nothing: no lock off the path.
+  EXPECT_EQ(lm_.LocksOf(t->id()).size(), traj.path.size());
+}
+
 TEST(VisitKeyTest, FormerlyAliasingPairsAreDistinct) {
   // Regression: the visited-set key used to be `(rel << 48) ^ obj`, which
   // aliases whenever an object id has bits at or above position 48 —

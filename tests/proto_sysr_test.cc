@@ -152,6 +152,19 @@ TEST_F(SysRTest, DisjointTargetNeverScans) {
   EXPECT_EQ(lm_.stats().parent_searches.value(), 0u);
 }
 
+TEST_F(SysRTest, PathGranulesTakeTheIntentionAndTheTargetTheMode) {
+  SystemRDagProtocol proto(&graph_, f_.store.get(), &lm_);
+  txn::Transaction* t = tm_.Begin(1);
+  const LockTarget r1 = RobotTarget("r1");
+  ASSERT_TRUE(proto.Lock(*t, r1, LockMode::kX).ok());
+  for (size_t i = 0; i + 1 < r1.path.size(); ++i) {
+    EXPECT_EQ(lm_.HeldMode(t->id(), r1.path[i]), LockMode::kIX) << i;
+  }
+  EXPECT_EQ(lm_.HeldMode(t->id(), r1.path.back()), LockMode::kX);
+  // Only the path: System R does not propagate to the effectors below.
+  EXPECT_EQ(lm_.LocksOf(t->id()).size(), r1.path.size());
+}
+
 TEST_F(SysRTest, LockEntryPointAllParentsLocksSharedRelationChain) {
   SystemRDagProtocol proto(&graph_, f_.store.get(), &lm_);
   txn::Transaction* t = tm_.Begin(1);

@@ -147,6 +147,22 @@ TEST(SheddingTest, DrainForShutdownKillsEveryWaiter) {
   EXPECT_TRUE(lm.Acquire(99, kR, LockMode::kS, opts).IsAborted());
 }
 
+TEST(SheddingTest, DrainRefusesOnlyRequestsThatWouldWait) {
+  LockManager lm;
+  ASSERT_TRUE(lm.Acquire(1, kR, LockMode::kS).ok());
+  EXPECT_EQ(lm.DrainForShutdown(), 0u);  // nobody was waiting
+
+  // A compatible or uncontended request needs no wait and is granted.
+  EXPECT_TRUE(lm.Acquire(2, kR, LockMode::kS).ok());
+  EXPECT_TRUE(lm.Acquire(2, ResourceId{1, 101}, LockMode::kX).ok());
+  // One that would wait fails at once, long timeout or not.
+  AcquireOptions opts;
+  opts.timeout_ms = 60'000;
+  EXPECT_TRUE(lm.Acquire(3, kR, LockMode::kX, opts).IsAborted());
+  EXPECT_EQ(lm.NumBlockedWaiters(), 0u);
+  EXPECT_EQ(lm.HeldMode(3, kR), LockMode::kNL);
+}
+
 // --- RestoreLongLocks edge cases ---------------------------------------
 
 TEST(RestoreTest, ConflictingShortLockFailsAllOrNothing) {

@@ -228,7 +228,7 @@ TEST_F(StructuralTest, DeescalationReleasesUnneededElements) {
   logra::NodeId elem_node = graph.node(coll.target_node()).solid_children[0];
   auto elem_target = [&](size_t idx) {
     proto::LockTarget t2 = coll;
-    t2.path.emplace_back(elem_node, coll.value->children()[idx].iid());
+    t2.path.push_back({elem_node, coll.value->children()[idx].iid()});
     t2.value = &coll.value->children()[idx];
     return t2;
   };
