@@ -7,19 +7,19 @@ Status AuthorizationManager::Grant(UserId user, nf2::RelationId rel,
   if (user == kInvalidUser) {
     return Status::InvalidArgument("invalid user id");
   }
-  std::unique_lock lk(mu_);
+  WriterLock lk(mu_);
   grants_.insert(Key{user, rel, right});
   return Status::OK();
 }
 
 void AuthorizationManager::Revoke(UserId user, nf2::RelationId rel,
                                   Right right) {
-  std::unique_lock lk(mu_);
+  WriterLock lk(mu_);
   grants_.erase(Key{user, rel, right});
 }
 
 void AuthorizationManager::GrantAll(UserId user, const nf2::Catalog& catalog) {
-  std::unique_lock lk(mu_);
+  WriterLock lk(mu_);
   for (nf2::RelationId rel = 0; rel < catalog.num_relations(); ++rel) {
     grants_.insert(Key{user, rel, Right::kRead});
     grants_.insert(Key{user, rel, Right::kModify});
@@ -28,7 +28,7 @@ void AuthorizationManager::GrantAll(UserId user, const nf2::Catalog& catalog) {
 
 bool AuthorizationManager::Has(UserId user, nf2::RelationId rel,
                                Right right) const {
-  std::shared_lock lk(mu_);
+  ReaderLock lk(mu_);
   return grants_.contains(Key{user, rel, right});
 }
 

@@ -16,13 +16,12 @@
 #define CODLOCK_AUTHZ_AUTHZ_H_
 
 #include <cstdint>
-#include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "nf2/schema.h"
+#include "util/read_mostly_latch.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace codlock::authz {
 
@@ -39,7 +38,9 @@ enum class Right : uint8_t {
 /// \brief Administers access rights of all users.
 ///
 /// Thread-safe.  A freshly created manager grants nothing; examples and
-/// benchmarks set rights up-front (DCL precedes the workload).
+/// benchmarks set rights up-front (DCL precedes the workload), so the
+/// table sits behind a read-mostly latch: rule 4′ reads it on every
+/// propagated X, and only `Grant`, `GrantAll` and `Revoke` write.
 class AuthorizationManager {
  public:
   /// Grants \p right on \p rel to \p user.
@@ -81,8 +82,8 @@ class AuthorizationManager {
     }
   };
 
-  mutable std::shared_mutex mu_;
-  std::unordered_set<Key, KeyHash> grants_;
+  mutable ReadMostlyLatch mu_;
+  std::unordered_set<Key, KeyHash> grants_ CODLOCK_GUARDED_BY(mu_);
 };
 
 }  // namespace codlock::authz

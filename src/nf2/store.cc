@@ -6,11 +6,11 @@ namespace codlock::nf2 {
 
 InstanceStore::RelationStore& InstanceStore::StoreFor(RelationId rel) const {
   {
-    std::shared_lock lk(stores_mu_);
+    ReaderLock lk(stores_mu_);
     auto it = stores_.find(rel);
     if (it != stores_.end()) return *it->second;
   }
-  std::unique_lock lk(stores_mu_);
+  WriterLock lk(stores_mu_);
   auto& slot = stores_[rel];
   if (!slot) slot = std::make_unique<RelationStore>();
   return *slot;
@@ -57,7 +57,7 @@ Result<ObjectId> InstanceStore::Insert(RelationId rel, Value root) {
   }
 
   RelationStore& rs = StoreFor(rel);
-  std::unique_lock lk(rs.mu);
+  WriterLock lk(rs.mu);
   if (!obj->key.empty()) {
     auto [it, inserted] = rs.by_key.try_emplace(obj->key, obj->id);
     if (!inserted) {
@@ -74,7 +74,7 @@ Result<ObjectId> InstanceStore::Insert(RelationId rel, Value root) {
 }
 
 void InstanceStore::IndexIids(const Value& v, RelationId rel, ObjectId obj) {
-  std::unique_lock lk(iid_mu_);
+  WriterLock lk(iid_mu_);
   std::vector<const Value*> work{&v};
   while (!work.empty()) {
     const Value* cur = work.back();
@@ -87,7 +87,7 @@ void InstanceStore::IndexIids(const Value& v, RelationId rel, ObjectId obj) {
 }
 
 void InstanceStore::UnindexIids(const Value& v) {
-  std::unique_lock lk(iid_mu_);
+  WriterLock lk(iid_mu_);
   std::vector<const Value*> work{&v};
   while (!work.empty()) {
     const Value* cur = work.back();
@@ -100,7 +100,7 @@ void InstanceStore::UnindexIids(const Value& v) {
 }
 
 Result<InstanceStore::IidInfo> InstanceStore::FindIid(Iid iid) const {
-  std::shared_lock lk(iid_mu_);
+  ReaderLock lk(iid_mu_);
   auto it = iid_index_.find(iid);
   if (it == iid_index_.end()) {
     return Status::NotFound("instance id " + std::to_string(iid) +
@@ -112,7 +112,7 @@ Result<InstanceStore::IidInfo> InstanceStore::FindIid(Iid iid) const {
 Status InstanceStore::Erase(RelationId rel, ObjectId id) {
   BumpMutationEpoch();
   RelationStore& rs = StoreFor(rel);
-  std::unique_lock lk(rs.mu);
+  WriterLock lk(rs.mu);
   auto it = rs.objects.find(id);
   if (it == rs.objects.end()) {
     return Status::NotFound("object " + std::to_string(id) +
@@ -126,7 +126,7 @@ Status InstanceStore::Erase(RelationId rel, ObjectId id) {
 
 Result<const Object*> InstanceStore::Get(RelationId rel, ObjectId id) const {
   RelationStore& rs = StoreFor(rel);
-  std::shared_lock lk(rs.mu);
+  ReaderLock lk(rs.mu);
   auto it = rs.objects.find(id);
   if (it == rs.objects.end()) {
     return Status::NotFound("object " + std::to_string(id) +
@@ -138,25 +138,13 @@ Result<const Object*> InstanceStore::Get(RelationId rel, ObjectId id) const {
 Result<const Object*> InstanceStore::FindByKey(RelationId rel,
                                                const std::string& key) const {
   RelationStore& rs = StoreFor(rel);
-  std::shared_lock lk(rs.mu);
+  ReaderLock lk(rs.mu);
   auto it = rs.by_key.find(key);
   if (it == rs.by_key.end()) {
     return Status::NotFound("key '" + key + "' not found in relation " +
                             std::to_string(rel));
   }
   return const_cast<const Object*>(rs.objects.at(it->second).get());
-}
-
-Result<Object*> InstanceStore::GetMutable(RelationId rel, ObjectId id) {
-  BumpMutationEpoch();
-  RelationStore& rs = StoreFor(rel);
-  std::shared_lock lk(rs.mu);
-  auto it = rs.objects.find(id);
-  if (it == rs.objects.end()) {
-    return Status::NotFound("object " + std::to_string(id) +
-                            " not found in relation " + std::to_string(rel));
-  }
-  return it->second.get();
 }
 
 namespace {
@@ -196,7 +184,7 @@ Result<ResolvedPath> InstanceStore::Navigate(RelationId rel, ObjectId id,
   // dereference the returned pointers after blocking on transaction locks
   // must re-resolve through FindIid (see query::QueryExecutor).
   RelationStore& rs = StoreFor(rel);
-  std::shared_lock latch(rs.mu);
+  ReaderLock latch(rs.mu);
   return NavigateLocked(rs, rel, id, path);
 }
 
@@ -279,7 +267,7 @@ Result<Iid> InstanceStore::AddElement(RelationId rel, ObjectId id,
   // Exclusive structure latch: relocating the element buffer must not
   // race with concurrent navigation (shared latch holders).
   RelationStore& rs = StoreFor(rel);
-  std::unique_lock latch(rs.mu);
+  WriterLock latch(rs.mu);
   Result<ResolvedPath> rp = NavigateLocked(rs, rel, id, coll_path);
   if (!rp.ok()) return rp.status();
   const AttrDef& coll_def = catalog_->attr(rp->target_attr());
@@ -324,7 +312,7 @@ Status InstanceStore::RemoveElement(RelationId rel, ObjectId id,
                                     const std::string& elem_key) {
   BumpMutationEpoch();
   RelationStore& rs = StoreFor(rel);
-  std::unique_lock latch(rs.mu);
+  WriterLock latch(rs.mu);
   Result<ResolvedPath> rp = NavigateLocked(rs, rel, id, coll_path);
   if (!rp.ok()) return rp.status();
   const AttrDef& coll_def = catalog_->attr(rp->target_attr());
@@ -415,7 +403,7 @@ std::vector<BackRefPath> InstanceStore::FindReferencing(
       catalog_->ReferencingRelations(target_rel);
   for (RelationId rel : candidates) {
     RelationStore& rs = StoreFor(rel);
-    std::shared_lock lk(rs.mu);
+    ReaderLock lk(rs.mu);
     for (const auto& [id, obj] : rs.objects) {
       std::vector<std::pair<AttrId, Iid>> chain;
       std::vector<std::vector<std::pair<AttrId, Iid>>> hits;
@@ -435,7 +423,7 @@ std::vector<BackRefPath> InstanceStore::FindReferencing(
 
 std::vector<ObjectId> InstanceStore::ObjectsOf(RelationId rel) const {
   RelationStore& rs = StoreFor(rel);
-  std::shared_lock lk(rs.mu);
+  ReaderLock lk(rs.mu);
   std::vector<ObjectId> out;
   out.reserve(rs.objects.size());
   for (const auto& [id, obj] : rs.objects) out.push_back(id);
@@ -444,7 +432,7 @@ std::vector<ObjectId> InstanceStore::ObjectsOf(RelationId rel) const {
 
 size_t InstanceStore::ObjectCount(RelationId rel) const {
   RelationStore& rs = StoreFor(rel);
-  std::shared_lock lk(rs.mu);
+  ReaderLock lk(rs.mu);
   return rs.objects.size();
 }
 

@@ -10,9 +10,11 @@
 /// affected", §3.2.2).
 ///
 /// Thread-safety: structural operations (insert/erase) and lookups are
-/// internally synchronized per relation.  Mutation of attribute *values*
-/// inside stored objects is protected by the lock protocols themselves —
-/// that is precisely the property the library exists to provide.
+/// internally synchronized per relation by read-mostly structure latches
+/// (util/read_mostly_latch.h): every transaction reads through them, and
+/// only structural updates write.  Mutation of attribute *values* inside
+/// stored objects is protected by the lock protocols themselves — that is
+/// precisely the property the library exists to provide.
 
 #ifndef CODLOCK_NF2_STORE_H_
 #define CODLOCK_NF2_STORE_H_
@@ -20,8 +22,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -29,7 +29,9 @@
 
 #include "nf2/schema.h"
 #include "nf2/value.h"
+#include "util/read_mostly_latch.h"
 #include "util/result.h"
+#include "util/thread_annotations.h"
 
 namespace codlock::nf2 {
 
@@ -102,10 +104,6 @@ class InstanceStore {
   /// Looks up an object by key attribute value (e.g. "c1", "r2").
   Result<const Object*> FindByKey(RelationId rel, const std::string& key) const;
 
-  /// Mutable lookup; caller must hold an exclusive lock on the object (or
-  /// a sub-object covering the intended mutation) via a lock protocol.
-  Result<Object*> GetMutable(RelationId rel, ObjectId id);
-
   /// Resolves \p path below object \p id of relation \p rel.
   ///
   /// The resolved chain stops at a ref leaf if the path ends there;
@@ -172,7 +170,7 @@ class InstanceStore {
   const Catalog& catalog() const { return *catalog_; }
 
   /// Monotone counter bumped by every operation that may change stored
-  /// values (Insert/Erase/GetMutable/AddElement/RemoveElement).  Consumers
+  /// values (Insert/Erase/AddElement/RemoveElement).  Consumers
   /// deriving caches from stored data — e.g. the complex-object protocol's
   /// downward-propagation memo — compare epochs to invalidate.  Bumps are
   /// conservative: a mutator that ends up failing may still bump.
@@ -185,22 +183,27 @@ class InstanceStore {
     mutation_epoch_.fetch_add(1, std::memory_order_release);
   }
 
+  /// One relation's objects behind its structure latch.  Latch order:
+  /// a relation's `mu`, then `iid_mu_`; no path takes a latch it holds.
   struct RelationStore {
-    mutable std::shared_mutex mu;
-    std::unordered_map<ObjectId, std::unique_ptr<Object>> objects;
-    std::unordered_map<std::string, ObjectId> by_key;
+    mutable ReadMostlyLatch mu;
+    std::unordered_map<ObjectId, std::unique_ptr<Object>> objects
+        CODLOCK_GUARDED_BY(mu);
+    std::unordered_map<std::string, ObjectId> by_key CODLOCK_GUARDED_BY(mu);
   };
 
-  RelationStore& StoreFor(RelationId rel) const;
+  RelationStore& StoreFor(RelationId rel) const CODLOCK_EXCLUDES(stores_mu_);
 
   /// Navigation core; the caller holds \p rs's structure latch, where
   /// \p rs is `StoreFor(rel)`.
   Result<ResolvedPath> NavigateLocked(const RelationStore& rs,
                                       RelationId rel, ObjectId id,
-                                      const Path& path) const;
+                                      const Path& path) const
+      CODLOCK_REQUIRES_SHARED(rs.mu);
 
-  void IndexIids(const Value& v, RelationId rel, ObjectId obj);
-  void UnindexIids(const Value& v);
+  void IndexIids(const Value& v, RelationId rel, ObjectId obj)
+      CODLOCK_EXCLUDES(iid_mu_);
+  void UnindexIids(const Value& v) CODLOCK_EXCLUDES(iid_mu_);
 
   const Catalog* catalog_;
   std::atomic<uint64_t> mutation_epoch_{1};
@@ -209,11 +212,12 @@ class InstanceStore {
   /// resource's instance is reserved for the lock manager's lanes
   /// (lock/resource.h), and `AssignIids` asserts it in debug builds.
   std::atomic<Iid> next_iid_{1};
-  mutable std::shared_mutex stores_mu_;
+  /// Written only at a relation's first use (`StoreFor`).
+  mutable ReadMostlyLatch stores_mu_;
   mutable std::unordered_map<RelationId, std::unique_ptr<RelationStore>>
-      stores_;
-  mutable std::shared_mutex iid_mu_;
-  std::unordered_map<Iid, IidInfo> iid_index_;
+      stores_ CODLOCK_GUARDED_BY(stores_mu_);
+  mutable ReadMostlyLatch iid_mu_;
+  std::unordered_map<Iid, IidInfo> iid_index_ CODLOCK_GUARDED_BY(iid_mu_);
 };
 
 }  // namespace codlock::nf2

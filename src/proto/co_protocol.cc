@@ -227,7 +227,7 @@ Result<std::vector<nf2::RefValue>> ComplexObjectProtocol::ObjectRefs(
   const uint64_t key = VisitKey(rel, obj);
   const uint64_t before = store_->mutation_epoch();
   {
-    MutexLock lk(memo_mu_);
+    ReaderLock lk(memo_mu_);
     if (memo_epoch_ == before) {
       auto it = refs_memo_.find(key);
       if (it != refs_memo_.end()) return it->second;
@@ -239,7 +239,7 @@ Result<std::vector<nf2::RefValue>> ComplexObjectProtocol::ObjectRefs(
       nf2::InstanceStore::CollectRefs((*o)->root);
   SortRefs(refs);
   const uint64_t after = store_->mutation_epoch();
-  MutexLock lk(memo_mu_);
+  WriterLock lk(memo_mu_);
   if (memo_epoch_ != after) {
     refs_memo_.clear();
     memo_epoch_ = after;

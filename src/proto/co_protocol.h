@@ -39,7 +39,7 @@
 
 #include "authz/authz.h"
 #include "proto/protocol.h"
-#include "util/mutex.h"
+#include "util/read_mostly_latch.h"
 #include "util/thread_annotations.h"
 
 namespace codlock::proto {
@@ -165,9 +165,10 @@ class ComplexObjectProtocol : public LockProtocol {
   const authz::AuthorizationManager* authz_;
   Options options_;
 
-  /// Guards the refs memo below.  Leaf mutex: taken only from protocol
-  /// code with no lock-manager mutex held.
-  mutable Mutex memo_mu_;
+  /// Guards the refs memo below.  Lookups take it shared, a fill and the
+  /// epoch's clear exclusive.  Leaf latch: taken only from protocol code
+  /// with no lock-manager mutex or store latch held.
+  mutable ReadMostlyLatch memo_mu_;
   /// store_->mutation_epoch() value the refs memo was filled under; a
   /// mismatch at lookup means stored values may have changed and the whole
   /// table is dropped.

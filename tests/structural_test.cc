@@ -130,6 +130,76 @@ TEST_F(StructuralTest, EraseRemovesElementAndItsIids) {
   EXPECT_TRUE(f_.store->FindIid(r2->target()->iid()).ok());
 }
 
+TEST_F(StructuralTest, RefsMemoFollowsCommittedInsertAndErase) {
+  // An S on the cells relation covers cell c1 and reads c1's references
+  // from the protocol's refs memo, filled by an earlier S.  A committed
+  // insert or erase of a robot must show in the next S: it takes S on
+  // exactly the effector entry points the cells reference at that moment.
+  sim::Engine eng(f_.catalog.get(), f_.store.get());
+  eng.authorization().GrantAll(1, *f_.catalog);
+  Result<nf2::ObjectId> e9 = f_.store->Insert(
+      f_.effectors, nf2::Value::OfTuple({nf2::Value::OfString("e9"),
+                                         nf2::Value::OfString("tool-9")}));
+  ASSERT_TRUE(e9.ok());
+  const logra::NodeId ep = eng.graph().ComplexObjectNode(f_.effectors);
+  const proto::LockTarget cells = proto::MakeSingletonTarget(
+      eng.graph(), eng.graph().RelationNode(f_.cells));
+
+  // Entry points referenced by the stored cells.
+  auto referenced = [&] {
+    std::set<nf2::Iid> out;
+    for (nf2::ObjectId id : f_.store->ObjectsOf(f_.cells)) {
+      Result<const nf2::Object*> cell = f_.store->Get(f_.cells, id);
+      EXPECT_TRUE(cell.ok());
+      for (const nf2::RefValue& ref :
+           nf2::InstanceStore::CollectRefs((*cell)->root)) {
+        out.insert(*f_.store->RootIid(ref.relation, ref.object));
+      }
+    }
+    return out;
+  };
+  // Entry points an S on the cells relation locks, each in S.
+  auto locked_by_s = [&] {
+    std::set<nf2::Iid> out;
+    txn::Transaction* t = eng.txn_manager().Begin(1);
+    EXPECT_TRUE(eng.protocol().Lock(*t, cells, LockMode::kS).ok());
+    for (const lock::HeldLock& h : eng.lock_manager().LocksOf(t->id())) {
+      if (h.resource.node != ep) continue;
+      EXPECT_EQ(h.mode, LockMode::kS);
+      out.insert(h.resource.instance);
+    }
+    EXPECT_TRUE(eng.txn_manager().Commit(t).ok());
+    return out;
+  };
+
+  const std::set<nf2::Iid> before = referenced();
+  const nf2::Iid e9_iid = *f_.store->RootIid(f_.effectors, *e9);
+  ASSERT_EQ(before.count(e9_iid), 0u);
+  EXPECT_EQ(locked_by_s(), before);  // fills the memo
+
+  txn::Transaction* ins = eng.txn_manager().Begin(1);
+  ASSERT_TRUE(eng.executor()
+                  .ExecuteInsert(*ins, f_.cells, "c1",
+                                 {nf2::PathStep::Field("robots")},
+                                 MakeRobot("r9", f_.effectors, {*e9}))
+                  .ok());
+  ASSERT_TRUE(eng.txn_manager().Commit(ins).ok());
+  std::set<nf2::Iid> with_r9 = before;
+  with_r9.insert(e9_iid);
+  ASSERT_EQ(referenced(), with_r9);
+  EXPECT_EQ(locked_by_s(), with_r9);
+  EXPECT_EQ(locked_by_s(), with_r9);  // answered from the memo
+
+  txn::Transaction* del = eng.txn_manager().Begin(1);
+  ASSERT_TRUE(eng.executor()
+                  .ExecuteErase(*del, f_.cells, "c1",
+                                {nf2::PathStep::Field("robots")}, "r9")
+                  .ok());
+  ASSERT_TRUE(eng.txn_manager().Commit(del).ok());
+  ASSERT_EQ(referenced(), before);
+  EXPECT_EQ(locked_by_s(), before);
+}
+
 TEST_F(StructuralTest, InsertBlocksWhileScannerHoldsCollection) {
   sim::EngineOptions opts;
   opts.lock_timeout_ms = 120;
@@ -334,6 +404,7 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
   eng.authorization().GrantAll(1, *f.catalog);
 
   std::vector<nf2::ObjectId> effector_ids = f.store->ObjectsOf(f.effectors);
+  const logra::NodeId effector_ep = eng.graph().ComplexObjectNode(f.effectors);
   std::atomic<int> next_key{100};
   std::vector<std::thread> threads;
   for (int w = 0; w < 4; ++w) {
@@ -363,7 +434,9 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
                           ? Status::OK()
                           : Status::Aborted("insert failed");
         } else if (dice < 0.55) {
-          // Erase some robot by position (may be NotFound — fine).
+          // Scan the cell's robots.  While the scan's locks are held no
+          // robot can come or go, and downward propagation must hold at
+          // least S on the entry point of every effector they reference.
           Query scan;
           scan.relation = f.cells;
           scan.object_key = cell;
@@ -371,6 +444,25 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
           scan.kind = AccessKind::kRead;
           Result<QueryResult> robots = eng.RunQuery(*t, scan);
           op_status = robots.ok() ? Status::OK() : robots.status();
+          if (robots.ok()) {
+            Result<const nf2::Object*> c = f.store->FindByKey(f.cells, cell);
+            EXPECT_TRUE(c.ok());
+            const std::vector<nf2::RefValue> refs =
+                c.ok() ? nf2::InstanceStore::CollectRefs(
+                             (*c)->root.children()[2])
+                       : std::vector<nf2::RefValue>();
+            for (const nf2::RefValue& ref : refs) {
+              Result<nf2::Iid> root = f.store->RootIid(ref.relation,
+                                                       ref.object);
+              EXPECT_TRUE(root.ok());
+              if (!root.ok()) continue;
+              EXPECT_TRUE(lock::Covers(
+                  eng.lock_manager().HeldMode(t->id(), {effector_ep, *root}),
+                  LockMode::kS))
+                  << "scan of " << cell << " left effector " << ref.object
+                  << " unlocked";
+            }
+          }
         } else {
           // Update one robot by index if it exists.
           Query upd;
