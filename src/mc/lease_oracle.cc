@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "mc/interleave.h"
 #include "sim/fixtures.h"
 #include "ws/server.h"
 
@@ -45,23 +46,6 @@ std::string ScheduleName(const std::vector<Step>& schedule) {
     out += StepName(s);
   }
   return out;
-}
-
-/// Enumerates every order-preserving merge of the actor scripts.
-void Interleave(const std::vector<std::vector<Step>>& actors,
-                std::vector<size_t>& pos, std::vector<Step>& prefix,
-                std::vector<std::vector<Step>>& out) {
-  bool done = true;
-  for (size_t a = 0; a < actors.size(); ++a) {
-    if (pos[a] >= actors[a].size()) continue;
-    done = false;
-    prefix.push_back(actors[a][pos[a]]);
-    ++pos[a];
-    Interleave(actors, pos, prefix, out);
-    --pos[a];
-    prefix.pop_back();
-  }
-  if (done) out.push_back(prefix);
 }
 
 query::Query CellUpdateQuery(const sim::CellsFixture& fx) {
@@ -214,10 +198,7 @@ LeaseExploreStats ExploreLeaseProtocol(const LeaseExploreOptions& opts) {
       {Step::kW2CheckOut, Step::kW2CheckIn},
       {Step::kW1CheckIn}};
   if (opts.with_server_crash) actors.push_back({Step::kCrash});
-  std::vector<std::vector<Step>> schedules;
-  std::vector<size_t> pos(actors.size(), 0);
-  std::vector<Step> prefix;
-  Interleave(actors, pos, prefix, schedules);
+  const std::vector<std::vector<Step>> schedules = Interleavings(actors);
 
   LeaseExploreStats stats;
   std::set<std::string> messages;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "mc/interleave.h"
 #include "ws/shm_ring.h"
 
 namespace codlock::mc {
@@ -79,23 +80,6 @@ std::string ScheduleName(CrashFlavor flavor,
     out += StepName(s);
   }
   return out;
-}
-
-/// Enumerates every order-preserving merge of the actor scripts.
-void Interleave(const std::vector<std::vector<Step>>& actors,
-                std::vector<size_t>& pos, std::vector<Step>& prefix,
-                std::vector<std::vector<Step>>& out) {
-  bool done = true;
-  for (size_t a = 0; a < actors.size(); ++a) {
-    if (pos[a] >= actors[a].size()) continue;
-    done = false;
-    prefix.push_back(actors[a][pos[a]]);
-    ++pos[a];
-    Interleave(actors, pos, prefix, out);
-    --pos[a];
-    prefix.pop_back();
-  }
-  if (done) out.push_back(prefix);
 }
 
 /// Thrown out of the crash hook: unwinding out of Publish/TakeResponse
@@ -287,10 +271,7 @@ RingExploreStats ExploreRingProtocol(const RingExploreOptions& opts) {
       {Step::kP2Publish, Step::kP2Take},
       {Step::kConsume, Step::kConsume, Step::kConsume},
       {Step::kReap}};
-  std::vector<std::vector<Step>> schedules;
-  std::vector<size_t> pos(actors.size(), 0);
-  std::vector<Step> prefix;
-  Interleave(actors, pos, prefix, schedules);
+  const std::vector<std::vector<Step>> schedules = Interleavings(actors);
 
   RingExploreStats stats;
   std::set<std::string> messages;

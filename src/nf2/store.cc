@@ -27,7 +27,6 @@ void InstanceStore::AssignIids(Value* v) {
 }
 
 Result<ObjectId> InstanceStore::Insert(RelationId rel, Value root) {
-  BumpMutationEpoch();
   if (rel >= catalog_->num_relations()) {
     return Status::NotFound("unknown relation id");
   }
@@ -110,7 +109,6 @@ Result<InstanceStore::IidInfo> InstanceStore::FindIid(Iid iid) const {
 }
 
 Status InstanceStore::Erase(RelationId rel, ObjectId id) {
-  BumpMutationEpoch();
   RelationStore& rs = StoreFor(rel);
   WriterLock lk(rs.mu);
   auto it = rs.objects.find(id);
@@ -263,7 +261,6 @@ Result<const Object*> InstanceStore::Deref(const RefValue& ref) const {
 
 Result<Iid> InstanceStore::AddElement(RelationId rel, ObjectId id,
                                       const Path& coll_path, Value elem) {
-  BumpMutationEpoch();
   // Exclusive structure latch: relocating the element buffer must not
   // race with concurrent navigation (shared latch holders).
   RelationStore& rs = StoreFor(rel);
@@ -310,7 +307,6 @@ Result<Iid> InstanceStore::AddElement(RelationId rel, ObjectId id,
 Status InstanceStore::RemoveElement(RelationId rel, ObjectId id,
                                     const Path& coll_path,
                                     const std::string& elem_key) {
-  BumpMutationEpoch();
   RelationStore& rs = StoreFor(rel);
   WriterLock latch(rs.mu);
   Result<ResolvedPath> rp = NavigateLocked(rs, rel, id, coll_path);

@@ -169,20 +169,7 @@ class InstanceStore {
 
   const Catalog& catalog() const { return *catalog_; }
 
-  /// Monotone counter bumped by every operation that may change stored
-  /// values (Insert/Erase/AddElement/RemoveElement).  Consumers
-  /// deriving caches from stored data — e.g. the complex-object protocol's
-  /// downward-propagation memo — compare epochs to invalidate.  Bumps are
-  /// conservative: a mutator that ends up failing may still bump.
-  uint64_t mutation_epoch() const {
-    return mutation_epoch_.load(std::memory_order_acquire);
-  }
-
  private:
-  void BumpMutationEpoch() {
-    mutation_epoch_.fetch_add(1, std::memory_order_release);
-  }
-
   /// One relation's objects behind its structure latch.  Latch order:
   /// a relation's `mu`, then `iid_mu_`; no path takes a latch it holds.
   struct RelationStore {
@@ -206,7 +193,6 @@ class InstanceStore {
   void UnindexIids(const Value& v) CODLOCK_EXCLUDES(iid_mu_);
 
   const Catalog* catalog_;
-  std::atomic<uint64_t> mutation_epoch_{1};
   std::atomic<ObjectId> next_object_{1};
   /// Iids count up from 1 and stay below 2^63: bit 63 of a lock
   /// resource's instance is reserved for the lock manager's lanes

@@ -70,19 +70,30 @@ namespace {
 /// target id < source id): outer units are always entered before the
 /// units they reference, matching the order of explicit root-to-leaf
 /// traversals through reference chains.
+bool EntryOrder(const nf2::RefValue& a, const nf2::RefValue& b) {
+  return a.relation != b.relation ? a.relation > b.relation
+                                  : a.object < b.object;
+}
+
 void SortRefs(std::vector<nf2::RefValue>& refs) {
-  std::sort(refs.begin(), refs.end(),
-            [](const nf2::RefValue& a, const nf2::RefValue& b) {
-              return a.relation != b.relation ? a.relation > b.relation
-                                              : a.object < b.object;
-            });
+  std::sort(refs.begin(), refs.end(), EntryOrder);
+}
+
+/// Records \p ref in the sorted \p visited; false if it was there.
+bool FirstVisit(std::vector<nf2::RefValue>& visited,
+                const nf2::RefValue& ref) {
+  auto it = std::lower_bound(visited.begin(), visited.end(), ref, EntryOrder);
+  if (it != visited.end() && *it == ref) return false;
+  visited.insert(it, ref);
+  return true;
 }
 
 }  // namespace
 
 Status ComplexObjectProtocol::PropagateDown(txn::Transaction& txn,
                                             const nf2::Value& v,
-                                            LockMode mode, Visited* visited) {
+                                            LockMode mode,
+                                            Visited* visited) const {
   std::vector<nf2::RefValue> refs = nf2::InstanceStore::CollectRefs(v);
   SortRefs(refs);
   for (const nf2::RefValue& ref : refs) {
@@ -93,71 +104,49 @@ Status ComplexObjectProtocol::PropagateDown(txn::Transaction& txn,
 
 Status ComplexObjectProtocol::PropagateDownFromSingleton(
     txn::Transaction& txn, logra::NodeId node, LockMode mode,
-    Visited* visited) {
+    Visited* visited) const {
   const logra::Node& n = graph_->node(node);
-  switch (n.level) {
-    case logra::NodeLevel::kRelation: {
-      // S/X on a relation covers every object: their referenced inner
-      // units must become visible too.  The caller's singleton lock keeps
-      // each object's ref adjacency stable, so the memo applies.  The
-      // whole batch is sorted before entry — per-object order would let
-      // two relation-level propagations interleave shared relations in
-      // opposite orders.
-      std::vector<nf2::RefValue> batch;
-      for (nf2::ObjectId obj : store_->ObjectsOf(n.relation)) {
-        Result<std::vector<nf2::RefValue>> refs =
-            ObjectRefs(n.relation, obj);
-        if (!refs.ok()) continue;  // concurrently erased
-        batch.insert(batch.end(), refs->begin(), refs->end());
-      }
-      SortRefs(batch);
-      for (const nf2::RefValue& ref : batch) {
-        CODLOCK_RETURN_IF_ERROR(
-            LockEntryPointInternal(txn, ref, mode, visited));
-      }
-      return Status::OK();
-    }
-    case logra::NodeLevel::kDatabase:
-    case logra::NodeLevel::kSegment: {
-      // Cover every relation in scope.  One batch across the whole scope:
-      // per-relation batches would interleave with the iteration order and
-      // break the single global (relation desc, object) entry order.
-      const nf2::Catalog& catalog = store_->catalog();
-      std::vector<nf2::RefValue> batch;
-      for (nf2::RelationId rel = 0; rel < catalog.num_relations(); ++rel) {
-        const nf2::RelationDef& rdef = catalog.relation(rel);
-        if (n.level == logra::NodeLevel::kDatabase &&
-            rdef.database != n.database) {
-          continue;
-        }
-        if (n.level == logra::NodeLevel::kSegment &&
-            rdef.segment != n.segment) {
-          continue;
-        }
-        for (nf2::ObjectId obj : store_->ObjectsOf(rel)) {
-          Result<std::vector<nf2::RefValue>> refs = ObjectRefs(rel, obj);
-          if (!refs.ok()) continue;  // concurrently erased
-          batch.insert(batch.end(), refs->begin(), refs->end());
-        }
-      }
-      SortRefs(batch);
-      for (const nf2::RefValue& ref : batch) {
-        CODLOCK_RETURN_IF_ERROR(
-            LockEntryPointInternal(txn, ref, mode, visited));
-      }
-      return Status::OK();
-    }
-    default:
-      return Status::Internal(
-          "singleton downward propagation from a value-level node");
+  if (n.level != logra::NodeLevel::kRelation &&
+      n.level != logra::NodeLevel::kSegment &&
+      n.level != logra::NodeLevel::kDatabase) {
+    return Status::Internal(
+        "singleton downward propagation from a value-level node");
   }
+  // S/X on a relation, segment or database covers every object of every
+  // relation in scope: their referenced inner units must become visible
+  // too.  The caller's singleton lock keeps each object's references
+  // stable.  The whole scope is one batch, sorted before entry:
+  // per-object or per-relation batches would let two such propagations
+  // interleave shared relations in opposite orders.
+  const nf2::Catalog& catalog = store_->catalog();
+  std::vector<nf2::RefValue> batch;
+  for (nf2::RelationId rel = 0; rel < catalog.num_relations(); ++rel) {
+    const nf2::RelationDef& rdef = catalog.relation(rel);
+    const bool in_scope =
+        n.level == logra::NodeLevel::kRelation  ? rel == n.relation
+        : n.level == logra::NodeLevel::kSegment ? rdef.segment == n.segment
+                                                : rdef.database == n.database;
+    if (!in_scope ||
+        graph_->RefBlusUnder(graph_->ComplexObjectNode(rel)).empty()) {
+      continue;
+    }
+    for (nf2::ObjectId obj : store_->ObjectsOf(rel)) {
+      Result<std::vector<nf2::RefValue>> refs = ObjectRefs(rel, obj);
+      if (!refs.ok()) continue;  // concurrently erased
+      batch.insert(batch.end(), refs->begin(), refs->end());
+    }
+  }
+  SortRefs(batch);
+  for (const nf2::RefValue& ref : batch) {
+    CODLOCK_RETURN_IF_ERROR(LockEntryPointInternal(txn, ref, mode, visited));
+  }
+  return Status::OK();
 }
 
-Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
-                                                     const nf2::RefValue& ref,
-                                                     LockMode mode,
-                                                     Visited* visited) {
-  if (!visited->insert(VisitKey(ref.relation, ref.object)).second) {
+Status ComplexObjectProtocol::LockEntryPointInternal(
+    txn::Transaction& txn, const nf2::RefValue& ref, LockMode mode,
+    Visited* visited) const {
+  if (!FirstVisit(*visited, ref)) {
     return Status::OK();  // diamond sharing: already covered in this call
   }
 
@@ -206,11 +195,13 @@ Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
   lm_->stats().upward_propagations.Add(chain.size());
   lm_->stats().downward_propagations.Add();
 
-  // Common data may again contain common data: recurse.  The scan over the
-  // object's references happens while the data is read anyway (§4.4.2.1);
-  // with the S/X on the entry point held, the object's ref adjacency is
-  // stable and comes from the propagation memo.
-  if (ep_mode == LockMode::kS || ep_mode == LockMode::kX) {
+  // Common data may again contain common data: recurse, where the schema
+  // lets the entry point's unit hold references at all (§4.4.2.1).  The
+  // scan over the object's references happens while the data is read
+  // anyway; with the S/X on the entry point held, the object's references
+  // are stable.
+  if ((ep_mode == LockMode::kS || ep_mode == LockMode::kX) &&
+      !graph_->RefBlusUnder(ep_node).empty()) {
     Result<std::vector<nf2::RefValue>> refs =
         ObjectRefs(ref.relation, ref.object);
     if (!refs.ok()) return refs.status();
@@ -223,31 +214,12 @@ Status ComplexObjectProtocol::LockEntryPointInternal(txn::Transaction& txn,
 }
 
 Result<std::vector<nf2::RefValue>> ComplexObjectProtocol::ObjectRefs(
-    nf2::RelationId rel, nf2::ObjectId obj) {
-  const uint64_t key = VisitKey(rel, obj);
-  const uint64_t before = store_->mutation_epoch();
-  {
-    ReaderLock lk(memo_mu_);
-    if (memo_epoch_ == before) {
-      auto it = refs_memo_.find(key);
-      if (it != refs_memo_.end()) return it->second;
-    }
-  }
+    nf2::RelationId rel, nf2::ObjectId obj) const {
   Result<const nf2::Object*> o = store_->Get(rel, obj);
   if (!o.ok()) return o.status();
   std::vector<nf2::RefValue> refs =
       nf2::InstanceStore::CollectRefs((*o)->root);
   SortRefs(refs);
-  const uint64_t after = store_->mutation_epoch();
-  WriterLock lk(memo_mu_);
-  if (memo_epoch_ != after) {
-    refs_memo_.clear();
-    memo_epoch_ = after;
-  }
-  // Cache only walks no mutator overlapped: the caller's covering S/X lock
-  // rules out writers of *this* object, but an unrelated mutation mid-walk
-  // would leave the fill attributable to neither epoch.
-  if (before == after) refs_memo_[key] = refs;
   return refs;
 }
 

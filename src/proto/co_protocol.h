@@ -33,14 +33,10 @@
 #ifndef CODLOCK_PROTO_CO_PROTOCOL_H_
 #define CODLOCK_PROTO_CO_PROTOCOL_H_
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "authz/authz.h"
 #include "proto/protocol.h"
-#include "util/read_mostly_latch.h"
-#include "util/thread_annotations.h"
 
 namespace codlock::proto {
 
@@ -96,32 +92,11 @@ class ComplexObjectProtocol : public LockProtocol {
   Status Deescalate(txn::Transaction& txn, const LockTarget& coarse,
                     const std::vector<size_t>& keep_indices);
 
-  /// Key of (relation, object) in visited sets and the propagation memo.
-  ///
-  /// A full-avalanche mix of both components: the earlier
-  /// `(rel << 48) ^ obj` aliased systematically whenever object ids used
-  /// bit 48 and above (e.g. (rel=1, obj=0) and (rel=0, obj=1<<48) mapped to
-  /// the same key, silently skipping a propagation step).  Packing 96 bits
-  /// into 64 cannot be injective, but the mix turns residual collisions
-  /// into data-independent birthday-bound events instead of structural
-  /// ones.  Public so tests can assert the old colliding pairs now differ.
-  static constexpr uint64_t VisitKey(nf2::RelationId rel, nf2::ObjectId obj) {
-    return Mix64(Mix64(static_cast<uint64_t>(rel) + 0x9E3779B97F4A7C15ULL) ^
-                 Mix64(obj + 0xBF58476D1CE4E5B9ULL));
-  }
-
  private:
-  using Visited = std::unordered_set<uint64_t>;
-
-  /// splitmix64 finalizer (bijective on uint64).
-  static constexpr uint64_t Mix64(uint64_t x) {
-    x ^= x >> 30;
-    x *= 0xBF58476D1CE4E5B9ULL;
-    x ^= x >> 27;
-    x *= 0x94D049BB133111EBULL;
-    x ^= x >> 31;
-    return x;
-  }
+  /// The entry points one call has entered, kept sorted in propagation
+  /// order and compared exactly.  A call enters a handful, so a flat
+  /// vector serves; it allocates nothing until the first entry point.
+  using Visited = std::vector<nf2::RefValue>;
 
   lock::AcquireOptions AcquireOpts(const txn::Transaction& txn) const {
     lock::AcquireOptions o;
@@ -136,46 +111,35 @@ class ComplexObjectProtocol : public LockProtocol {
   /// common data.  \p mode is the S/X mode being granted on the covering
   /// node.
   Status PropagateDown(txn::Transaction& txn, const nf2::Value& v,
-                       LockMode mode, Visited* visited);
+                       LockMode mode, Visited* visited) const;
 
   /// Locks a single entry point including implicit upward propagation and
   /// the downward recursion into its own referenced data.
   Status LockEntryPointInternal(txn::Transaction& txn,
                                 const nf2::RefValue& ref, LockMode mode,
-                                Visited* visited);
+                                Visited* visited) const;
 
   /// Downward propagation from a singleton granule (relation/segment/
   /// database level S/X lock): covers every object in scope.
   Status PropagateDownFromSingleton(txn::Transaction& txn,
                                     logra::NodeId node, LockMode mode,
-                                    Visited* visited);
+                                    Visited* visited) const;
 
-  /// The distinct refs contained in (rel, obj)'s value tree, memoized per
-  /// (relation, object) and revalidated against the store's mutation
-  /// epoch.  Precondition: the calling transaction holds an S/X lock
-  /// covering the object (the entry point itself, or a relation/segment/
-  /// database singleton above it), so no writer can be mutating the value
-  /// tree — which is what makes a fill safe to share across transactions.
+  /// The distinct refs contained in (rel, obj)'s value tree, in
+  /// propagation order, read from the store.  Precondition: the calling
+  /// transaction holds an S/X lock covering the object (the entry point
+  /// itself, or a relation/segment/database singleton above it), so no
+  /// writer can change or erase the value tree while it is walked.
   Result<std::vector<nf2::RefValue>> ObjectRefs(nf2::RelationId rel,
-                                                nf2::ObjectId obj);
+                                                nf2::ObjectId obj) const;
 
-  const logra::LockGraph* graph_;
-  const nf2::InstanceStore* store_;
-  lock::LockManager* lm_;
-  const authz::AuthorizationManager* authz_;
-  Options options_;
-
-  /// Guards the refs memo below.  Lookups take it shared, a fill and the
-  /// epoch's clear exclusive.  Leaf latch: taken only from protocol code
-  /// with no lock-manager mutex or store latch held.
-  mutable ReadMostlyLatch memo_mu_;
-  /// store_->mutation_epoch() value the refs memo was filled under; a
-  /// mismatch at lookup means stored values may have changed and the whole
-  /// table is dropped.
-  uint64_t memo_epoch_ CODLOCK_GUARDED_BY(memo_mu_) = 0;
-  /// VisitKey(rel, obj) → distinct refs in the object's value tree.
-  std::unordered_map<uint64_t, std::vector<nf2::RefValue>> refs_memo_
-      CODLOCK_GUARDED_BY(memo_mu_);
+  // Set at construction and never written again: the protocol keeps no
+  // state between calls.
+  const logra::LockGraph* const graph_;
+  const nf2::InstanceStore* const store_;
+  lock::LockManager* const lm_;
+  const authz::AuthorizationManager* const authz_;
+  const Options options_;
 };
 
 }  // namespace codlock::proto

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "util/metrics.h"
+#include "util/retry.h"
 
 namespace codlock::sim {
 
@@ -52,7 +53,10 @@ LatencyReport RunOpenWorkload(Engine& engine,
   bool closed = false;
 
   LatencyHistogram latency;
-  std::atomic<uint64_t> completed{0}, failed{0};
+  std::atomic<uint64_t> completed{0}, failed{0}, retries{0};
+
+  RetryPolicy policy;
+  policy.max_attempts = config.max_retries + 1;
 
   auto worker_fn = [&](int worker_id) {
     Rng rng(config.seed * 7919ULL + static_cast<uint64_t>(worker_id));
@@ -65,9 +69,7 @@ LatencyReport RunOpenWorkload(Engine& engine,
         job = std::move(queue.front());
         queue.pop_front();
       }
-      bool done = false;
-      for (int attempt = 0; attempt <= config.max_retries && !done;
-           ++attempt) {
+      for (int attempt = 1;; ++attempt) {
         txn::Transaction* txn =
             engine.txn_manager().Begin(job.script.user, txn::TxnKind::kShort);
         Status failure;
@@ -87,23 +89,20 @@ LatencyReport RunOpenWorkload(Engine& engine,
           engine.txn_manager().Forget(txn->id());
           latency.Record(MonotonicNanos() - job.arrival_ns);
           completed.fetch_add(1, std::memory_order_relaxed);
-          done = true;
-        } else {
-          engine.txn_manager().Abort(txn);
-          engine.txn_manager().Forget(txn->id());
-          if (!failure.IsDeadlock() && !failure.IsTimeout() &&
-              !failure.IsAborted()) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-            done = true;
-          } else if (attempt == config.max_retries) {
-            failed.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            uint64_t backoff_us =
-                std::min<uint64_t>(100u << std::min(attempt, 7), 10'000u);
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                backoff_us / 2 + rng.Uniform(backoff_us / 2 + 1)));
-          }
+          break;
         }
+        // Abort with cause: classifies into aborts_timeout /
+        // aborts_deadlock / aborts_shed in the shared LockStats.
+        engine.txn_manager().Abort(txn, failure);
+        engine.txn_manager().Forget(txn->id());
+        if (!policy.ShouldRetry(failure, attempt)) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+        retries.fetch_add(1, std::memory_order_relaxed);
+        engine.lock_manager().stats().retries.Add();
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(policy.BackoffUs(attempt, rng)));
       }
     }
   };
@@ -142,6 +141,7 @@ LatencyReport RunOpenWorkload(Engine& engine,
   report.arrived = arrived;
   report.completed = completed.load();
   report.failed = failed.load();
+  report.retries = retries.load();
   report.elapsed_ns = wall.ElapsedNanos();
   report.mean_ms = latency.mean() / 1e6;
   report.p50_ms = static_cast<double>(latency.Quantile(0.50)) / 1e6;

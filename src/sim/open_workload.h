@@ -29,6 +29,8 @@ struct OpenWorkloadConfig {
   /// Worker pool size (max in-flight transactions).
   int workers = 8;
   uint64_t seed = 1;
+  /// Re-runs per transaction after a retryable abort (`RetryPolicy`, with
+  /// `max_attempts = max_retries + 1` and its default backoff).
   int max_retries = 20;
 };
 
@@ -37,6 +39,7 @@ struct LatencyReport {
   uint64_t arrived = 0;
   uint64_t completed = 0;
   uint64_t failed = 0;
+  uint64_t retries = 0;  ///< re-runs after retryable aborts
   uint64_t elapsed_ns = 0;
   double mean_ms = 0;
   double p50_ms = 0;

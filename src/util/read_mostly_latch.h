@@ -2,8 +2,8 @@
 /// \brief A reader-writer latch whose readers write only a line of their
 /// own.
 ///
-/// The store's structure latches, the rights table and the protocol's
-/// refs memo are read by every transaction and written almost never.  A
+/// The store's structure latches and the rights table are read by every
+/// transaction and written almost never.  A
 /// `std::shared_mutex` read lock is two RMWs on the one line that holds
 /// the lock word, and every core that reads writes that line, so readers
 /// that share no data still queue for it (DESIGN.md §11(g)).

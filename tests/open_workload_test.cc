@@ -63,6 +63,41 @@ TEST(OpenWorkloadTest, ContentionRaisesLatencyNotFailures) {
   EXPECT_GT(r.p95_ms, 1.0);
 }
 
+TEST(OpenWorkloadTest, ShedAttemptsAreRetriedAndCountedByCause) {
+  CellsParams p;
+  p.num_cells = 1;
+  CellsFixture f = BuildCellsEffectors(p);
+  EngineOptions eo;
+  eo.lock_manager.max_blocked_waiters = 1;  // a second waiter is shed
+  Engine eng(f.catalog.get(), f.store.get(), eo);
+  eng.authorization().GrantAll(1, *f.catalog);
+
+  OpenWorkloadConfig cfg;
+  cfg.arrival_rate_tps = 20'000;
+  cfg.total_txns = 60;
+  cfg.workers = 8;
+  LatencyReport r = RunOpenWorkload(eng, cfg, [&](int, int, Rng&) {
+    TxnScript s;
+    s.user = 1;
+    s.work_us = 300;
+    s.queries = {query::MakeQ2(f.cells)};  // everyone updates robot r1
+    return s;
+  });
+
+  // A shed is retryable: every arrival commits within its retry budget.
+  EXPECT_EQ(r.completed, 60u);
+  EXPECT_EQ(r.failed, 0u);
+  const LockStats& stats = eng.lock_manager().stats();
+  EXPECT_GT(stats.aborts_shed.value(), 0u);
+  EXPECT_GT(r.retries, 0u);
+  EXPECT_EQ(stats.retries.value(), r.retries);
+  // Every abort was classified by its cause and then retried.
+  EXPECT_EQ(stats.aborts_shed.value() + stats.aborts_timeout.value() +
+                stats.aborts_deadlock.value(),
+            r.retries);
+  EXPECT_EQ(eng.lock_manager().NumEntries(), 0u);
+}
+
 TEST(OpenWorkloadTest, ReportRendering) {
   LatencyReport r;
   r.arrived = 10;

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "proto/co_protocol.h"
 #include "sim/fixtures.h"
 
@@ -37,6 +35,20 @@ class CoProtocolTest : public ::testing::Test {
     EXPECT_TRUE(e.ok());
     return lock::ResourceId{graph_.ComplexObjectNode(f_.effectors),
                             (*e)->root.iid()};
+  }
+
+  /// Modes \p txn holds on the entry points of e1, e2 and e3, and on no
+  /// other effector entry point.
+  std::vector<LockMode> EffectorModes(lock::TxnId txn) {
+    const logra::NodeId ep = graph_.ComplexObjectNode(f_.effectors);
+    size_t held = 0;
+    for (const lock::HeldLock& h : lm_.LocksOf(txn)) {
+      held += h.resource.node == ep ? 1 : 0;
+    }
+    EXPECT_EQ(held, 3u);
+    return {lm_.HeldMode(txn, EffectorResource("e1")),
+            lm_.HeldMode(txn, EffectorResource("e2")),
+            lm_.HeldMode(txn, EffectorResource("e3"))};
   }
 
   sim::CellsFixture f_;
@@ -188,6 +200,49 @@ TEST_F(CoProtocolTest, RelationLevelSLockCoversAllObjects) {
   EXPECT_EQ(lm_.HeldMode(t->id(), EffectorResource("e3")), LockMode::kS);
 }
 
+TEST_F(CoProtocolTest, SegmentLevelSLocksEachReferencedEntryPointOnce) {
+  txn::Transaction* t = tm_.Begin(1);
+  const uint64_t down0 = lm_.stats().downward_propagations.value();
+  LockTarget seg1 = MakeSingletonTarget(graph_, graph_.SegmentNode(f_.seg1));
+  ASSERT_TRUE(proto_.Lock(*t, seg1, LockMode::kS).ok());
+  // c1's robots reference e1, e2 (r1) and e2, e3 (r2): three entry points,
+  // e2 entered once.
+  EXPECT_EQ(lm_.stats().downward_propagations.value() - down0, 3u);
+  EXPECT_EQ(EffectorModes(t->id()),
+            (std::vector<LockMode>{LockMode::kS, LockMode::kS, LockMode::kS}));
+
+  // seg2 holds only the effectors, which reference nothing: an S on it
+  // locks its path and no entry point.
+  txn::Transaction* u = tm_.Begin(1);
+  LockTarget seg2 = MakeSingletonTarget(graph_, graph_.SegmentNode(f_.seg2));
+  ASSERT_TRUE(proto_.Lock(*u, seg2, LockMode::kS).ok());
+  EXPECT_EQ(lm_.LocksOf(u->id()).size(), seg2.path.size());
+}
+
+TEST_F(CoProtocolTest, DatabaseLevelXLocksEachReferencedEntryPointOnce) {
+  const LockTarget db = MakeSingletonTarget(graph_, graph_.DatabaseNode(f_.db));
+  // Rule 4′: user 1 may modify the cells but not the effectors, so the X
+  // reaches every effector entry point as S.
+  ASSERT_TRUE(authz_.Grant(1, f_.cells, authz::Right::kModify).ok());
+  txn::Transaction* t = tm_.Begin(1);
+  uint64_t down0 = lm_.stats().downward_propagations.value();
+  ASSERT_TRUE(proto_.Lock(*t, db, LockMode::kX).ok());
+  EXPECT_EQ(lm_.stats().downward_propagations.value() - down0, 3u);
+  EXPECT_EQ(EffectorModes(t->id()),
+            (std::vector<LockMode>{LockMode::kS, LockMode::kS, LockMode::kS}));
+  ASSERT_TRUE(tm_.Commit(t).ok());
+
+  // A user entitled to modify the effectors gets X on each of them.
+  ASSERT_TRUE(authz_.Grant(2, f_.cells, authz::Right::kModify).ok());
+  ASSERT_TRUE(authz_.Grant(2, f_.effectors, authz::Right::kModify).ok());
+  txn::Transaction* u = tm_.Begin(2);
+  down0 = lm_.stats().downward_propagations.value();
+  ASSERT_TRUE(proto_.Lock(*u, db, LockMode::kX).ok());
+  EXPECT_EQ(lm_.stats().downward_propagations.value() - down0, 3u);
+  EXPECT_EQ(EffectorModes(u->id()),
+            (std::vector<LockMode>{LockMode::kX, LockMode::kX, LockMode::kX}));
+}
+
 TEST_F(CoProtocolTest, LockEntryPointRequiresLockedReferencingNode) {
   txn::Transaction* t = tm_.Begin(1);
   // Build the ref-BLU path without locking anything first.
@@ -309,31 +364,6 @@ TEST_F(CoProtocolTest, XOnADeepTargetTakesIXOnEveryGranuleAbove) {
   EXPECT_EQ(lm_.HeldMode(t->id(), traj.path.back()), LockMode::kX);
   // The trajectory references nothing: no lock off the path.
   EXPECT_EQ(lm_.LocksOf(t->id()).size(), traj.path.size());
-}
-
-TEST(VisitKeyTest, FormerlyAliasingPairsAreDistinct) {
-  // Regression: the visited-set key used to be `(rel << 48) ^ obj`, which
-  // aliases whenever an object id has bits at or above position 48 —
-  // (rel=1, obj=0) collided with (rel=0, obj=1<<48) and downward
-  // propagation would silently skip the second object.  The mixed key must
-  // keep them apart.
-  using P = ComplexObjectProtocol;
-  EXPECT_NE(P::VisitKey(1, 0), P::VisitKey(0, uint64_t{1} << 48));
-  EXPECT_NE(P::VisitKey(3, 7), P::VisitKey(0, (uint64_t{3} << 48) | 7));
-  EXPECT_NE(P::VisitKey(2, uint64_t{5} << 48),
-            P::VisitKey(7, uint64_t{0} << 48));
-}
-
-TEST(VisitKeyTest, NoCollisionsOverDenseIdGrid) {
-  // The (rel, obj) pairs real schemas produce are small and dense; the
-  // mixed key must be collision-free over such a grid.
-  std::set<uint64_t> seen;
-  for (uint32_t rel = 0; rel < 64; ++rel) {
-    for (uint64_t obj = 0; obj < 512; ++obj) {
-      seen.insert(ComplexObjectProtocol::VisitKey(rel, obj));
-    }
-  }
-  EXPECT_EQ(seen.size(), 64u * 512u);
 }
 
 }  // namespace

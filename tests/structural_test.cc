@@ -130,11 +130,11 @@ TEST_F(StructuralTest, EraseRemovesElementAndItsIids) {
   EXPECT_TRUE(f_.store->FindIid(r2->target()->iid()).ok());
 }
 
-TEST_F(StructuralTest, RefsMemoFollowsCommittedInsertAndErase) {
+TEST_F(StructuralTest, RelationSLocksTheRefsOfCommittedInsertAndErase) {
   // An S on the cells relation covers cell c1 and reads c1's references
-  // from the protocol's refs memo, filled by an earlier S.  A committed
-  // insert or erase of a robot must show in the next S: it takes S on
-  // exactly the effector entry points the cells reference at that moment.
+  // from the store.  A committed insert or erase of a robot must show in
+  // the next S: it takes S on exactly the effector entry points the cells
+  // reference at that moment.
   sim::Engine eng(f_.catalog.get(), f_.store.get());
   eng.authorization().GrantAll(1, *f_.catalog);
   Result<nf2::ObjectId> e9 = f_.store->Insert(
@@ -175,7 +175,7 @@ TEST_F(StructuralTest, RefsMemoFollowsCommittedInsertAndErase) {
   const std::set<nf2::Iid> before = referenced();
   const nf2::Iid e9_iid = *f_.store->RootIid(f_.effectors, *e9);
   ASSERT_EQ(before.count(e9_iid), 0u);
-  EXPECT_EQ(locked_by_s(), before);  // fills the memo
+  EXPECT_EQ(locked_by_s(), before);
 
   txn::Transaction* ins = eng.txn_manager().Begin(1);
   ASSERT_TRUE(eng.executor()
@@ -188,7 +188,7 @@ TEST_F(StructuralTest, RefsMemoFollowsCommittedInsertAndErase) {
   with_r9.insert(e9_iid);
   ASSERT_EQ(referenced(), with_r9);
   EXPECT_EQ(locked_by_s(), with_r9);
-  EXPECT_EQ(locked_by_s(), with_r9);  // answered from the memo
+  EXPECT_EQ(locked_by_s(), with_r9);
 
   txn::Transaction* del = eng.txn_manager().Begin(1);
   ASSERT_TRUE(eng.executor()
@@ -389,9 +389,10 @@ class StructuralFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
   // Threads randomly insert, erase, update and scan robots of a few
-  // cells, committing or aborting at random.  Afterwards: no locks
-  // remain, the iid index agrees with the reachable value nodes, robot
-  // keys are unique per cell, and every surviving reference dereferences.
+  // cells, or S-lock the whole cells relation, committing or aborting at
+  // random.  Afterwards: no locks remain, the iid index agrees with the
+  // reachable value nodes, robot keys are unique per cell, and every
+  // surviving reference dereferences.
   sim::CellsParams params;
   params.num_cells = 2;
   params.robots_per_cell = 3;
@@ -405,15 +406,31 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
 
   std::vector<nf2::ObjectId> effector_ids = f.store->ObjectsOf(f.effectors);
   const logra::NodeId effector_ep = eng.graph().ComplexObjectNode(f.effectors);
+  const proto::LockTarget cells_rel = proto::MakeSingletonTarget(
+      eng.graph(), eng.graph().RelationNode(f.cells));
+  // Every effector \p v references is held at least S by \p t.
+  auto expect_refs_held = [&](const txn::Transaction& t, const nf2::Value& v,
+                              const std::string& what) {
+    for (const nf2::RefValue& ref : nf2::InstanceStore::CollectRefs(v)) {
+      Result<nf2::Iid> root = f.store->RootIid(ref.relation, ref.object);
+      EXPECT_TRUE(root.ok());
+      if (!root.ok()) continue;
+      EXPECT_TRUE(lock::Covers(
+          eng.lock_manager().HeldMode(t.id(), {effector_ep, *root}),
+          LockMode::kS))
+          << what << " left effector " << ref.object << " unlocked";
+    }
+  };
   std::atomic<int> next_key{100};
+  std::atomic<int> erased{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < 4; ++w) {
     threads.emplace_back([&, w] {
       Rng rng(GetParam() * 131 + static_cast<uint64_t>(w));
       for (int i = 0; i < 15; ++i) {
         txn::Transaction* t = eng.txn_manager().Begin(1);
-        std::string cell =
-            std::string("c").append(std::to_string(1 + rng.Uniform(2)));
+        const uint64_t cell_no = 1 + rng.Uniform(2);
+        std::string cell = std::string("c").append(std::to_string(cell_no));
         Status op_status;
         double dice = rng.NextDouble();
         if (dice < 0.35) {
@@ -433,7 +450,22 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
                           .ok()
                           ? Status::OK()
                           : Status::Aborted("insert failed");
-        } else if (dice < 0.55) {
+        } else if (dice < 0.5) {
+          // Erase a robot by key: one the fixture gave this cell (c1
+          // holds r1..r3, c2 r4..r6) or one a thread inserted.  A key the
+          // cell does not hold is NotFound.
+          const uint64_t inserted = static_cast<uint64_t>(next_key.load());
+          std::string key =
+              rng.Bernoulli(0.5)
+                  ? std::string("r").append(std::to_string(
+                        3 * (cell_no - 1) + 1 + rng.Uniform(3)))
+                  : std::string("rf").append(
+                        std::to_string(100 + rng.Uniform(inserted - 99)));
+          Status s = eng.executor().ExecuteErase(
+              *t, f.cells, cell, {nf2::PathStep::Field("robots")}, key);
+          if (s.ok()) erased.fetch_add(1);
+          op_status = s.ok() || s.IsNotFound() ? Status::OK() : s;
+        } else if (dice < 0.65) {
           // Scan the cell's robots.  While the scan's locks are held no
           // robot can come or go, and downward propagation must hold at
           // least S on the entry point of every effector they reference.
@@ -447,20 +479,20 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
           if (robots.ok()) {
             Result<const nf2::Object*> c = f.store->FindByKey(f.cells, cell);
             EXPECT_TRUE(c.ok());
-            const std::vector<nf2::RefValue> refs =
-                c.ok() ? nf2::InstanceStore::CollectRefs(
-                             (*c)->root.children()[2])
-                       : std::vector<nf2::RefValue>();
-            for (const nf2::RefValue& ref : refs) {
-              Result<nf2::Iid> root = f.store->RootIid(ref.relation,
-                                                       ref.object);
-              EXPECT_TRUE(root.ok());
-              if (!root.ok()) continue;
-              EXPECT_TRUE(lock::Covers(
-                  eng.lock_manager().HeldMode(t->id(), {effector_ep, *root}),
-                  LockMode::kS))
-                  << "scan of " << cell << " left effector " << ref.object
-                  << " unlocked";
+            if (c.ok()) {
+              expect_refs_held(*t, (*c)->root.children()[2], "scan of " + cell);
+            }
+          }
+        } else if (dice < 0.75) {
+          // S on the cells relation: propagation reads every cell's
+          // references from the store while other threads wait to insert
+          // or erase, and must hold S on every effector they reference.
+          op_status = eng.protocol().Lock(*t, cells_rel, LockMode::kS);
+          if (op_status.ok()) {
+            for (nf2::ObjectId id : f.store->ObjectsOf(f.cells)) {
+              Result<const nf2::Object*> c = f.store->Get(f.cells, id);
+              EXPECT_TRUE(c.ok());
+              if (c.ok()) expect_refs_held(*t, (*c)->root, "S on cells");
             }
           }
         } else {
@@ -485,6 +517,7 @@ TEST_P(StructuralFuzzTest, RandomConcurrentStructuralOpsKeepInvariants) {
     });
   }
   for (auto& th : threads) th.join();
+  EXPECT_GT(erased.load(), 0) << "no erase found its robot";
 
   // Invariant 1: the lock table is empty.
   EXPECT_EQ(eng.lock_manager().NumEntries(), 0u);
